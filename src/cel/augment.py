@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .corpus import gen_speaker, gen_utterance
 from .errors import (
@@ -32,6 +34,15 @@ DECAY_RATE = 3.0 * math.log(10.0)
 # Below this tap count direct convolution is both fast and exact for the
 # identity/delay cases; longer impulse responses go through the FFT.
 _DIRECT_CONV_MAX = 64
+
+# FFT spectra of read-only impulse responses (a NoiseBank's), per FFT length,
+# keyed by array identity. A read-only array cannot change under its cached
+# spectra, and its entry is dropped when the array is freed.
+_rir_spectra: dict[int, dict[int, np.ndarray]] = {}
+_rir_spectra_lock = threading.Lock()
+# Crops share one length, but utterances of varying length each need their
+# own FFT length; the oldest spectra go first beyond this many per response.
+_RIR_SPECTRA_PER_RESPONSE = 8
 
 
 def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> int:
@@ -149,11 +160,31 @@ def add_noise(
     return _mix_at_snr(s.samples, noise.samples[offset : offset + len(s)], snr_db)
 
 
+def _rir_spectrum(h: np.ndarray, n: int) -> np.ndarray:
+    """rfft(h, n), computed once per read-only array and length."""
+    if h.flags.writeable:
+        return sp_fft.rfft(h, n)
+    with _rir_spectra_lock:
+        per_length = _rir_spectra.get(id(h))
+        if per_length is None:
+            per_length = _rir_spectra[id(h)] = {}
+            weakref.finalize(h, _rir_spectra.pop, id(h), None)
+        if n not in per_length:
+            if len(per_length) >= _RIR_SPECTRA_PER_RESPONSE:
+                del per_length[next(iter(per_length))]
+            per_length[n] = sp_fft.rfft(h, n)
+            per_length[n].setflags(write=False)
+        return per_length[n]
+
+
 def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     """Convolve with an impulse response, truncated to the input length.
 
     If convolution raises the peak above the input's, the output is scaled
-    back down to the input peak so the [-1, 1] range survives.
+    back down to the input peak so the [-1, 1] range survives. Long responses
+    are convolved by FFT, in the same steps and so to the same bits as
+    `scipy.signal.fftconvolve`; the spectrum of a read-only response (every
+    NoiseBank's) is cached per FFT length.
     """
     h = np.asarray(rir, dtype=np.float64)
     if h.size == 0:
@@ -164,7 +195,8 @@ def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     if h.size <= _DIRECT_CONV_MAX:
         out = np.convolve(x, h)[: x.size]
     else:
-        out = fftconvolve(x, h)[: x.size]
+        n = sp_fft.next_fast_len(x.size + h.size - 1, True)
+        out = sp_fft.irfft(sp_fft.rfft(x, n) * _rir_spectrum(h, n), n)[: x.size]
     peak_in = float(np.max(np.abs(x)))
     peak_out = float(np.max(np.abs(out)))
     if peak_out > peak_in > 0.0:
@@ -219,7 +251,11 @@ def babble_noise(n: int, rng: np.random.Generator, n_voices: int = 6) -> Wavefor
 
 @dataclass(frozen=True)
 class NoiseBank:
-    """Noise waveforms and impulse responses, both in fixed order."""
+    """Noise waveforms and impulse responses, both in fixed order.
+
+    The impulse responses are stored as read-only float64 copies, so
+    `apply_rir` may cache their spectra.
+    """
 
     noises: tuple[Waveform, ...]
     noise_names: tuple[str, ...]
@@ -232,6 +268,10 @@ class NoiseBank:
                 f"bank needs at least one noise and one impulse response, "
                 f"got {len(self.noises)} and {len(self.rirs)}"
             )
+        rirs = tuple(np.array(h, dtype=np.float64) for h in self.rirs)
+        for h in rirs:
+            h.setflags(write=False)
+        object.__setattr__(self, "rirs", rirs)
 
 
 def synth_bank(

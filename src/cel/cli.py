@@ -102,8 +102,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     if args.similarity is not None:
         cfg = replace(cfg, similarity_kind=args.similarity)
     run = replace(run, pretrain=cfg)
-    if args.workers != 1:
-        log.info("workers=%d requested; augmentation runs sequentially", args.workers)
 
     source = _source_from_dir(args.corpus)
     _echo(run, args.out)
@@ -138,8 +136,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     if args.init is not None:
         cfg = replace(cfg, init_checkpoint=None if args.init == "random" else args.init)
     run = replace(run, finetune=cfg)
-    if args.workers != 1:
-        log.info("workers=%d requested; augmentation runs sequentially", args.workers)
 
     source = _source_from_dir(args.corpus)
     if source.speaker_count < 2:
@@ -240,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity", choices=("aprot", "acont"),
                    help="similarity loss flavor")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--workers", type=int, default=1,
-                   help="augmentation worker cap (processing is sequential)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="supervised fine-tuning")
@@ -255,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="'random' or a pretraining checkpoint path")
     p.add_argument("--epochs", type=int)
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--workers", type=int, default=1,
-                   help="augmentation worker cap (processing is sequential)")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="score a trial list with a checkpoint")

@@ -8,6 +8,7 @@ per-utterance mean normalization. Output orientation is bands x frames.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -161,6 +162,22 @@ def frame_signal(x: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     return windows[: (t - 1) * hop_length + 1 : hop_length]
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis_arrays(
+    cfg: FeatureConfig, sample_rate: int = SAMPLE_RATE
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and mel filterbank of a config, built once and read-only.
+
+    Every log-mel call with the same config shares these two arrays, so they
+    are frozen against writes.
+    """
+    window = np.hamming(cfg.win_length)
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, sample_rate, cfg.f_min, cfg.f_max)
+    window.setflags(write=False)
+    bank.setflags(write=False)
+    return window, bank
+
+
 def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """40 x T log-mel spectrogram of a waveform."""
     x = w.samples
@@ -169,10 +186,9 @@ def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
             f"waveform has {x.size} samples, need at least {cfg.win_length} for one frame"
         )
     frames = frame_signal(x, cfg.win_length, cfg.hop_length)
-    window = np.hamming(cfg.win_length)
+    window, bank = _analysis_arrays(cfg, w.sample_rate)
     spectrum = np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate, cfg.f_min, cfg.f_max)
     energies = bank @ power.T
     values = np.log(energies + cfg.log_floor)
     if cfg.mean_normalize:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import SimilarityParams, normalize
+from .embedding import SCALE_FLOOR, SimilarityParams, normalize
 from .errors import (
     BatchShapeInvalidError,
     BatchTooSmallError,
@@ -29,8 +29,6 @@ from .losses import LossOutput, _CosineMatrix, _log_softmax_rows
 
 # Keeps arccos differentiable at the clamp edge for the angular margin loss.
 COS_CLAMP = 1.0 - 1e-7
-
-SCALE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,28 @@ objective, and logs per-epoch metrics. Fine-tuning reuses the encoder with
 any of six supervised objectives on unaugmented fixed-length segments.
 
 Every random draw comes from a stream derived from (run seed, purpose,
-epoch, item), so runs are bit-reproducible, resumable mid-run, and safe to
-parallelize per item. Metric logs carry only deterministic quantities, so
-two runs with the same seed write byte-identical logs and checkpoints.
+epoch, item), so runs are bit-reproducible and resumable mid-run. Each
+item's data pipeline (waveform fetch, crop, augmentation, log-mel) runs on
+one thread pool sized by the process's CPU affinity, and NumPy's FFTs
+release the interpreter lock, so items overlap on separate cores. The
+calling thread encodes the features in item order as they arrive, then
+runs the losses, the backward passes (summed in item order) and Adam, so
+outputs do not depend on the pool size. The pool leaves room for BLAS's
+own threads: with BLAS on every CPU (its default) it has one thread, so
+set OPENBLAS_NUM_THREADS=1 to get one item thread per CPU.
+Metric logs carry only deterministic quantities, so two runs with the same
+seed write byte-identical logs and checkpoints.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,6 +48,7 @@ from .encoder import (
     PRETRAIN_SCHEDULE,
     Encoder,
     EncoderConfig,
+    ForwardResult,
     LrSchedule,
     OptimizerState,
     adam_step,
@@ -54,6 +67,63 @@ FINETUNE_OBJECTIVES = ("aprot", "acont", "ge2e", "cosface", "arcface", "adacos")
 MARGIN_OBJECTIVES = ("cosface", "arcface", "adacos")
 
 LOG_HEADER = "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
+
+R = TypeVar("R")
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _pool_size(cpus: int, environ: Mapping[str, str]) -> int:
+    """Item threads for `cpus` usable CPUs, leaving room for BLAS's own threads.
+
+    BLAS libraries read their thread count from these variables (OpenBLAS
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; MKL also MKL_NUM_THREADS)
+    and use every CPU when none is set. Each item's log-mel runs a BLAS
+    product, so item threads times BLAS threads should not exceed the CPUs:
+    with BLAS on both cores of a 2-core host, two item threads made desk
+    pretraining and fine-tuning slower than one.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _item_pool() -> ThreadPoolExecutor:
+    """The shared per-item pool, created on first use and sized by `_pool_size`."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:  # macOS and Windows have no affinity mask
+                cpus = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(
+                max_workers=_pool_size(cpus, os.environ), thread_name_prefix="cel-item"
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child the pool's threads are gone; the next use makes a new pool."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; Windows cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_items(fn: Callable[..., R], *items: Iterable) -> Iterator[R]:
+    """`map(fn, *items)` on the pool, yielding results in item order.
+
+    An exception raised by fn reaches the caller unchanged when its item's
+    result is reached.
+    """
+    return _item_pool().map(fn, *items)
 
 
 @dataclass
@@ -93,6 +163,8 @@ class CorpusSource:
         return self.manifest.entries[i * per + utt].relative_path
 
     def waveform(self, local_speaker: int, utt: int) -> Waveform:
+        # Called from the item pool: two threads that miss on one key build
+        # equal waveforms and one store wins, so the cache needs no lock.
         i = self.speakers[local_speaker]
         key = (i, utt)
         if key not in self._cache:
@@ -223,21 +295,26 @@ class BatchItem:
     features2: np.ndarray
 
 
-def _materialize_pair(
+def _pretrain_item(
     source: CorpusSource,
     bank: NoiseBank,
-    frames: int,
-    snr_range: tuple[float, float],
+    cfg: PretrainConfig,
     feature_cfg: FeatureConfig,
+    epoch: int,
     local_speaker: int,
     utt: int,
-    crop_rng: np.random.Generator,
-    aug_rng: np.random.Generator,
 ) -> BatchItem:
+    """Two independently corrupted crops of one utterance, as log-mel features.
+
+    Draws only from the item's own crop and augmentation streams, so items
+    may run in any order and on any thread.
+    """
     wave = source.waveform(local_speaker, utt)
     key = source.utterance_key(local_speaker, utt)
-    pair = crop_two(wave, frames, crop_rng, source_id=key)
-    spec1, spec2 = sample_pair_specs(aug_rng, bank, len(pair.crop1), snr_range)
+    crop_rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
+    aug_rng = derive_rng(cfg.seed, "aug", epoch, local_speaker, utt)
+    pair = crop_two(wave, cfg.frames, crop_rng, source_id=key)
+    spec1, spec2 = sample_pair_specs(aug_rng, bank, len(pair.crop1), cfg.snr_range)
     a1 = apply_spec(pair.crop1, spec1, bank)
     a2 = apply_spec(pair.crop2, spec2, bank)
     return BatchItem(
@@ -247,29 +324,23 @@ def _materialize_pair(
     )
 
 
-def assemble_pretrain_batch(
-    source: CorpusSource,
-    cfg: PretrainConfig,
-    bank: NoiseBank,
-    rng: np.random.Generator,
-    feature_cfg: FeatureConfig = FeatureConfig(),
-) -> list[BatchItem]:
-    """One batch: K distinct speakers, one random utterance each, dual crops."""
-    if source.speaker_count < cfg.k:
-        raise CorpusTooSmallError(
-            f"batch needs {cfg.k} distinct speakers, corpus has {source.speaker_count}"
-        )
-    chosen = rng.permutation(source.speaker_count)[: cfg.k]
-    items = []
-    for s in chosen:
-        u = int(rng.integers(0, source.utterances_per_speaker))
-        items.append(
-            _materialize_pair(
-                source, bank, cfg.frames, cfg.snr_range, feature_cfg,
-                int(s), u, rng, rng,
-            )
-        )
-    return items
+def _summed_grads(
+    enc: Encoder,
+    params: Mapping[str, np.ndarray],
+    forwards: Sequence[ForwardResult],
+    upstream: Sequence[np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Encoder parameter gradients of a batch, summed in item order.
+
+    The encoder passes stay on the calling thread: they are small matrix
+    products whose Python overhead holds the interpreter lock, and on the
+    pool they measured slower.
+    """
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    for fw, up in zip(forwards, upstream):
+        for name, g in enc.backward(params, fw.cache, up).param_grads.items():
+            grads[name] += g
+    return grads
 
 
 def _epoch_plan(
@@ -404,17 +475,15 @@ def pretrain(
         totals = np.zeros(3)
         n_batches = 0
         for batch_plan in plan:
-            items = [
-                _materialize_pair(
-                    source, bank, cfg.frames, cfg.snr_range, feature_cfg,
-                    s, utts[0],
-                    derive_rng(cfg.seed, "crop", epoch, s, utts[0]),
-                    derive_rng(cfg.seed, "aug", epoch, s, utts[0]),
-                )
-                for s, utts in batch_plan
-            ]
-            fw1 = [enc.forward(params, it.features1) for it in items]
-            fw2 = [enc.forward(params, it.features2) for it in items]
+            items = _map_items(
+                partial(_pretrain_item, source, bank, cfg, feature_cfg, epoch),
+                [s for s, _ in batch_plan],
+                [u for _, (u,) in batch_plan],
+            )
+            fw1, fw2 = [], []
+            for item in items:
+                fw1.append(enc.forward(params, item.features1))
+                fw2.append(enc.forward(params, item.features2))
             batch = EmbeddingBatch(
                 np.stack([f.embedding for f in fw1]),
                 np.stack([f.embedding for f in fw2]),
@@ -426,15 +495,9 @@ def pretrain(
             sim = similarity_loss(batch, sim_params, cfg.similarity_kind)
             out = combine_losses(unif, sim, weights)
 
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            for i, fw in enumerate(fw1):
-                back = enc.backward(params, fw.cache, out.grad_view1[i])
-                for name, g in back.param_grads.items():
-                    grads[name] += g
-            for i, fw in enumerate(fw2):
-                back = enc.backward(params, fw.cache, out.grad_view2[i])
-                for name, g in back.param_grads.items():
-                    grads[name] += g
+            grads = _summed_grads(
+                enc, params, fw1 + fw2, [*out.grad_view1, *out.grad_view2]
+            )
             grads["sim_scale"] = np.float64(out.grad_scale)
             grads["sim_bias"] = np.float64(out.grad_bias)
 
@@ -487,16 +550,18 @@ def _load_encoder_init(
     return {k: v for k, v in params.items() if k in wanted}
 
 
-def _finetune_crop(
+def _finetune_item(
     source: CorpusSource,
-    frames: int,
+    cfg: FinetuneConfig,
     feature_cfg: FeatureConfig,
+    epoch: int,
     local_speaker: int,
     utt: int,
-    rng: np.random.Generator,
 ) -> np.ndarray:
+    """Log-mel features of one clean fixed-length segment, from the item's own stream."""
+    rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     wave = source.waveform(local_speaker, utt)
-    need = crop_samples(frames, feature_cfg.win_length, feature_cfg.hop_length)
+    need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
     x = wave.samples
     if x.size < need:
         x = np.resize(x, need)
@@ -574,17 +639,12 @@ def finetune(
         total = 0.0
         n_batches = 0
         for batch_plan in plan:
-            feats = []
-            labels = []
-            for s, utts in batch_plan:
-                for u in utts:
-                    feats.append(
-                        _finetune_crop(
-                            source, cfg.frames, feature_cfg, s, u,
-                            derive_rng(cfg.seed, "crop", epoch, s, u),
-                        )
-                    )
-                    labels.append(s)
+            labels = [s for s, utts in batch_plan for _ in utts]
+            feats = _map_items(
+                partial(_finetune_item, source, cfg, feature_cfg, epoch),
+                labels,
+                [u for _, utts in batch_plan for u in utts],
+            )
             fw = [enc.forward(params, f) for f in feats]
             emb = np.stack([f.embedding for f in fw])
             n_spk = len(batch_plan)
@@ -613,11 +673,7 @@ def finetune(
                     out = ft.adacos_loss(lb, params["cls_w"], adacos_state)
                 upstream = out.grad_embeddings
 
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            for i, f in enumerate(fw):
-                back = enc.backward(params, f.cache, upstream[i])
-                for name, g in back.param_grads.items():
-                    grads[name] += g
+            grads = _summed_grads(enc, params, fw, upstream)
             if uses_sim:
                 grads["sim_scale"] = np.float64(out.grad_scale)
                 grads["sim_bias"] = np.float64(out.grad_bias)
@@ -685,15 +741,19 @@ def embed_utterances(
     robustness rather than clean-audio separability.
     """
     enc = Encoder(encoder_cfg)
-    out = {}
-    for s in range(source.speaker_count):
-        for u in range(source.utterances_per_speaker):
-            key = source.utterance_key(s, u)
-            wave = source.waveform(s, u)
-            if bank is not None:
-                rng = derive_rng(aug_seed, "eval-aug", key)
-                spec = sample_spec(rng, bank, len(wave), snr_range)
-                wave = apply_spec(wave, spec, bank)
-            feats = logmel(wave, feature_cfg).values
-            out[key] = enc.forward(params, feats).embedding
-    return out
+
+    def features(s: int, u: int) -> tuple[str, np.ndarray]:
+        key = source.utterance_key(s, u)
+        wave = source.waveform(s, u)
+        if bank is not None:
+            rng = derive_rng(aug_seed, "eval-aug", key)
+            spec = sample_spec(rng, bank, len(wave), snr_range)
+            wave = apply_spec(wave, spec, bank)
+        return key, logmel(wave, feature_cfg).values
+
+    speakers = range(source.speaker_count)
+    utts = range(source.utterances_per_speaker)
+    items = _map_items(
+        features, [s for s in speakers for _ in utts], [u for _ in speakers for u in utts]
+    )
+    return {key: enc.forward(params, feats).embedding for key, feats in items}

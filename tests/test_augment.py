@@ -1,10 +1,14 @@
 import math
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 import oracles
+from cel import augment
 from cel.augment import (
     AugmentKind,
     AugmentSpec,
@@ -149,6 +153,49 @@ class TestRir:
         if peak_out > peak_in > 0.0:
             want = want * (peak_in / peak_out)
         np.testing.assert_allclose(out.samples, want, atol=1e-10)
+
+    @pytest.mark.parametrize("crop_len", [29040, 7919, 1001])
+    @pytest.mark.parametrize("rir_len", [augment._DIRECT_CONV_MAX, augment._DIRECT_CONV_MAX + 1, 4801])
+    def test_bit_equal_to_seed_convolution(self, rng, crop_len, rir_len):
+        # The seed implementation: np.convolve up to _DIRECT_CONV_MAX taps,
+        # scipy's fftconvolve beyond, then the peak rescale.
+        x = np.clip(0.3 * rng.standard_normal(crop_len), -1.0, 1.0)
+        h = rng.standard_normal(rir_len) * np.exp(-np.arange(rir_len) / 400.0)
+        h[0] = 1.0
+        full = np.convolve(x, h) if rir_len <= augment._DIRECT_CONV_MAX else fftconvolve(x, h)
+        want = full[:crop_len]
+        peak_in, peak_out = np.max(np.abs(x)), np.max(np.abs(want))
+        if peak_out > peak_in > 0.0:
+            want *= peak_in / peak_out
+        h.setflags(write=False)  # read-only, so the second call hits the spectrum cache
+        for _ in range(2):
+            assert apply_rir(Waveform(x), h).samples.tobytes() == want.tobytes()
+
+    def test_spectrum_cache_follows_the_bank(self, rng):
+        bank = synth_bank(seed=5, n_each=1, noise_duration_s=1.0, rir_count=2)
+        h = bank.rirs[0]
+        assert not h.flags.writeable
+        s = Waveform(0.1 * rng.standard_normal(3000))
+        first = apply_rir(s, h).samples.tobytes()
+        assert len(augment._rir_spectra[id(h)]) == 1
+        assert apply_rir(s, h).samples.tobytes() == first
+        cap = augment._RIR_SPECTRA_PER_RESPONSE
+        for n in range(1000, 1000 * (2 * cap + 1), 1000):  # 2 * cap distinct FFT lengths
+            apply_rir(Waveform(np.zeros(n)), h)
+        assert len(augment._rir_spectra[id(h)]) == cap
+        key = id(h)
+        del bank, h
+        gc.collect()
+        assert key not in augment._rir_spectra
+
+    def test_writable_response_is_not_cached(self, rng):
+        s = Waveform(0.1 * rng.standard_normal(3000))
+        h = np.zeros(200)
+        h[0] = 1.0
+        np.testing.assert_allclose(apply_rir(s, h).samples, s.samples, atol=1e-15)
+        h[0] = 0.5
+        np.testing.assert_allclose(apply_rir(s, h).samples, 0.5 * s.samples, atol=1e-15)
+        assert id(h) not in augment._rir_spectra
 
     def test_output_length_truncated(self, rng):
         s = Waveform(0.1 * rng.standard_normal(1000))

@@ -9,6 +9,7 @@ from cel.errors import InvalidRangeError, TooShortError, UnsupportedWavError
 from cel.features import (
     FeatureConfig,
     Waveform,
+    _analysis_arrays,
     frame_count,
     frame_signal,
     hz_to_mel,
@@ -131,6 +132,31 @@ class TestLogmel:
         raw = logmel(wave, cfg.without_normalization()).values
         cmn = logmel(wave, cfg).values
         np.testing.assert_allclose(cmn, raw - raw.mean(axis=1, keepdims=True), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg", [FeatureConfig(), FeatureConfig(n_mels=24, win_length=320, mean_normalize=False)]
+    )
+    def test_matches_uncached_computation_bit_for_bit(self, rng, cfg):
+        samples = np.clip(0.3 * rng.standard_normal(29040), -1.0, 1.0)
+        frames = frame_signal(samples, cfg.win_length, cfg.hop_length)
+        spectrum = np.fft.rfft(frames * np.hamming(cfg.win_length), n=cfg.n_fft, axis=1)
+        power = spectrum.real**2 + spectrum.imag**2
+        bank = mel_filterbank(cfg.n_mels, cfg.n_fft, 16000, cfg.f_min, cfg.f_max)
+        want = np.log(bank @ power.T + cfg.log_floor)
+        if cfg.mean_normalize:
+            want = want - want.mean(axis=1, keepdims=True)
+        for _ in range(2):  # the second call reuses the cached window and filterbank
+            assert logmel(Waveform(samples), cfg).values.tobytes() == want.tobytes()
+
+    def test_cached_window_and_filterbank_are_read_only(self):
+        cfg = FeatureConfig()
+        window, bank = _analysis_arrays(cfg)
+        again = _analysis_arrays(FeatureConfig())
+        assert again[0] is window and again[1] is bank
+        for arr in (window, bank):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_log_floor_bounds_silence(self):
         wave = Waveform(np.zeros(16000))

@@ -1,12 +1,20 @@
 """Training loops: batch assembly, epoch plans, determinism, resume, embedding."""
 
+import os
+import signal
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cel.config import desk_profile
 from cel.corpus import build_manifest
 from cel.encoder import EncoderConfig, LrSchedule, load_checkpoint
-from cel.errors import CorpusTooSmallError, InvalidParamError
+from cel.errors import CorpusTooSmallError, InvalidParamError, UtteranceTooShortError
 from cel.features import FeatureConfig
 from cel.rng import derive_rng
 from cel.trainer import (
@@ -15,11 +23,13 @@ from cel.trainer import (
     FinetuneConfig,
     PretrainConfig,
     _epoch_plan,
-    assemble_pretrain_batch,
+    _map_items,
+    _pretrain_item,
     embed_utterances,
     finetune,
     pretrain,
 )
+from cel import trainer
 from cel.augment import synth_bank
 
 TINY_ENC = EncoderConfig(input_dim=40, hidden_dims=(16,), embedding_dim=8)
@@ -113,7 +123,16 @@ class TestEpochPlan:
 class TestBatchAssembly:
     def test_pretrain_batch_speakers_distinct(self, source, bank):
         cfg = tiny_pretrain_cfg()
-        items = assemble_pretrain_batch(source, cfg, bank, derive_rng("b", 0))
+        plan = _epoch_plan(
+            source.speaker_count, source.utterances_per_speaker, cfg.k, 1,
+            derive_rng(cfg.seed, "plan", 0),
+        )
+        batch = plan[0]
+        items = list(_map_items(
+            lambda s, u: _pretrain_item(source, bank, cfg, FeatureConfig(), 0, s, u),
+            [s for s, _ in batch],
+            [u for _, (u,) in batch],
+        ))
         assert len(items) == cfg.k
         assert len({it.source_id for it in items}) == cfg.k
         for it in items:
@@ -121,10 +140,13 @@ class TestBatchAssembly:
             assert it.features2.shape == (40, cfg.frames)
             assert not np.array_equal(it.features1, it.features2)
 
-    def test_batch_larger_than_corpus_rejected(self, source, bank):
-        cfg = tiny_pretrain_cfg(k=9)
+    def test_batch_larger_than_corpus_rejected(self, source, bank, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("items were built for an impossible batch")
+
+        monkeypatch.setattr(trainer, "_pretrain_item", unreachable)
         with pytest.raises(CorpusTooSmallError):
-            assemble_pretrain_batch(source, cfg, bank, derive_rng("b", 1))
+            pretrain(source, tiny_pretrain_cfg(k=9), TINY_ENC, bank=bank)
 
 
 class TestPretrain:
@@ -289,6 +311,80 @@ class TestEmbedUtterances:
         emb = embed_utterances(sub, params, TINY_ENC)
         assert len(emb) == 2 * source.utterances_per_speaker
         assert all(k.startswith(("spk000", "spk002")) for k in emb)
+
+
+def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
+    """A pretraining run, a fine-tuning run and noisy embeddings, written under out."""
+    pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, out_dir=out / "pre")
+    ft_cfg = tiny_finetune_cfg(objective="arcface", utterances_per_speaker=1)
+    result = finetune(source, ft_cfg, TINY_ENC, out_dir=out / "ft")
+    return embed_utterances(source, result.params, TINY_ENC, bank=bank, aug_seed=3)
+
+
+class TestItemPool:
+    def test_outputs_do_not_depend_on_pool_size(self, source, bank, tmp_path, monkeypatch):
+        # The reference maps the items in order on the calling thread.
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_map_items", map)
+            want = _run_all(source, bank, tmp_path / "serial")
+        files = [f"{run}/{name}" for run in ("pre", "ft")
+                 for name in ("metrics.tsv", "checkpoint.ckpt")]
+        interval = sys.getswitchinterval()
+        # The default pool, one worker, and more workers than cores with
+        # frequent thread switches, so any order dependence would show.
+        for workers in (None, 1, 8):
+            out = tmp_path / f"workers{workers}"
+            with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+                if pool is not None:
+                    monkeypatch.setattr(trainer, "_pool", pool)
+                sys.setswitchinterval(1e-5)
+                try:
+                    got = _run_all(source, bank, out)
+                finally:
+                    sys.setswitchinterval(interval)
+            for name in files:
+                assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            assert list(got) == list(want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes()
+
+    @pytest.mark.parametrize(
+        "environ,cpus,want",
+        [
+            ({}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OMP_NUM_THREADS": "2"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 4, 4),
+            ({"MKL_NUM_THREADS": "16"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "junk"}, 4, 1),
+        ],
+    )
+    def test_pool_leaves_room_for_blas_threads(self, environ, cpus, want):
+        assert trainer._pool_size(cpus, environ) == want
+
+    def test_pool_works_in_a_forked_child(self):
+        # Busy every pool thread, so the child inherits a full, threadless pool.
+        list(_map_items(time.sleep, [0.01] * 2 * len(os.sched_getaffinity(0))))
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if list(_map_items(abs, [-1, -2])) == [1, 2] else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on the item pool")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_worker_error_reaches_caller_with_its_type(self, source, bank):
+        # 500 frames need 80,240 samples; the 4 s utterances have 64,000.
+        with pytest.raises(UtteranceTooShortError):
+            pretrain(source, tiny_pretrain_cfg(frames=500), TINY_ENC, bank=bank)
 
 
 class TestDeskProfile:
