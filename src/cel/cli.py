@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import RunConfig, config_from_dict, load_config, save_config
 from .corpus import build_manifest, load_manifest, write_corpus
-from .encoder import Encoder, EncoderConfig, load_checkpoint
+from .encoder import load_encoder
 from .errors import CelError, CorpusTooSmallError, DegenerateTrialsError
 from .evaluation import (
     DcfParams,
@@ -165,13 +165,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not trials:
         raise DegenerateTrialsError(f"{args.trials}: no trials")
 
-    config, blocks, _ = load_checkpoint(args.checkpoint)
-    encoder_cfg = EncoderConfig.from_dict(config["encoder"])
-    enc = Encoder(encoder_cfg)
-    params = {k: blocks[k] for k in enc.param_shapes() if k in blocks}
-
+    encoder_cfg, params = load_encoder(args.checkpoint)
     source = _source_from_dir(args.corpus)
-    embeddings = embed_utterances(source, params, encoder_cfg, run.features)
+    ids = {key for t in trials for key in (t.enroll_id, t.test_id)}
+    embeddings = embed_utterances(source, params, encoder_cfg, run.features, ids=ids)
     scored = score_trials(embeddings, trials)
 
     e = run.evaluation

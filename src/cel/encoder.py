@@ -10,8 +10,12 @@ multiplicative learning-rate decay, all in plain numpy for verifiability.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -106,7 +110,16 @@ class ForwardResult:
 @dataclass
 class BackwardResult:
     param_grads: dict[str, np.ndarray]
-    input_grad: np.ndarray
+    # The first layer's pre-activation gradient (T, hidden) and weights
+    # (hidden, input_dim); input_grad is their product, computed on first
+    # read because no training step needs it.
+    first_layer_grad: np.ndarray = field(repr=False)
+    first_layer_weights: np.ndarray = field(repr=False)
+
+    @cached_property
+    def input_grad(self) -> np.ndarray:
+        """Gradient with respect to the (input_dim, T) features."""
+        return (self.first_layer_grad @ self.first_layer_weights).T
 
 
 class Encoder:
@@ -226,9 +239,10 @@ class Encoder:
             g_z = g_h * cache.relu_masks[i]
             grads[f"w{i}"] = g_z.T @ cache.layer_inputs[i]
             grads[f"b{i}"] = g_z.sum(axis=0)
-            g_h = g_z @ params[f"w{i}"]
+            if i > 0:
+                g_h = g_z @ params[f"w{i}"]
 
-        return BackwardResult(param_grads=grads, input_grad=g_h.T)
+        return BackwardResult(grads, g_z, params["w0"])
 
 
 @dataclass(frozen=True)
@@ -348,7 +362,12 @@ def save_checkpoint(
     params: Mapping[str, np.ndarray],
     meta: Mapping | None = None,
 ) -> None:
-    """Versioned binary container: magic, JSON header, float64 LE blocks."""
+    """Versioned binary container: magic, JSON header, float64 LE blocks.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one rename, so a crash mid-write leaves the previous
+    file (or none) at `path`, never a truncated one.
+    """
     names = sorted(params)
     header = {
         "config": json.loads(json.dumps(dict(config))),
@@ -358,26 +377,64 @@ def save_checkpoint(
         "meta": dict(meta or {}),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(head)))
-        f.write(head)
-        for n in names:
-            f.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(head)))
+            f.write(head)
+            for n in names:
+                f.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _parse_header(
+    blob: bytes,
+) -> tuple[dict, list[tuple[str, tuple[int, ...]]], dict, int]:
+    """(config, [(name, shape)], meta, offset of the first block) of a checkpoint.
+
+    Raises struct.error, ValueError (which covers JSON and UTF-8 decoding),
+    KeyError or TypeError when the header is truncated or malformed.
+    """
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
+    config, meta = header["config"], header["meta"]
+    if not isinstance(config, dict) or not isinstance(meta, dict):
+        raise TypeError("config and meta must be JSON objects")
+    entries = []
+    for entry in header["params"]:
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str) or not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise ValueError(f"bad parameter entry {entry!r}")
+        entries.append((name, tuple(shape)))
+    return config, entries, meta, 12 + head_len
 
 
 def load_checkpoint(
     path: str | Path, expected_config: Mapping | None = None
 ) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (config, params, meta)."""
+    """Read a checkpoint; returns (config, params, meta).
+
+    Raises CheckpointMismatchError, naming the path, when the file is not a
+    well-formed checkpoint (wrong magic, truncated, corrupt header, missing
+    or trailing bytes) or its config differs from `expected_config`.
+    """
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise CheckpointMismatchError(
             f"{path}: not a checkpoint file (bad magic {blob[:8]!r})"
         )
-    (head_len,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
-    config = header["config"]
+    try:
+        config, entries, meta, offset = _parse_header(blob)
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointMismatchError(
+            f"{path}: corrupt checkpoint header ({type(exc).__name__}: {exc})"
+        ) from exc
     if expected_config is not None:
         want = json.loads(json.dumps(dict(expected_config)))
         if want != config:
@@ -385,15 +442,41 @@ def load_checkpoint(
                 f"{path}: checkpoint config {config} does not match expected {want}"
             )
     params: dict[str, np.ndarray] = {}
-    offset = 12 + head_len
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        count = math.prod(shape)
         block = blob[offset : offset + 8 * count]
         if len(block) != 8 * count:
             raise CheckpointMismatchError(f"{path}: truncated parameter block")
-        params[entry["name"]] = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
+        params[name] = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
         offset += 8 * count
     if offset != len(blob):
         raise CheckpointMismatchError(f"{path}: trailing bytes after parameter blocks")
-    return config, params, header["meta"]
+    return config, params, meta
+
+
+def load_encoder(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
+    """The encoder architecture a checkpoint records, and its encoder weights.
+
+    Raises CheckpointMismatchError, naming the path, when the checkpoint is
+    corrupt, its encoder config is missing or invalid, or a weight the
+    architecture needs is missing or mis-shaped.
+    """
+    config, blocks, _ = load_checkpoint(path)
+    try:
+        encoder_cfg = EncoderConfig.from_dict(config["encoder"])
+    except (
+        LookupError, TypeError, ValueError, ArithmeticError, InvalidParamError
+    ) as exc:
+        raise CheckpointMismatchError(
+            f"{path}: no valid encoder config ({type(exc).__name__}: {exc})"
+        ) from exc
+    shapes = Encoder(encoder_cfg).param_shapes()
+    bad = sorted(
+        n for n, shape in shapes.items() if n not in blocks or blocks[n].shape != shape
+    )
+    if bad:
+        raise CheckpointMismatchError(
+            f"{path}: encoder weights {bad} are missing or do not match the "
+            f"checkpoint's encoder config {encoder_cfg.to_dict()}"
+        )
+    return encoder_cfg, {n: a for n, a in blocks.items() if n in shapes}

@@ -10,14 +10,23 @@ by the better of the two default policies (accept all, reject all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embedding import cosine
-from .errors import DegenerateTrialsError, TrialParseError, UnknownIdError
+from .errors import (
+    DegenerateTrialsError,
+    DimensionMismatchError,
+    TrialParseError,
+    UnknownIdError,
+)
+
+# Trials per gathered chunk in score_trials: two (chunk, dim) float64 blocks.
+# Gathering all 18,336 pairs of the desk evaluation at once raised its peak
+# RSS by about 10 MB (4%); chunks of 2048 left it unchanged.
+_SCORE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -52,15 +61,46 @@ class DcfParams:
 def score_trials(
     embeddings: Mapping[str, np.ndarray], trials: Sequence[Trial]
 ) -> list[Trial]:
-    """Attach cosine scores; preserves trial order."""
-    out = []
-    for t in trials:
-        for key in (t.enroll_id, t.test_id):
-            if key not in embeddings:
-                raise UnknownIdError(f"no embedding for id {key!r}")
-        s = cosine(embeddings[t.enroll_id], embeddings[t.test_id])
-        out.append(replace(t, score=s))
-    return out
+    """Attach cosine scores as Python floats; preserves trial order.
+
+    Every score is bit-equal to `embedding.cosine` of the trial's pair: row
+    norms and pair dot products are row-wise `vecdot`s, which compute each
+    vector product as `np.dot` and `np.linalg.norm` do (a Gram matrix
+    `E @ E.T` or `einsum` sums in another order and differs in the last
+    bits), and a NaN score clamps to -1.0 as `max(-1.0, nan)` does. Pairs
+    are gathered in chunks of `_SCORE_CHUNK` trials to bound memory.
+    """
+    if not trials:
+        return []
+    keys = [key for t in trials for key in (t.enroll_id, t.test_id)]
+    rows = dict.fromkeys(keys)  # distinct ids in order of first use
+    vectors = []
+    for row, key in enumerate(rows):
+        if key not in embeddings:
+            raise UnknownIdError(f"no embedding for id {key!r}")
+        rows[key] = row
+        vectors.append(np.asarray(embeddings[key], dtype=np.float64))
+    shape = vectors[0].shape
+    for key, v in zip(rows, vectors):
+        if v.shape != shape or v.ndim != 1:
+            raise DimensionMismatchError(
+                f"embedding of {key!r} has shape {v.shape}; trials need vectors "
+                f"of one shape, the first has {shape}"
+            )
+    emb = np.stack(vectors)
+    norms = np.sqrt(np.vecdot(emb, emb))
+    pairs = np.array([rows[key] for key in keys], dtype=np.intp).reshape(-1, 2)
+    scores = np.empty(len(pairs))
+    for start in range(0, len(pairs), _SCORE_CHUNK):
+        a, b = pairs[start : start + _SCORE_CHUNK].T
+        scores[start : start + _SCORE_CHUNK] = np.vecdot(emb[a], emb[b]) / (
+            norms[a] * norms[b]
+        )
+    scores = np.minimum(np.fmax(scores, -1.0), 1.0)
+    return [
+        Trial(t.enroll_id, t.test_id, t.is_target, s)
+        for t, s in zip(trials, scores.tolist())
+    ]
 
 
 def _split_scores(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:

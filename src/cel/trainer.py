@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .encoder import (
     adam_step,
     init_optimizer,
     load_checkpoint,
+    load_encoder,
     lr_at,
     save_checkpoint,
 )
@@ -535,19 +536,16 @@ def pretrain(
 
 
 def _load_encoder_init(
-    path: str | Path, encoder_cfg: EncoderConfig, enc: Encoder
+    path: str | Path, encoder_cfg: EncoderConfig
 ) -> dict[str, np.ndarray]:
     """Encoder weights from any checkpoint with a matching architecture."""
-    config, blocks, _ = load_checkpoint(path)
-    stored = config.get("encoder")
-    if stored != encoder_cfg.to_dict():
+    stored, params = load_encoder(path)
+    if stored != encoder_cfg:
         raise CheckpointMismatchError(
-            f"{path}: checkpoint encoder {stored} does not match configured "
+            f"{path}: checkpoint encoder {stored.to_dict()} does not match configured "
             f"{encoder_cfg.to_dict()}"
         )
-    params, _, _ = _unpack_checkpoint(blocks)
-    wanted = set(enc.param_shapes())
-    return {k: v for k, v in params.items() if k in wanted}
+    return params
 
 
 def _finetune_item(
@@ -599,13 +597,18 @@ def finetune(
         params, opt, start_epoch, meta = _resume_state(
             resume_from, config_echo, lr_at(cfg.schedule, 0)
         )
+        if meta.get("objective") != cfg.objective:
+            raise CheckpointMismatchError(
+                f"{resume_from}: checkpoint was fine-tuned with objective "
+                f"{meta.get('objective')!r}; cannot resume it with {cfg.objective!r}"
+            )
         if cfg.objective == "adacos":
             adacos_state = ft.AdaCosState(
                 scale=float(meta["adacos_scale"]), steps=int(meta["adacos_steps"])
             )
     else:
         if cfg.init_checkpoint is not None:
-            params = _load_encoder_init(cfg.init_checkpoint, encoder_cfg, enc)
+            params = _load_encoder_init(cfg.init_checkpoint, encoder_cfg)
         else:
             params = enc.init_params(derive_rng(cfg.seed, "init"))
         if uses_sim:
@@ -733,17 +736,19 @@ def embed_utterances(
     bank: NoiseBank | None = None,
     snr_range: tuple[float, float] = (5.0, 15.0),
     aug_seed: int = 0,
+    ids: Collection[str] | None = None,
 ) -> dict[str, np.ndarray]:
     """Full-utterance embeddings keyed by manifest relative path.
 
     With a bank, each utterance is embedded under one fixed random
     noise/reverb condition (deterministic per key), which evaluates
-    robustness rather than clean-audio separability.
+    robustness rather than clean-audio separability. With `ids`, only the
+    utterances whose keys it holds are read and embedded, each exactly as a
+    whole-corpus call embeds it; ids outside the corpus are ignored.
     """
     enc = Encoder(encoder_cfg)
 
-    def features(s: int, u: int) -> tuple[str, np.ndarray]:
-        key = source.utterance_key(s, u)
+    def features(s: int, u: int, key: str) -> tuple[str, np.ndarray]:
         wave = source.waveform(s, u)
         if bank is not None:
             rng = derive_rng(aug_seed, "eval-aug", key)
@@ -751,9 +756,13 @@ def embed_utterances(
             wave = apply_spec(wave, spec, bank)
         return key, logmel(wave, feature_cfg).values
 
-    speakers = range(source.speaker_count)
-    utts = range(source.utterances_per_speaker)
-    items = _map_items(
-        features, [s for s in speakers for _ in utts], [u for _ in speakers for u in utts]
-    )
+    utterances = [
+        (s, u, source.utterance_key(s, u))
+        for s in range(source.speaker_count)
+        for u in range(source.utterances_per_speaker)
+    ]
+    if ids is not None:
+        ids = set(ids)
+        utterances = [item for item in utterances if item[2] in ids]
+    items = _map_items(features, *zip(*utterances))
     return {key: enc.forward(params, feats).embedding for key, feats in items}

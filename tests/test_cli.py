@@ -203,6 +203,30 @@ class TestEvaluate:
         assert rc == 1
         assert "error [evaluate]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_checkpoint_fails_cleanly(
+        self, workspace, pretrained, tmp_path, capsys, damage
+    ):
+        blob = bytearray(pretrained.read_bytes())
+        if damage == "truncate":
+            blob = blob[:10]
+        else:
+            blob[12] ^= 0x80  # the header's first byte is no longer UTF-8
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(bytes(blob))
+        rc = main(
+            [
+                "evaluate",
+                "--checkpoint", str(corrupt),
+                "--corpus", str(workspace / "corpus"),
+                "--trials", str(trial_file(workspace)),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [evaluate]:" in err and str(corrupt) in err
+
 
 class TestGradcheck:
     def test_single_scope_passes(self, capsys):

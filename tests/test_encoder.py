@@ -1,5 +1,7 @@
 """Encoder architecture, exact backprop, Adam, schedule, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from cel.encoder import (
     adam_step,
     init_optimizer,
     load_checkpoint,
+    load_encoder,
     lr_at,
     save_checkpoint,
     xavier_uniform,
 )
 from cel.errors import (
+    CelError,
     CheckpointMismatchError,
     InvalidParamError,
     ShapeMismatchError,
@@ -201,6 +205,13 @@ class TestBackward:
         denom = np.maximum(np.abs(num), 1e-4)
         assert np.max(np.abs(back.input_grad - num) / denom) < 1e-5
 
+    def test_input_gradient_computed_only_when_read(self):
+        enc, params, feats = random_setup()
+        back = enc.backward(params, enc.forward(params, feats).cache, np.ones(5))
+        assert "input_grad" not in vars(back)
+        assert back.input_grad.shape == feats.shape
+        assert "input_grad" in vars(back)
+
 
 class TestSchedule:
     def test_validation(self):
@@ -308,6 +319,63 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        enc, params, _ = random_setup()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, enc.config.to_dict(), params)
+        before = path.read_bytes()
+        # The header is written before this block fails to convert.
+        with pytest.raises(ValueError):
+            save_checkpoint(path, enc.config.to_dict(), {**params, "zz": "junk"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
+
+    def test_load_encoder_checks_config_and_weights(self, tmp_path):
+        enc, params, _ = random_setup()
+        path = tmp_path / "enc.ckpt"
+        good = {"encoder": enc.config.to_dict()}
+        save_checkpoint(path, good, {**params, "sim_scale": np.float64(2.0)})
+        cfg, loaded = load_encoder(path)
+        assert cfg == enc.config
+        assert sorted(loaded) == sorted(params)
+        for config, weights in [
+            (good, {k: v for k, v in params.items() if k != "w1"}),
+            (good, {**params, "b0": np.zeros(3)}),
+            ({"encoder": {**good["encoder"], "pooling": "max"}}, params),
+            ({"encoder": {**good["encoder"], "hidden_dims": "x"}}, params),
+            ({}, params),
+        ]:
+            save_checkpoint(path, config, weights)
+            with pytest.raises(CheckpointMismatchError, match=re.escape(str(path))):
+                load_encoder(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_files_raise_only_cel_errors(self, tmp_path_factory, data):
+        enc, params, _ = random_setup()
+        path = tmp_path_factory.mktemp("fuzz") / "enc.ckpt"
+        config = {"encoder": enc.config.to_dict()}
+        save_checkpoint(path, config, params, {"epochs_done": 1})
+        blob = bytearray(path.read_bytes())
+        head_end = 12 + int.from_bytes(blob[8:12], "little")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            # Mostly flips in the magic, length field and JSON header, where
+            # a flip changes structure rather than one weight's value.
+            for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                at = data.draw(
+                    st.integers(0, head_end - 1) | st.integers(0, len(blob) - 1),
+                    label="byte",
+                )
+                blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(blob))
+        for load in (load_checkpoint, load_encoder):
+            try:
+                load(path)
+            except CelError as exc:
+                assert str(path) in str(exc)
 
     def test_save_is_deterministic(self, tmp_path):
         enc, params, _ = random_setup()

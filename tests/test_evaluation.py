@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cel.errors import DegenerateTrialsError, TrialParseError, UnknownIdError
+from cel.embedding import cosine
+from cel.errors import (
+    DegenerateTrialsError,
+    DimensionMismatchError,
+    TrialParseError,
+    UnknownIdError,
+)
 from cel.evaluation import (
     DcfParams,
     Trial,
@@ -168,6 +174,66 @@ class TestScoring:
         emb = {"a": np.array([1.0, 0.0])}
         with pytest.raises(UnknownIdError):
             score_trials(emb, [Trial("a", "missing", True)])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        dim=st.sampled_from([2, 32, 64]),
+        n_ids=st.integers(min_value=1, max_value=12),
+        n_trials=st.integers(min_value=1, max_value=60),
+        zero_id=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_per_trial_cosine(self, seed, dim, n_ids, n_trials, zero_id):
+        rng = derive_rng("score-fuzz", seed)
+        # Unnormalized vectors over several magnitudes, and ids repeated
+        # across trials (and within one, as "a" vs "a").
+        emb = {
+            f"u{i}": rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            for i in range(n_ids)
+        }
+        if zero_id:
+            emb["u0"] = np.zeros(dim)
+        ids = rng.integers(0, n_ids, size=(n_trials, 2))
+        trials = [
+            Trial(f"u{a}", f"u{b}", bool(rng.integers(0, 2))) for a, b in ids
+        ]
+        with np.errstate(invalid="ignore"):
+            scored = score_trials(emb, trials)
+            want = [cosine(emb[t.enroll_id], emb[t.test_id]) for t in trials]
+        assert [(t.enroll_id, t.test_id, t.is_target) for t in scored] == [
+            (t.enroll_id, t.test_id, t.is_target) for t in trials
+        ]
+        assert all(type(t.score) is float for t in scored)
+        assert [t.score for t in scored] == want
+        if zero_id:
+            assert all(
+                t.score == -1.0 for t in scored if "u0" in (t.enroll_id, t.test_id)
+            )
+
+    def test_zero_vector_scores_minus_one(self):
+        emb = {"a": np.zeros(3), "b": np.array([0.0, 1.0, 0.0])}
+        with np.errstate(invalid="ignore"):
+            scored = score_trials(emb, [Trial("a", "b", True), Trial("a", "a", False)])
+        assert [t.score for t in scored] == [-1.0, -1.0]
+
+    def test_first_missing_id_in_trial_order_is_named(self):
+        emb = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        trials = [
+            Trial("a", "b", True), Trial("b", "gone1", False), Trial("gone2", "a", True)
+        ]
+        with pytest.raises(UnknownIdError, match="'gone1'"):
+            score_trials(emb, trials)
+        with pytest.raises(UnknownIdError, match="'gone2'"):
+            score_trials(emb, [trials[0], trials[2], trials[1]])
+
+    def test_mismatched_dimensions_rejected(self):
+        emb = {"a": np.ones(3), "b": np.ones(4), "c": np.ones(3)}
+        score_trials(emb, [Trial("a", "c", True)])
+        with pytest.raises(DimensionMismatchError):
+            score_trials(emb, [Trial("a", "c", True), Trial("c", "b", False)])
+
+    def test_empty_trial_list_scores_to_empty(self):
+        assert score_trials({"a": np.ones(2)}, []) == []
 
     def test_unscored_trials_rejected_by_metrics(self):
         with pytest.raises(DegenerateTrialsError):

@@ -14,7 +14,13 @@ import pytest
 from cel.config import desk_profile
 from cel.corpus import build_manifest
 from cel.encoder import EncoderConfig, LrSchedule, load_checkpoint
-from cel.errors import CorpusTooSmallError, InvalidParamError, UtteranceTooShortError
+from cel.errors import (
+    CheckpointMismatchError,
+    CorpusTooSmallError,
+    InvalidParamError,
+    UtteranceTooShortError,
+)
+from cel.evaluation import Trial
 from cel.features import FeatureConfig
 from cel.rng import derive_rng
 from cel.trainer import (
@@ -270,6 +276,13 @@ class TestFinetune:
         for name in full.params:
             np.testing.assert_array_equal(resumed.params[name], full.params[name])
 
+    @pytest.mark.parametrize("objective", ["cosface", "adacos"])
+    def test_resume_with_another_objective_rejected(self, source, tmp_path, objective):
+        finetune(source, tiny_finetune_cfg(epochs=1), TINY_ENC, out_dir=tmp_path)
+        cfg = tiny_finetune_cfg(objective=objective, utterances_per_speaker=1)
+        with pytest.raises(CheckpointMismatchError, match=f"'aprot'.*'{objective}'"):
+            finetune(source, cfg, TINY_ENC, resume_from=tmp_path / "checkpoint.ckpt")
+
     def test_checkpoint_contains_optimizer_state(self, source, tmp_path):
         cfg = tiny_finetune_cfg(epochs=1)
         finetune(source, cfg, TINY_ENC, out_dir=tmp_path)
@@ -302,6 +315,30 @@ class TestEmbedUtterances:
         assert not np.allclose(clean[key], noisy_a[key])
         for k in clean:
             np.testing.assert_array_equal(noisy_a[k], noisy_b[k])
+
+    def test_ids_restrict_the_utterances_read(self, source, bank, monkeypatch):
+        from cel.encoder import Encoder
+
+        params = Encoder(TINY_ENC).init_params(derive_rng("emb-init"))
+        full = embed_utterances(source, params, TINY_ENC, bank=bank, aug_seed=2)
+        keys = list(full)
+        trials = [Trial(keys[1], keys[6], False), Trial(keys[6], keys[7], True)]
+        ids = {key for t in trials for key in (t.enroll_id, t.test_id)}
+        fetched = []
+        waveform = CorpusSource.waveform
+
+        def counted(self, s, u):
+            fetched.append(self.utterance_key(s, u))
+            return waveform(self, s, u)
+
+        monkeypatch.setattr(CorpusSource, "waveform", counted)
+        emb = embed_utterances(
+            source, params, TINY_ENC, bank=bank, aug_seed=2, ids=ids | {"nowhere.wav"}
+        )
+        assert sorted(fetched) == sorted(ids)
+        assert list(emb) == [k for k in keys if k in ids]
+        for key in ids:
+            assert emb[key].tobytes() == full[key].tobytes()
 
     def test_speaker_subset_restricts_keys(self, source):
         from cel.encoder import Encoder
