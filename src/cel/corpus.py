@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
+from . import pool
 from .errors import CorpusTooSmallError, SchemaError, TooShortError
 from .features import SAMPLE_RATE, FeatureConfig, Waveform, logmel, read_wav, write_wav
 from .rng import derive_rng
@@ -68,6 +70,19 @@ def _resonator_coeffs(freq_hz: float, bw_hz: float) -> tuple[np.ndarray, np.ndar
     return b, a
 
 
+def _harmonics(phase: np.ndarray, gains: list[float], lo: int, hi: int) -> np.ndarray:
+    """The harmonic source over samples [lo, hi), summed in harmonic order.
+
+    Each sample goes through the same float operations whatever the range,
+    so ranges computed on separate threads concatenate to the serial sum.
+    """
+    p = phase[lo:hi]
+    out = np.zeros(hi - lo)
+    for k, g in enumerate(gains, start=1):
+        out += g * np.sin(k * p)
+    return out
+
+
 def gen_utterance(
     profile: SpeakerProfile,
     duration_s: float,
@@ -95,14 +110,20 @@ def gen_utterance(
     contour = profile.f0_hz * shift * (
         1.0 + profile.jitter_depth * np.sin(2.0 * np.pi * profile.jitter_rate_hz * t + phase0)
     )
+    # One serial prefix sum: a chunked one rounds differently.
     phase = 2.0 * np.pi * np.cumsum(contour) / SAMPLE_RATE
 
     max_f0 = float(contour.max())
-    source = np.zeros(n)
+    gains = []
     for k, amp in enumerate(profile.harmonic_amps, start=1):
         if k * max_f0 >= SAMPLE_RATE / 2:
             break
-        source += amp * float(k) ** tilt * np.sin(k * phase)
+        gains.append(amp * float(k) ** tilt)
+    workers = pool.item_pool().workers
+    bounds = [n * i // workers for i in range(workers + 1)]
+    source = np.concatenate(
+        list(pool.map_items(partial(_harmonics, phase, gains), bounds[:-1], bounds[1:]))
+    )
     source += profile.noise_level * noise_scale * rng.standard_normal(n)
 
     x = source

@@ -104,9 +104,12 @@ def score_trials(
 
 
 def _split_scores(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
-    tgt = [t.score for t in trials if t.is_target]
-    non = [t.score for t in trials if not t.is_target]
-    if any(s is None for s in tgt + non):
+    """Sorted target and nontarget scores, from one pass over the trials."""
+    tgt: list = []
+    non: list = []
+    for t in trials:
+        (tgt if t.is_target else non).append(t.score)
+    if None in tgt or None in non:
         raise DegenerateTrialsError("trials must be scored before metric computation")
     if not tgt or not non:
         raise DegenerateTrialsError(

@@ -8,30 +8,28 @@ any of six supervised objectives on unaugmented fixed-length segments.
 Every random draw comes from a stream derived from (run seed, purpose,
 epoch, item), so runs are bit-reproducible and resumable mid-run. Each
 item's data pipeline (waveform fetch, crop, augmentation, log-mel) runs on
-one thread pool sized by the process's CPU affinity, and NumPy's FFTs
-release the interpreter lock, so items overlap on separate cores. The
-calling thread encodes the features in item order as they arrive, then
-runs the losses, the backward passes (summed in item order) and Adam, so
-outputs do not depend on the pool size. The pool leaves room for BLAS's
-own threads: with BLAS on every CPU (its default) it has one thread, so
-set OPENBLAS_NUM_THREADS=1 to get one item thread per CPU.
+the shared thread pool of `cel.pool`, sized by the process's CPU affinity,
+and NumPy's FFTs release the interpreter lock, so items overlap on separate
+cores. The calling thread encodes the features in item order as they
+arrive, then runs the losses, the backward passes (summed in item order)
+and Adam, so outputs do not depend on the pool size. The pool leaves room
+for BLAS's own threads: with BLAS on every CPU (its default) it has one
+thread, so set OPENBLAS_NUM_THREADS=1 to get one item thread per CPU.
 Metric logs carry only deterministic quantities, so two runs with the same
 seed write byte-identical logs and checkpoints.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from . import finetune as ft
+from . import pool
 from .augment import (
     NoiseBank,
     apply_spec,
@@ -68,63 +66,6 @@ FINETUNE_OBJECTIVES = ("aprot", "acont", "ge2e", "cosface", "arcface", "adacos")
 MARGIN_OBJECTIVES = ("cosface", "arcface", "adacos")
 
 LOG_HEADER = "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
-
-R = TypeVar("R")
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _pool_size(cpus: int, environ: Mapping[str, str]) -> int:
-    """Item threads for `cpus` usable CPUs, leaving room for BLAS's own threads.
-
-    BLAS libraries read their thread count from these variables (OpenBLAS
-    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; MKL also MKL_NUM_THREADS)
-    and use every CPU when none is set. Each item's log-mel runs a BLAS
-    product, so item threads times BLAS threads should not exceed the CPUs:
-    with BLAS on both cores of a 2-core host, two item threads made desk
-    pretraining and fine-tuning slower than one.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
-def _item_pool() -> ThreadPoolExecutor:
-    """The shared per-item pool, created on first use and sized by `_pool_size`."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:  # macOS and Windows have no affinity mask
-                cpus = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(
-                max_workers=_pool_size(cpus, os.environ), thread_name_prefix="cel-item"
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    """In a forked child the pool's threads are gone; the next use makes a new pool."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; Windows cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _map_items(fn: Callable[..., R], *items: Iterable) -> Iterator[R]:
-    """`map(fn, *items)` on the pool, yielding results in item order.
-
-    An exception raised by fn reaches the caller unchanged when its item's
-    result is reached.
-    """
-    return _item_pool().map(fn, *items)
 
 
 @dataclass
@@ -419,6 +360,13 @@ def _unpack_checkpoint(
     return params, m, v
 
 
+def _meta_value(meta: Mapping, key: str, path: str | Path):
+    """`meta[key]`, or a CheckpointMismatchError naming the path and the key."""
+    if key not in meta:
+        raise CheckpointMismatchError(f"{path}: checkpoint meta has no {key!r}")
+    return meta[key]
+
+
 def _resume_state(
     resume_from: str | Path,
     config_echo: Mapping,
@@ -426,8 +374,9 @@ def _resume_state(
 ) -> tuple[dict[str, np.ndarray], OptimizerState, int, dict]:
     config, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
     params, m, v = _unpack_checkpoint(blocks)
-    opt = OptimizerState(m=m, v=v, step=int(meta["adam_step"]), lr=lr)
-    return params, opt, int(meta["epochs_done"]), meta
+    step = int(_meta_value(meta, "adam_step", resume_from))
+    opt = OptimizerState(m=m, v=v, step=step, lr=lr)
+    return params, opt, int(_meta_value(meta, "epochs_done", resume_from)), meta
 
 
 def pretrain(
@@ -476,7 +425,7 @@ def pretrain(
         totals = np.zeros(3)
         n_batches = 0
         for batch_plan in plan:
-            items = _map_items(
+            items = pool.map_items(
                 partial(_pretrain_item, source, bank, cfg, feature_cfg, epoch),
                 [s for s, _ in batch_plan],
                 [u for _, (u,) in batch_plan],
@@ -604,7 +553,8 @@ def finetune(
             )
         if cfg.objective == "adacos":
             adacos_state = ft.AdaCosState(
-                scale=float(meta["adacos_scale"]), steps=int(meta["adacos_steps"])
+                scale=float(_meta_value(meta, "adacos_scale", resume_from)),
+                steps=int(_meta_value(meta, "adacos_steps", resume_from)),
             )
     else:
         if cfg.init_checkpoint is not None:
@@ -643,7 +593,7 @@ def finetune(
         n_batches = 0
         for batch_plan in plan:
             labels = [s for s, utts in batch_plan for _ in utts]
-            feats = _map_items(
+            feats = pool.map_items(
                 partial(_finetune_item, source, cfg, feature_cfg, epoch),
                 labels,
                 [u for _, utts in batch_plan for u in utts],
@@ -764,5 +714,5 @@ def embed_utterances(
     if ids is not None:
         ids = set(ids)
         utterances = [item for item in utterances if item[2] in ids]
-    items = _map_items(features, *zip(*utterances))
+    items = pool.map_items(features, *zip(*utterances))
     return {key: enc.forward(params, feats).embedding for key, feats in items}

@@ -1,8 +1,13 @@
+import sys
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from cel import pool
 from cel.corpus import build_manifest
 from cel.augment import synth_bank
+from cel.pool import ItemPool
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +24,29 @@ def tiny_bank():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def on_pools(monkeypatch):
+    """on_pools(run, workers) gives {n: run(n)} for the default pool (n None)
+    and for an item pool of each size n.
+
+    Threads switch every 10 us, so any dependence on the order in which
+    pool tasks finish would show.
+    """
+
+    def each(run, workers=(None, 1, 8)):
+        interval = sys.getswitchinterval()
+        results = {}
+        for n in workers:
+            with ItemPool(n) if n else nullcontext() as item_pool:
+                if item_pool is not None:
+                    monkeypatch.setattr(pool, "_pool", item_pool)
+                sys.setswitchinterval(1e-5)
+                try:
+                    results[n] = run(n)
+                finally:
+                    sys.setswitchinterval(interval)
+        return results
+
+    return each

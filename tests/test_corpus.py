@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from cel import augment
+from cel.augment import synth_bank
 from cel.corpus import (
+    MIN_UTTERANCE_SAMPLES,
+    _resonator_coeffs,
     build_manifest,
     gen_speaker,
     gen_utterance,
@@ -18,8 +23,37 @@ from cel.corpus import (
     write_corpus,
 )
 from cel.errors import CorpusTooSmallError, SchemaError, TooShortError
-from cel.features import SAMPLE_RATE, read_wav
+from cel.features import SAMPLE_RATE, Waveform, read_wav
 from cel.rng import derive_rng
+
+
+def serial_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES):
+    """`gen_utterance` with its harmonic source summed over all samples at once."""
+    n = int(round(duration_s * SAMPLE_RATE))
+    if n < min_samples:
+        raise TooShortError(f"{n} < {min_samples}")
+    t = np.arange(n) / SAMPLE_RATE
+    shift = 1.0 + rng.uniform(-0.04, 0.04)
+    phase0 = rng.uniform(0.0, 2.0 * np.pi)
+    formant_scale = rng.uniform(0.92, 1.08, size=len(profile.formant_hz))
+    tilt = rng.uniform(-0.35, 0.35)
+    noise_scale = rng.uniform(0.5, 2.0)
+    contour = profile.f0_hz * shift * (
+        1.0 + profile.jitter_depth * np.sin(2.0 * np.pi * profile.jitter_rate_hz * t + phase0)
+    )
+    phase = 2.0 * np.pi * np.cumsum(contour) / SAMPLE_RATE
+    max_f0 = float(contour.max())
+    source = np.zeros(n)
+    for k, amp in enumerate(profile.harmonic_amps, start=1):
+        if k * max_f0 >= SAMPLE_RATE / 2:
+            break
+        source += amp * float(k) ** tilt * np.sin(k * phase)
+    source += profile.noise_level * noise_scale * rng.standard_normal(n)
+    x = source
+    for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale):
+        b, a = _resonator_coeffs(freq * fs, bw)
+        x = lfilter(b, a, x)
+    return Waveform(x / np.max(np.abs(x)) * 0.5)
 
 
 class TestProfiles:
@@ -71,6 +105,43 @@ class TestUtterances:
         a = utterance_waveform(m, 1, 0)
         b = utterance_waveform(m, 1, 0)
         assert np.array_equal(a.samples, b.samples)
+
+
+POOL_SIZES = (None, 1, 2, 3, 8)
+
+
+class TestPooledSynthesis:
+    # 64,001 samples: no worker count above divides it. 5 samples: fewer
+    # than 8 workers, so some sample ranges are empty.
+    @pytest.mark.parametrize(
+        "duration_s,min_samples",
+        [
+            (4.0, MIN_UTTERANCE_SAMPLES),
+            (2.5, 1),
+            (64_001 / SAMPLE_RATE, MIN_UTTERANCE_SAMPLES),
+            (5 / SAMPLE_RATE, 1),
+        ],
+    )
+    def test_bit_equal_to_serial_sum_on_every_pool(self, on_pools, duration_s, min_samples):
+        profile = gen_speaker(derive_rng("pooled", round(duration_s * SAMPLE_RATE)))
+        want = serial_utterance(profile, duration_s, derive_rng("pooled-utt"), min_samples)
+        got = on_pools(
+            lambda n: gen_utterance(profile, duration_s, derive_rng("pooled-utt"), min_samples),
+            POOL_SIZES,
+        )
+        for w in got.values():
+            assert w.samples.tobytes() == want.samples.tobytes()
+
+    def test_babble_bit_equal_to_serial_sum_on_every_pool(self, monkeypatch, on_pools):
+        def noises(n=None):
+            bank = synth_bank(seed=8, n_each=1, noise_duration_s=16_001 / SAMPLE_RATE)
+            return [w.samples.tobytes() for w in bank.noises]
+
+        with monkeypatch.context() as m:
+            m.setattr(augment, "gen_utterance", serial_utterance)
+            want = noises()
+        for got in on_pools(noises, POOL_SIZES).values():
+            assert got == want
 
 
 class TestManifest:

@@ -16,6 +16,7 @@ from cel.errors import (
 from cel.evaluation import (
     DcfParams,
     Trial,
+    _split_scores,
     det_points,
     eer,
     min_dcf,
@@ -242,6 +243,26 @@ class TestScoring:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateTrialsError):
             eer([Trial("a", "b", True, 0.5)])
+
+    def test_unscored_trial_reported_before_missing_class(self):
+        for metric in (eer, min_dcf, det_points):
+            with pytest.raises(DegenerateTrialsError, match="scored before"):
+                metric([Trial("a", "b", True, 0.5), Trial("a", "c", True)])
+            with pytest.raises(DegenerateTrialsError, match="got 0 target and 2 nontarget"):
+                metric([Trial("a", "b", False, 0.5), Trial("a", "c", False, 0.1)])
+
+    def test_split_scores_bit_equal_to_two_pass_reference(self):
+        rng = derive_rng("split-scores")
+        for _ in range(20):
+            trials = random_trials(rng)
+            trials = [trials[i] for i in rng.permutation(len(trials))]
+            trials.append(Trial("a", "b", False, -0.0))
+            trials.append(Trial("a", "c", True, float("nan")))
+            tgt = [t.score for t in trials if t.is_target]
+            non = [t.score for t in trials if not t.is_target]
+            got = _split_scores(trials)
+            assert got[0].tobytes() == np.sort(np.asarray(tgt, dtype=np.float64)).tobytes()
+            assert got[1].tobytes() == np.sort(np.asarray(non, dtype=np.float64)).tobytes()
 
 
 class TestTrialFiles:

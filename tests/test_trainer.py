@@ -1,11 +1,11 @@
 """Training loops: batch assembly, epoch plans, determinism, resume, embedding."""
 
 import os
+import re
 import signal
-import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from cel.config import desk_profile
 from cel.corpus import build_manifest
-from cel.encoder import EncoderConfig, LrSchedule, load_checkpoint
+from cel.encoder import EncoderConfig, LrSchedule, load_checkpoint, save_checkpoint
 from cel.errors import (
     CheckpointMismatchError,
     CorpusTooSmallError,
@@ -22,6 +22,7 @@ from cel.errors import (
 )
 from cel.evaluation import Trial
 from cel.features import FeatureConfig
+from cel.pool import ItemPool, map_items
 from cel.rng import derive_rng
 from cel.trainer import (
     LOG_HEADER,
@@ -29,13 +30,12 @@ from cel.trainer import (
     FinetuneConfig,
     PretrainConfig,
     _epoch_plan,
-    _map_items,
     _pretrain_item,
     embed_utterances,
     finetune,
     pretrain,
 )
-from cel import trainer
+from cel import pool, trainer
 from cel.augment import synth_bank
 
 TINY_ENC = EncoderConfig(input_dim=40, hidden_dims=(16,), embedding_dim=8)
@@ -72,6 +72,14 @@ def tiny_finetune_cfg(**kw):
     )
     base.update(kw)
     return FinetuneConfig(**base)
+
+
+def _drop_meta_key(path: Path, key: str) -> Path:
+    """Re-save the checkpoint at path without meta[key]."""
+    config, blocks, meta = load_checkpoint(path)
+    del meta[key]
+    save_checkpoint(path, config, blocks, meta)
+    return path
 
 
 class TestConfigValidation:
@@ -134,7 +142,7 @@ class TestBatchAssembly:
             derive_rng(cfg.seed, "plan", 0),
         )
         batch = plan[0]
-        items = list(_map_items(
+        items = list(map_items(
             lambda s, u: _pretrain_item(source, bank, cfg, FeatureConfig(), 0, s, u),
             [s for s, _ in batch],
             [u for _, (u,) in batch],
@@ -211,6 +219,13 @@ class TestPretrain:
             np.testing.assert_array_equal(resumed.params[name], full.params[name])
         assert [r.epoch for r in resumed.records] == [2, 3]
 
+    @pytest.mark.parametrize("key", ["adam_step", "epochs_done"])
+    def test_resume_without_meta_key_rejected(self, source, bank, tmp_path, key):
+        pretrain(source, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank, out_dir=tmp_path)
+        path = _drop_meta_key(tmp_path / "checkpoint.ckpt", key)
+        with pytest.raises(CheckpointMismatchError, match=f"{re.escape(str(path))}.*'{key}'"):
+            pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, resume_from=path)
+
     def test_k_larger_than_corpus_rejected(self, source, bank):
         with pytest.raises(CorpusTooSmallError):
             pretrain(source, tiny_pretrain_cfg(k=6), TINY_ENC, bank=bank)
@@ -282,6 +297,14 @@ class TestFinetune:
         cfg = tiny_finetune_cfg(objective=objective, utterances_per_speaker=1)
         with pytest.raises(CheckpointMismatchError, match=f"'aprot'.*'{objective}'"):
             finetune(source, cfg, TINY_ENC, resume_from=tmp_path / "checkpoint.ckpt")
+
+    @pytest.mark.parametrize("key", ["adacos_scale", "adacos_steps"])
+    def test_adacos_resume_without_meta_key_rejected(self, source, tmp_path, key):
+        cfg = tiny_finetune_cfg(objective="adacos", utterances_per_speaker=1)
+        finetune(source, replace(cfg, epochs=1), TINY_ENC, out_dir=tmp_path)
+        path = _drop_meta_key(tmp_path / "checkpoint.ckpt", key)
+        with pytest.raises(CheckpointMismatchError, match=f"{re.escape(str(path))}.*'{key}'"):
+            finetune(source, cfg, TINY_ENC, resume_from=path)
 
     def test_checkpoint_contains_optimizer_state(self, source, tmp_path):
         cfg = tiny_finetune_cfg(epochs=1)
@@ -358,32 +381,65 @@ def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
     return embed_utterances(source, result.params, TINY_ENC, bank=bank, aug_seed=3)
 
 
+def _assert_same_embeddings(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes()
+
+
+def _wait_for_child(pid: int, what: str) -> None:
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child hung {what}")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
 class TestItemPool:
-    def test_outputs_do_not_depend_on_pool_size(self, source, bank, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_pool_size(
+        self, source, bank, tmp_path, monkeypatch, on_pools
+    ):
         # The reference maps the items in order on the calling thread.
         with monkeypatch.context() as m:
-            m.setattr(trainer, "_map_items", map)
+            m.setattr(pool, "map_items", map)
             want = _run_all(source, bank, tmp_path / "serial")
         files = [f"{run}/{name}" for run in ("pre", "ft")
                  for name in ("metrics.tsv", "checkpoint.ckpt")]
-        interval = sys.getswitchinterval()
-        # The default pool, one worker, and more workers than cores with
-        # frequent thread switches, so any order dependence would show.
-        for workers in (None, 1, 8):
-            out = tmp_path / f"workers{workers}"
-            with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
-                if pool is not None:
-                    monkeypatch.setattr(trainer, "_pool", pool)
-                sys.setswitchinterval(1e-5)
-                try:
-                    got = _run_all(source, bank, out)
-                finally:
-                    sys.setswitchinterval(interval)
+        # The default pool, one worker, and more workers than cores.
+        got = on_pools(lambda n: _run_all(source, bank, tmp_path / f"workers{n}"))
+        for n, emb in got.items():
             for name in files:
+                out = tmp_path / f"workers{n}"
                 assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-            assert list(got) == list(want)
-            for key in want:
-                assert got[key].tobytes() == want[key].tobytes()
+            _assert_same_embeddings(emb, want)
+
+    def test_cold_source_outputs_do_not_depend_on_pool_size(
+        self, source, bank, tmp_path, monkeypatch, on_pools
+    ):
+        # Unwarmed sources synthesize their utterances on pool threads,
+        # whose own maps over sample ranges must run inline.
+        def run(out: Path) -> dict[str, np.ndarray]:
+            result = pretrain(
+                CorpusSource(source.manifest), tiny_pretrain_cfg(), TINY_ENC, bank=bank,
+                out_dir=out,
+            )
+            return embed_utterances(
+                CorpusSource(source.manifest), result.params, TINY_ENC, bank=bank,
+                aug_seed=3,
+            )
+
+        with monkeypatch.context() as m:
+            m.setattr(pool, "map_items", map)
+            want = run(tmp_path / "serial")
+        got = on_pools(lambda n: run(tmp_path / f"workers{n}"))
+        for n, emb in got.items():
+            for name in ("metrics.tsv", "checkpoint.ckpt"):
+                out = tmp_path / f"workers{n}"
+                assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            _assert_same_embeddings(emb, want)
 
     @pytest.mark.parametrize(
         "environ,cpus,want",
@@ -397,26 +453,43 @@ class TestItemPool:
         ],
     )
     def test_pool_leaves_room_for_blas_threads(self, environ, cpus, want):
-        assert trainer._pool_size(cpus, environ) == want
+        assert pool._pool_size(cpus, environ) == want
 
     def test_pool_works_in_a_forked_child(self):
         # Busy every pool thread, so the child inherits a full, threadless pool.
-        list(_map_items(time.sleep, [0.01] * 2 * len(os.sched_getaffinity(0))))
+        list(map_items(time.sleep, [0.01] * 2 * len(os.sched_getaffinity(0))))
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if list(_map_items(abs, [-1, -2])) == [1, 2] else 1
+                code = 0 if list(map_items(abs, [-1, -2])) == [1, 2] else 1
             finally:
                 os._exit(code)
-        deadline = time.monotonic() + 30
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child hung on the item pool")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+        _wait_for_child(pid, "on the item pool")
+
+    def test_map_on_a_pool_thread_runs_inline(self):
+        # On a 1-worker pool, a nested map submitted to the pool would wait
+        # forever for the worker that is waiting on it; a child process
+        # holds the attempt so a hang can be killed.
+        def task(x: int) -> tuple[list[int], list[str]]:
+            inner = list(map_items(lambda y: (abs(y), threading.current_thread().name),
+                                   [-x, -x - 1]))
+            outer = threading.current_thread().name
+            return [v for v, _ in inner], [name for _, name in inner] + [outer]
+
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                pool._pool = ItemPool(1)
+                got = list(map_items(task, [1, 2, 3]))
+                values = [v for v, _ in got]
+                names = {name for _, names in got for name in names}
+                inline = len(names) == 1 and names.pop().startswith("cel-item")
+                code = 0 if values == [[1, 2], [2, 3], [3, 4]] and inline else 1
+            finally:
+                os._exit(code)
+        _wait_for_child(pid, "on a map nested in a pool task")
 
     def test_worker_error_reaches_caller_with_its_type(self, source, bank):
         # 500 frames need 80,240 samples; the 4 s utterances have 64,000.
