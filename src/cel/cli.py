@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import RunConfig, config_from_dict, load_config, save_config
 from .corpus import build_manifest, load_manifest, write_corpus
 from .encoder import load_encoder
-from .errors import CelError, CorpusTooSmallError, DegenerateTrialsError
+from .errors import CelError, DegenerateTrialsError
 from .evaluation import (
     DcfParams,
     det_points,
@@ -32,6 +32,8 @@ from .evaluation import (
 )
 from .gradcheck import ALL_SCOPES, run_suite
 from .trainer import (
+    FINETUNE_OBJECTIVES,
+    SIMILARITY_KINDS,
     CorpusSource,
     embed_utterances,
     finetune as run_finetune,
@@ -138,10 +140,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     run = replace(run, finetune=cfg)
 
     source = _source_from_dir(args.corpus)
-    if source.speaker_count < 2:
-        raise CorpusTooSmallError(
-            "fine-tuning needs labeled utterances from at least 2 speakers"
-        )
     _echo(run, args.out)
     log.info(
         "finetune: objective=%s init=%s, %d epochs",
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float,
                    help="uniformity loss weight (0 disables the term)")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--similarity", choices=("aprot", "acont"),
+    p.add_argument("--similarity", choices=SIMILARITY_KINDS,
                    help="similarity loss flavor")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_pretrain)
@@ -239,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--objective",
-                   choices=("aprot", "acont", "ge2e", "cosface", "arcface", "adacos"))
+    p.add_argument("--objective", choices=FINETUNE_OBJECTIVES)
     p.add_argument("--margin", type=float, help="additive margin m")
     p.add_argument("--scale", type=float, help="logit scale s")
     p.add_argument("--init", help="'random' or a pretraining checkpoint path")

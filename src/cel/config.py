@@ -1,17 +1,21 @@
 """Run configuration: one schema-validated document covering every module.
 
-The document is a nested mapping with a fixed key set; every field has a
-default, unknown keys are rejected by dotted path, and the effective
-configuration is echoed to JSON alongside run outputs so any result can be
-reproduced from its echo plus the seed.
+The document is a nested mapping whose sections mirror the config
+dataclasses: keys and value types are read from the dataclass fields, every
+field has a default, and unknown keys and wrong-typed values are rejected by
+dotted path. The effective configuration is echoed to JSON alongside run
+outputs so any result can be reproduced from its echo plus the seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from .encoder import EncoderConfig, LrSchedule
 from .errors import SchemaError
@@ -67,117 +71,67 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "corpus": _plain_dict(self.corpus),
-            "features": _plain_dict(self.features),
-            "encoder": self.encoder.to_dict(),
-            "bank": _plain_dict(self.bank),
-            "pretrain": {
-                **_plain_dict(self.pretrain, skip=("schedule", "snr_range")),
-                "snr_range": list(self.pretrain.snr_range),
-                "schedule": self.pretrain.schedule.to_dict(),
-            },
-            "finetune": {
-                **_plain_dict(self.finetune, skip=("schedule",)),
-                "schedule": self.finetune.schedule.to_dict(),
-            },
-            "evaluation": _plain_dict(self.evaluation),
-        }
+        return _plain(self)
 
 
-def _plain_dict(obj, skip: tuple[str, ...] = ()) -> dict:
-    import dataclasses
-
-    out = {}
-    for f in dataclasses.fields(obj):
-        if f.name in skip:
-            continue
-        out[f.name] = getattr(obj, f.name)
-    return out
+def _plain(value: Any) -> Any:
+    """A config value as JSON data: dataclasses as dicts, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise SchemaError(f"unknown config key '{path}{unknown[0]}'")
+def _section(doc: Any, defaults: Any, path: str) -> Any:
+    """`defaults`, a config dataclass, with the fields the mapping `doc` sets.
 
-
-def _take(d: Mapping, defaults, path: str):
-    """Build a flat dataclass from a mapping, rejecting unknown keys."""
-    import dataclasses
-
+    Each value is checked against its field's type, and nested config
+    dataclasses are read the same way; an unknown key or a wrong-typed value
+    raises SchemaError naming its dotted path.
+    """
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"config key '{path}' must be a mapping, got {type(doc).__name__}")
+    prefix = f"{path}." if path else ""
     names = {f.name for f in dataclasses.fields(defaults)}
-    _check_keys(d, names, path)
-    return dataclasses.replace(defaults, **dict(d))
+    unknown = sorted(set(doc) - names)
+    if unknown:
+        raise SchemaError(f"unknown config key '{prefix}{unknown[0]}'")
+    hints = typing.get_type_hints(type(defaults))
+    return replace(defaults, **{
+        name: _value(value, hints[name], getattr(defaults, name), prefix + name)
+        for name, value in doc.items()
+    })
 
 
-def _schedule_from(d: Mapping, defaults: LrSchedule, path: str) -> LrSchedule:
-    _check_keys(d, {"initial_lr", "decay_fraction", "period_epochs"}, path)
-    merged = {**defaults.to_dict(), **dict(d)}
-    return LrSchedule.from_dict(merged)
+def _value(value: Any, hint: Any, default: Any, key: str) -> Any:
+    """`value` as the type `hint`; JSON lists become tuples and ints floats."""
+    if dataclasses.is_dataclass(hint):
+        return _section(value, default, key)
+    want = hint
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        (hint,) = (t for t in typing.get_args(hint) if t is not type(None))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if isinstance(value, (list, tuple)):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(_value(v, t, None, key) for v, t in zip(value, kinds))
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is hint:
+        return value
+    name = want.__name__ if typing.get_origin(want) is None else str(want)
+    raise SchemaError(f"config key '{key}' must be {name}, got {value!r}")
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
-    """Validate and build a RunConfig; unknown keys fail with a dotted path."""
+    """Validate and build a RunConfig; bad keys and values fail with a dotted path."""
     if not isinstance(doc, Mapping):
         raise SchemaError(f"config document must be a mapping, got {type(doc).__name__}")
-    base = RunConfig()
-    _check_keys(
-        doc,
-        {"seed", "corpus", "features", "encoder", "bank", "pretrain", "finetune",
-         "evaluation"},
-        "",
-    )
-    seed = doc.get("seed", base.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError(f"config key 'seed' must be an integer, got {seed!r}")
-
-    corpus = _take(doc.get("corpus", {}), base.corpus, "corpus.")
-    features = _take(doc.get("features", {}), base.features, "features.")
-    bank = _take(doc.get("bank", {}), base.bank, "bank.")
-    evaluation = _take(doc.get("evaluation", {}), base.evaluation, "evaluation.")
-
-    enc_doc = dict(doc.get("encoder", {}))
-    _check_keys(enc_doc, {"input_dim", "hidden_dims", "embedding_dim", "pooling"}, "encoder.")
-    enc_merged = {**base.encoder.to_dict(), **enc_doc}
-    encoder = EncoderConfig.from_dict(enc_merged)
-
-    pre_doc = dict(doc.get("pretrain", {}))
-    pre_names = {
-        "k", "uniformity_weight", "kernel_t", "similarity_kind", "epochs", "seed",
-        "frames", "snr_range", "schedule", "init_scale", "init_bias", "save_every",
-    }
-    _check_keys(pre_doc, pre_names, "pretrain.")
-    pre_schedule = _schedule_from(
-        pre_doc.pop("schedule", {}), base.pretrain.schedule, "pretrain.schedule."
-    )
-    if "snr_range" in pre_doc:
-        pre_doc["snr_range"] = tuple(float(x) for x in pre_doc["snr_range"])
-    pretrain = replace(base.pretrain, schedule=pre_schedule, **pre_doc)
-
-    fin_doc = dict(doc.get("finetune", {}))
-    fin_names = {
-        "objective", "margin", "margin_scale", "speakers_per_batch",
-        "utterances_per_speaker", "frames", "epochs", "seed", "schedule",
-        "init_checkpoint", "init_scale", "init_bias", "save_every",
-    }
-    _check_keys(fin_doc, fin_names, "finetune.")
-    fin_schedule = _schedule_from(
-        fin_doc.pop("schedule", {}), base.finetune.schedule, "finetune.schedule."
-    )
-    finetune = replace(base.finetune, schedule=fin_schedule, **fin_doc)
-
-    return RunConfig(
-        seed=seed,
-        corpus=corpus,
-        features=features,
-        encoder=encoder,
-        bank=bank,
-        pretrain=pretrain,
-        finetune=finetune,
-        evaluation=evaluation,
-    )
+    return _section(doc, RunConfig(), "")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,7 +238,8 @@ def ge2e_loss(batch: LabeledBatch, params: SimilarityParams) -> LossOutput:
     )
 
 
-def _normalized_weights(weights: np.ndarray, dim: int) -> np.ndarray:
+def _checked_weights(weights: np.ndarray, dim: int) -> np.ndarray:
+    """Classifier weights as float64, after checking their (classes, dim) shape."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != dim:
         raise BatchShapeInvalidError(
@@ -249,7 +250,6 @@ def _normalized_weights(weights: np.ndarray, dim: int) -> np.ndarray:
 
 def _margin_core(
     batch: LabeledBatch,
-    weights: np.ndarray,
     target_logit: np.ndarray,
     other_scale: float,
     d_target_d_cos: np.ndarray,
@@ -274,20 +274,20 @@ def cosface_loss(
     batch: LabeledBatch, weights: np.ndarray, cfg: MarginConfig
 ) -> LossOutput:
     """Additive cosine margin: target logit s*(cos - m), others s*cos."""
-    w = _normalized_weights(weights, batch.embeddings.shape[1])
+    w = _checked_weights(weights, batch.embeddings.shape[1])
     cm = _CosineMatrix(batch.embeddings, w)
     idx = np.arange(batch.size)
     target_cos = cm.cos[idx, batch.labels]
     target_logit = cfg.scale * (target_cos - cfg.margin)
     d_target = np.full(batch.size, cfg.scale)
-    return _margin_core(batch, w, target_logit, cfg.scale, d_target, cm)
+    return _margin_core(batch, target_logit, cfg.scale, d_target, cm)
 
 
 def arcface_loss(
     batch: LabeledBatch, weights: np.ndarray, cfg: MarginConfig
 ) -> LossOutput:
     """Additive angular margin: target logit s*cos(theta + m), others s*cos."""
-    w = _normalized_weights(weights, batch.embeddings.shape[1])
+    w = _checked_weights(weights, batch.embeddings.shape[1])
     cm = _CosineMatrix(batch.embeddings, w)
     idx = np.arange(batch.size)
     target_cos = np.clip(cm.cos[idx, batch.labels], -COS_CLAMP, COS_CLAMP)
@@ -300,7 +300,7 @@ def arcface_loss(
         cfg.scale * np.sin(theta + cfg.margin) / np.sqrt(1.0 - target_cos**2),
         0.0,
     )
-    return _margin_core(batch, w, target_logit, cfg.scale, d_target, cm)
+    return _margin_core(batch, target_logit, cfg.scale, d_target, cm)
 
 
 def adacos_loss(
@@ -319,14 +319,14 @@ def adacos_loss(
         raise SingleClassError(
             f"adaptive scale needs at least 2 classes, got {batch.num_classes}"
         )
-    w = _normalized_weights(weights, batch.embeddings.shape[1])
+    w = _checked_weights(weights, batch.embeddings.shape[1])
     cm = _CosineMatrix(batch.embeddings, w)
     s = state.scale
     idx = np.arange(batch.size)
     target_cos = cm.cos[idx, batch.labels]
     target_logit = s * target_cos
     d_target = np.full(batch.size, s)
-    out = _margin_core(batch, w, target_logit, s, d_target, cm)
+    out = _margin_core(batch, target_logit, s, d_target, cm)
 
     if update_scale:
         mass = np.exp(s * cm.cos)

@@ -9,6 +9,7 @@ test suite and the ``gradcheck`` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -243,23 +244,18 @@ def _check_encoder(seed: int) -> CheckResult:
     return CheckResult("encoder", count, *worst)
 
 
-ALL_SCOPES: Sequence[str] = (
-    "unif", "aprot", "acont", "total", "ge2e", "cosface", "arcface", "adacos",
-    "encoder",
-)
+_CHECKS: dict[str, Callable[[int], CheckResult]] = {
+    **{name: partial(_check_pair_loss, name) for name in ("unif", "aprot", "acont", "total")},
+    **{name: partial(_check_finetune_loss, name)
+       for name in ("ge2e", "cosface", "arcface", "adacos")},
+    "encoder": _check_encoder,
+}
+ALL_SCOPES: Sequence[str] = tuple(_CHECKS)
 
 
 def run_suite(scopes: Sequence[str] | None = None, seed: int = 7) -> list[CheckResult]:
     """Run the finite-difference suite; one result row per loss."""
-    scopes = list(scopes) if scopes else list(ALL_SCOPES)
-    results = []
-    for scope in scopes:
-        if scope in ("unif", "aprot", "acont", "total"):
-            results.append(_check_pair_loss(scope, seed))
-        elif scope in ("ge2e", "cosface", "arcface", "adacos"):
-            results.append(_check_finetune_loss(scope, seed))
-        elif scope == "encoder":
-            results.append(_check_encoder(seed))
-        else:
-            raise ValueError(f"unknown gradcheck scope: {scope!r}")
-    return results
+    unknown = [scope for scope in scopes or () if scope not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown gradcheck scope: {unknown[0]!r}")
+    return [_CHECKS[scope](seed) for scope in scopes or ALL_SCOPES]

@@ -1,9 +1,15 @@
-"""Training orchestration: unsupervised pre-training and supervised fine-tuning.
+"""Training: one epoch loop for unsupervised pre-training and supervised fine-tuning.
 
-Pre-training assembles batches of dual augmented crops (one utterance per
-speaker per batch), optimizes the combined uniformity-plus-similarity
-objective, and logs per-epoch metrics. Fine-tuning reuses the encoder with
-any of six supervised objectives on unaugmented fixed-length segments.
+Both phases train the same encoder with the same Adam loop (`_train`); the
+items and the objective differ. Pre-training items are two independently
+augmented crops of one utterance (one utterance per speaker per batch),
+scored by uniformity plus angular similarity; fine-tuning items are one
+clean fixed-length segment each, scored by any of six supervised
+objectives. `OBJECTIVES` maps each phase's objective names to a class that
+says which parameters the objective adds to the encoder's, how a batch's
+embeddings become its loss and gradients, which w and b the metric log
+shows, and what it adds to the checkpoint meta; config validation and the
+CLI's choices read their names from it.
 
 Every random draw comes from a stream derived from (run seed, purpose,
 epoch, item), so runs are bit-reproducible and resumable mid-run. Each
@@ -11,20 +17,20 @@ item's data pipeline (waveform fetch, crop, augmentation, log-mel) runs on
 the shared thread pool of `cel.pool`, sized by the process's CPU affinity,
 and NumPy's FFTs release the interpreter lock, so items overlap on separate
 cores. The calling thread encodes the features in item order as they
-arrive, then runs the losses, the backward passes (summed in item order)
-and Adam, so outputs do not depend on the pool size. The pool leaves room
-for BLAS's own threads: with BLAS on every CPU (its default) it has one
-thread, so set OPENBLAS_NUM_THREADS=1 to get one item thread per CPU.
-Metric logs carry only deterministic quantities, so two runs with the same
-seed write byte-identical logs and checkpoints.
+arrive, then runs the losses, the backward passes (summed view by view,
+each in item order) and Adam, so outputs do not depend on the pool size.
+The pool leaves room for BLAS's own threads: with BLAS on every CPU (its
+default) it has one thread, so set OPENBLAS_NUM_THREADS=1 to get one item
+thread per CPU. Metric logs carry only deterministic quantities, so two
+runs with the same seed write byte-identical logs and checkpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -55,15 +61,12 @@ from .encoder import (
     load_encoder,
     lr_at,
     save_checkpoint,
+    xavier_uniform,
 )
 from .errors import CheckpointMismatchError, CorpusTooSmallError, InvalidParamError
 from .features import FeatureConfig, Waveform, logmel
-from .losses import CelWeights, KernelParam, combine_losses, similarity_loss, uniformity_loss
+from .losses import CelWeights, KernelParam, LossOutput, combine_losses, similarity_loss, uniformity_loss
 from .rng import derive_rng
-
-SIMILARITY_KINDS = ("aprot", "acont")
-FINETUNE_OBJECTIVES = ("aprot", "acont", "ge2e", "cosface", "arcface", "adacos")
-MARGIN_OBJECTIVES = ("cosface", "arcface", "adacos")
 
 LOG_HEADER = "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
 
@@ -134,7 +137,6 @@ class PretrainConfig:
     schedule: LrSchedule = PRETRAIN_SCHEDULE
     init_scale: float = 10.0
     init_bias: float = -5.0
-    save_every: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -166,7 +168,6 @@ class FinetuneConfig:
     init_checkpoint: str | None = None
     init_scale: float = 10.0
     init_bias: float = -5.0
-    save_every: int = 0
 
     def __post_init__(self) -> None:
         if self.objective not in FINETUNE_OBJECTIVES:
@@ -181,15 +182,7 @@ class FinetuneConfig:
             raise InvalidParamError(
                 f"need at least 1 utterance per speaker, got {self.utterances_per_speaker}"
             )
-        if self.objective in ("aprot", "acont") and self.utterances_per_speaker != 2:
-            raise InvalidParamError(
-                f"{self.objective} fine-tuning pairs two utterances per speaker, "
-                f"got {self.utterances_per_speaker}"
-            )
-        if self.objective == "ge2e" and self.utterances_per_speaker < 2:
-            raise InvalidParamError(
-                "ge2e needs at least 2 utterances per speaker for centroid exclusion"
-            )
+        OBJECTIVES["finetune"][self.objective].validate(self)
         if self.epochs < 1:
             raise InvalidParamError(f"epochs must be at least 1, got {self.epochs}")
 
@@ -230,11 +223,14 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One augmented dual-crop pair, featurized and encoder-ready."""
+    """One utterance's encoder inputs, as log-mel features.
+
+    Pre-training items hold two augmented crops (views) of the utterance;
+    fine-tuning items hold one clean segment.
+    """
 
     source_id: str
-    features1: np.ndarray
-    features2: np.ndarray
+    views: tuple[np.ndarray, ...]
 
 
 def _pretrain_item(
@@ -261,9 +257,205 @@ def _pretrain_item(
     a2 = apply_spec(pair.crop2, spec2, bank)
     return BatchItem(
         source_id=key,
-        features1=logmel(a1, feature_cfg).values,
-        features2=logmel(a2, feature_cfg).values,
+        views=(logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values),
     )
+
+
+def _finetune_item(
+    source: CorpusSource,
+    cfg: FinetuneConfig,
+    feature_cfg: FeatureConfig,
+    epoch: int,
+    local_speaker: int,
+    utt: int,
+) -> BatchItem:
+    """Log-mel features of one clean fixed-length segment, from the item's own stream."""
+    rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
+    wave = source.waveform(local_speaker, utt)
+    need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
+    x = wave.samples
+    if x.size < need:
+        x = np.resize(x, need)
+    offset = int(rng.integers(0, x.size - need + 1))
+    features = logmel(Waveform(x[offset : offset + need].copy()), feature_cfg).values
+    return BatchItem(source_id=source.utterance_key(local_speaker, utt), views=(features,))
+
+
+class _Objective:
+    """A training objective: the parameters it adds and how it scores a batch.
+
+    Its own parameters (`init_params`) follow the encoder's in the parameter
+    dict. `step(params, views, labels)` takes one (items, dim) embedding
+    array per view, rows in item order, and returns the upstream gradients
+    per view, the gradients of its own parameters and (loss_total,
+    loss_unif, loss_sim), the first being the loss. `logged(params)` gives
+    the log's w and b. `meta()` is what it adds to the checkpoint meta and
+    `resume` restores it from there: by default the objective's name, so a
+    fine-tuning run cannot resume under another objective.
+    """
+
+    def __init__(self, name: str, cfg, n_classes: int, embedding_dim: int) -> None:
+        self.name, self.cfg = name, cfg
+        self.n_classes, self.embedding_dim = n_classes, embedding_dim
+
+    @staticmethod
+    def validate(cfg: FinetuneConfig) -> None:
+        """Raise InvalidParamError when cfg's batches cannot feed the objective."""
+
+    def meta(self) -> dict:
+        return {"objective": self.name}
+
+    def resume(self, meta: Mapping, path: str | Path) -> None:
+        if meta.get("objective") != self.name:
+            raise CheckpointMismatchError(
+                f"{path}: checkpoint was fine-tuned with objective "
+                f"{meta.get('objective')!r}; cannot resume it with {self.name!r}"
+            )
+
+
+class _Similarity(_Objective):
+    """Scores through the learned affine cosine w*cos + b (sim_scale, sim_bias)."""
+
+    def init_params(self) -> dict[str, np.ndarray]:
+        return {
+            "sim_scale": np.float64(self.cfg.init_scale),
+            "sim_bias": np.float64(self.cfg.init_bias),
+        }
+
+    def logged(self, params: Mapping[str, np.ndarray]) -> tuple[float, float]:
+        return float(params["sim_scale"]), float(params["sim_bias"])
+
+    def affine(self, params: Mapping[str, np.ndarray]) -> SimilarityParams:
+        return SimilarityParams(*self.logged(params))
+
+    @staticmethod
+    def grads(out: LossOutput) -> dict[str, np.ndarray]:
+        return {"sim_scale": np.float64(out.grad_scale), "sim_bias": np.float64(out.grad_bias)}
+
+
+class _Cel(_Similarity):
+    """Pre-training: uniformity plus similarity between each utterance's two views."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.kernel = KernelParam(t=self.cfg.kernel_t)
+        self.weights = CelWeights(uniformity_weight=self.cfg.uniformity_weight)
+
+    def step(self, params, views, labels):
+        batch = EmbeddingBatch(*views)
+        unif = uniformity_loss(batch, self.kernel)
+        sim = similarity_loss(batch, self.affine(params), self.name)
+        out = combine_losses(unif, sim, self.weights)
+        terms = (out.value, unif.value, sim.value)
+        return [out.grad_view1, out.grad_view2], self.grads(out), terms
+
+    def meta(self) -> dict:
+        return {}
+
+    def resume(self, meta, path) -> None:
+        pass
+
+
+class _Pair(_Similarity):
+    """Fine-tuning: similarity between the two utterances of each speaker."""
+
+    @staticmethod
+    def validate(cfg: FinetuneConfig) -> None:
+        if cfg.utterances_per_speaker != 2:
+            raise InvalidParamError(
+                f"{cfg.objective} fine-tuning pairs two utterances per speaker, "
+                f"got {cfg.utterances_per_speaker}"
+            )
+
+    def step(self, params, views, labels):
+        (emb,) = views
+        batch = EmbeddingBatch(emb[0::2], emb[1::2])
+        out = similarity_loss(batch, self.affine(params), self.name)
+        upstream = np.zeros_like(emb)
+        upstream[0::2] = out.grad_view1
+        upstream[1::2] = out.grad_view2
+        return [upstream], self.grads(out), (out.value, 0.0, out.value)
+
+
+class _Ge2e(_Similarity):
+    """Fine-tuning: generalized end-to-end loss against speaker centroids."""
+
+    @staticmethod
+    def validate(cfg: FinetuneConfig) -> None:
+        if cfg.utterances_per_speaker < 2:
+            raise InvalidParamError(
+                "ge2e needs at least 2 utterances per speaker for centroid exclusion"
+            )
+
+    def step(self, params, views, labels):
+        (emb,) = views
+        per = self.cfg.utterances_per_speaker
+        batch = ft.LabeledBatch.grouped(emb, len(emb) // per, per)
+        out = ft.ge2e_loss(batch, self.affine(params))
+        return [out.grad_embeddings], self.grads(out), (out.value, 0.0, out.value)
+
+
+class _Margin(_Objective):
+    """Fine-tuning: margin softmax over a classifier (cls_w) of every training speaker."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.margin = ft.MarginConfig(margin=self.cfg.margin, scale=self.cfg.margin_scale)
+
+    def init_params(self) -> dict[str, np.ndarray]:
+        rng = derive_rng(self.cfg.seed, "classifier")
+        return {"cls_w": xavier_uniform(rng, self.n_classes, self.embedding_dim)}
+
+    def loss(self, batch: ft.LabeledBatch, weights: np.ndarray) -> LossOutput:
+        # `ft.cosface_loss` or `ft.arcface_loss`, looked up when called.
+        return getattr(ft, f"{self.name}_loss")(batch, weights, self.margin)
+
+    def step(self, params, views, labels):
+        (emb,) = views
+        out = self.loss(ft.LabeledBatch(emb, np.asarray(labels), self.n_classes), params["cls_w"])
+        return [out.grad_embeddings], {"cls_w": out.grad_weights}, (out.value, 0.0, out.value)
+
+    def logged(self, params) -> tuple[float, float]:
+        return self.cfg.margin_scale, 0.0
+
+
+class _AdaCos(_Margin):
+    """Fine-tuning: cosine softmax whose scale, state rather than a parameter,
+    adapts to each batch; the log's w and the checkpoint meta carry it."""
+
+    def init_params(self) -> dict[str, np.ndarray]:
+        params = super().init_params()
+        self.state = ft.AdaCosState.for_classes(self.n_classes)
+        return params
+
+    def loss(self, batch, weights):
+        return ft.adacos_loss(batch, weights, self.state)
+
+    def logged(self, params) -> tuple[float, float]:
+        return self.state.scale, 0.0
+
+    def meta(self) -> dict:
+        state = {"adacos_scale": self.state.scale, "adacos_steps": self.state.steps}
+        return {**super().meta(), **state}
+
+    def resume(self, meta, path) -> None:
+        super().resume(meta, path)
+        self.state = ft.AdaCosState(
+            scale=float(_meta_value(meta, "adacos_scale", path)),
+            steps=int(_meta_value(meta, "adacos_steps", path)),
+        )
+
+
+# The objectives of each phase, by the name configs and the CLI give them.
+OBJECTIVES: dict[str, dict[str, type[_Objective]]] = {
+    "pretrain": {"aprot": _Cel, "acont": _Cel},
+    "finetune": {
+        "aprot": _Pair, "acont": _Pair, "ge2e": _Ge2e,
+        "cosface": _Margin, "arcface": _Margin, "adacos": _AdaCos,
+    },
+}
+SIMILARITY_KINDS = tuple(OBJECTIVES["pretrain"])
+FINETUNE_OBJECTIVES = tuple(OBJECTIVES["finetune"])
 
 
 def _summed_grads(
@@ -272,7 +464,7 @@ def _summed_grads(
     forwards: Sequence[ForwardResult],
     upstream: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Encoder parameter gradients of a batch, summed in item order.
+    """Encoder parameter gradients of a batch, summed in the order given.
 
     The encoder passes stay on the calling thread: they are small matrix
     products whose Python overhead holds the interpreter lock, and on the
@@ -320,23 +512,6 @@ def _epoch_plan(
     return batches
 
 
-def _write_outputs(
-    out_dir: str | Path | None,
-    log_text: str,
-    config_echo: Mapping,
-    params: Mapping[str, np.ndarray],
-    meta: Mapping,
-) -> Path | None:
-    if out_dir is None:
-        return None
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.tsv").write_text(log_text)
-    path = out / "checkpoint.ckpt"
-    save_checkpoint(path, config_echo, params, meta)
-    return path
-
-
 def _pack_optimizer(opt: OptimizerState) -> dict[str, np.ndarray]:
     packed = {}
     for name, arr in opt.m.items():
@@ -367,16 +542,104 @@ def _meta_value(meta: Mapping, key: str, path: str | Path):
     return meta[key]
 
 
-def _resume_state(
-    resume_from: str | Path,
-    config_echo: Mapping,
-    lr: float,
-) -> tuple[dict[str, np.ndarray], OptimizerState, int, dict]:
-    config, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
-    params, m, v = _unpack_checkpoint(blocks)
-    step = int(_meta_value(meta, "adam_step", resume_from))
-    opt = OptimizerState(m=m, v=v, step=step, lr=lr)
-    return params, opt, int(_meta_value(meta, "epochs_done", resume_from)), meta
+def _load_encoder_init(
+    path: str | Path, encoder_cfg: EncoderConfig
+) -> dict[str, np.ndarray]:
+    """Encoder weights from any checkpoint with a matching architecture."""
+    stored, params = load_encoder(path)
+    if stored != encoder_cfg:
+        raise CheckpointMismatchError(
+            f"{path}: checkpoint encoder {stored.to_dict()} does not match configured "
+            f"{encoder_cfg.to_dict()}"
+        )
+    return params
+
+
+def _train(
+    phase: str,
+    objective_name: str,
+    source: CorpusSource,
+    cfg: PretrainConfig | FinetuneConfig,
+    encoder_cfg: EncoderConfig,
+    item: Callable[..., BatchItem],
+    batch_shape: tuple[int, int],
+    init_checkpoint: str | Path | None,
+    out_dir: str | Path | None,
+    resume_from: str | Path | None,
+) -> TrainResult:
+    """The epoch loop of both phases.
+
+    `item(epoch, speaker, utt)` builds one utterance's encoder inputs;
+    batches hold `batch_shape` = (speakers, utterances per speaker); the
+    objective `OBJECTIVES[phase][objective_name]` scores them.
+    """
+    enc = Encoder(encoder_cfg)
+    objective = OBJECTIVES[phase][objective_name](
+        objective_name, cfg, source.speaker_count, encoder_cfg.embedding_dim
+    )
+    config_echo = {"kind": phase, "encoder": encoder_cfg.to_dict()}
+
+    if resume_from is not None:
+        _, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
+        params, m, v = _unpack_checkpoint(blocks)
+        step = int(_meta_value(meta, "adam_step", resume_from))
+        opt = OptimizerState(m=m, v=v, step=step, lr=lr_at(cfg.schedule, 0))
+        start_epoch = int(_meta_value(meta, "epochs_done", resume_from))
+        objective.resume(meta, resume_from)
+    else:
+        if init_checkpoint is not None:
+            params = _load_encoder_init(init_checkpoint, encoder_cfg)
+        else:
+            params = enc.init_params(derive_rng(cfg.seed, "init"))
+        params.update(objective.init_params())
+        opt = init_optimizer(params, lr_at(cfg.schedule, 0))
+        start_epoch = 0
+
+    records: list[EpochRecord] = []
+    for epoch in range(start_epoch, cfg.epochs):
+        lr = lr_at(cfg.schedule, epoch)
+        plan = _epoch_plan(
+            source.speaker_count,
+            source.utterances_per_speaker,
+            *batch_shape,
+            derive_rng(cfg.seed, "plan", epoch),
+        )
+        totals = np.zeros(3)
+        for batch_plan in plan:
+            labels = [s for s, utts in batch_plan for _ in utts]
+            items = pool.map_items(
+                partial(item, epoch), labels, [u for _, utts in batch_plan for u in utts]
+            )
+            # Encoded as each item arrives, then grouped by view: backward
+            # passes are summed view by view, each in item order.
+            forwards = [[enc.forward(params, v) for v in it.views] for it in items]
+            by_view = list(zip(*forwards))
+            upstream, own_grads, terms = objective.step(
+                params, [np.stack([f.embedding for f in fw]) for fw in by_view], labels
+            )
+            grads = _summed_grads(
+                enc, params, [f for fw in by_view for f in fw],
+                [g for up in upstream for g in up],
+            )
+            grads.update(own_grads)
+            params, opt = adam_step(opt, params, grads, lr=lr)
+            if "sim_scale" in params:
+                params["sim_scale"] = np.maximum(params["sim_scale"], SCALE_FLOOR)
+            totals += terms
+
+        mean = totals / max(len(plan), 1)
+        records.append(EpochRecord(epoch, lr, *map(float, mean), *objective.logged(params)))
+
+    log_text = "\n".join([LOG_HEADER] + [r.to_line() for r in records]) + "\n"
+    ckpt = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "metrics.tsv").write_text(log_text)
+        ckpt = out / "checkpoint.ckpt"
+        meta = {"epochs_done": cfg.epochs, "adam_step": opt.step, **objective.meta()}
+        save_checkpoint(ckpt, config_echo, {**params, **_pack_optimizer(opt)}, meta)
+    return TrainResult(params, opt, records, log_text, ckpt, encoder_cfg, objective.meta())
 
 
 def pretrain(
@@ -395,125 +658,14 @@ def pretrain(
             f"corpus has {source.speaker_count}"
         )
     bank = bank or synth_bank(cfg.seed)
-    enc = Encoder(encoder_cfg)
-    config_echo = {"kind": "pretrain", "encoder": encoder_cfg.to_dict()}
-
-    if resume_from is not None:
-        params, opt, start_epoch, _ = _resume_state(
-            resume_from, config_echo, lr_at(cfg.schedule, 0)
-        )
-    else:
-        params = enc.init_params(derive_rng(cfg.seed, "init"))
-        params["sim_scale"] = np.float64(cfg.init_scale)
-        params["sim_bias"] = np.float64(cfg.init_bias)
-        opt = init_optimizer(params, lr_at(cfg.schedule, 0))
-        start_epoch = 0
-
-    kernel = KernelParam(t=cfg.kernel_t)
-    weights = CelWeights(uniformity_weight=cfg.uniformity_weight)
-    records: list[EpochRecord] = []
-
-    for epoch in range(start_epoch, cfg.epochs):
-        lr = lr_at(cfg.schedule, epoch)
-        plan = _epoch_plan(
-            source.speaker_count,
-            source.utterances_per_speaker,
-            cfg.k,
-            1,
-            derive_rng(cfg.seed, "plan", epoch),
-        )
-        totals = np.zeros(3)
-        n_batches = 0
-        for batch_plan in plan:
-            items = pool.map_items(
-                partial(_pretrain_item, source, bank, cfg, feature_cfg, epoch),
-                [s for s, _ in batch_plan],
-                [u for _, (u,) in batch_plan],
-            )
-            fw1, fw2 = [], []
-            for item in items:
-                fw1.append(enc.forward(params, item.features1))
-                fw2.append(enc.forward(params, item.features2))
-            batch = EmbeddingBatch(
-                np.stack([f.embedding for f in fw1]),
-                np.stack([f.embedding for f in fw2]),
-            )
-            sim_params = SimilarityParams(
-                float(params["sim_scale"]), float(params["sim_bias"])
-            )
-            unif = uniformity_loss(batch, kernel)
-            sim = similarity_loss(batch, sim_params, cfg.similarity_kind)
-            out = combine_losses(unif, sim, weights)
-
-            grads = _summed_grads(
-                enc, params, fw1 + fw2, [*out.grad_view1, *out.grad_view2]
-            )
-            grads["sim_scale"] = np.float64(out.grad_scale)
-            grads["sim_bias"] = np.float64(out.grad_bias)
-
-            params, opt = adam_step(opt, params, grads, lr=lr)
-            params["sim_scale"] = np.maximum(params["sim_scale"], SCALE_FLOOR)
-            totals += (out.value, unif.value, sim.value)
-            n_batches += 1
-
-        mean = totals / max(n_batches, 1)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                loss_total=float(mean[0]),
-                loss_unif=float(mean[1]),
-                loss_sim=float(mean[2]),
-                w=float(params["sim_scale"]),
-                b=float(params["sim_bias"]),
-            )
-        )
-
-    log_text = "\n".join([LOG_HEADER] + [r.to_line() for r in records]) + "\n"
-    meta = {"epochs_done": cfg.epochs, "adam_step": opt.step}
-    ckpt = _write_outputs(
-        out_dir, log_text, config_echo, {**params, **_pack_optimizer(opt)}, meta
+    return _train(
+        "pretrain", cfg.similarity_kind, source, cfg, encoder_cfg,
+        item=partial(_pretrain_item, source, bank, cfg, feature_cfg),
+        batch_shape=(cfg.k, 1),
+        init_checkpoint=None,
+        out_dir=out_dir,
+        resume_from=resume_from,
     )
-    return TrainResult(
-        params=params,
-        opt_state=opt,
-        records=records,
-        log_text=log_text,
-        checkpoint_path=ckpt,
-        encoder_config=encoder_cfg,
-    )
-
-
-def _load_encoder_init(
-    path: str | Path, encoder_cfg: EncoderConfig
-) -> dict[str, np.ndarray]:
-    """Encoder weights from any checkpoint with a matching architecture."""
-    stored, params = load_encoder(path)
-    if stored != encoder_cfg:
-        raise CheckpointMismatchError(
-            f"{path}: checkpoint encoder {stored.to_dict()} does not match configured "
-            f"{encoder_cfg.to_dict()}"
-        )
-    return params
-
-
-def _finetune_item(
-    source: CorpusSource,
-    cfg: FinetuneConfig,
-    feature_cfg: FeatureConfig,
-    epoch: int,
-    local_speaker: int,
-    utt: int,
-) -> np.ndarray:
-    """Log-mel features of one clean fixed-length segment, from the item's own stream."""
-    rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
-    wave = source.waveform(local_speaker, utt)
-    need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
-    x = wave.samples
-    if x.size < need:
-        x = np.resize(x, need)
-    offset = int(rng.integers(0, x.size - need + 1))
-    return logmel(Waveform(x[offset : offset + need].copy()), feature_cfg).values
 
 
 def finetune(
@@ -536,145 +688,13 @@ def finetune(
             f"batches need {u_per} utterances per speaker, corpus has "
             f"{source.utterances_per_speaker}"
         )
-    enc = Encoder(encoder_cfg)
-    n_classes = source.speaker_count
-    uses_sim = cfg.objective in ("aprot", "acont", "ge2e")
-    config_echo = {"kind": "finetune", "encoder": encoder_cfg.to_dict()}
-
-    adacos_state = None
-    if resume_from is not None:
-        params, opt, start_epoch, meta = _resume_state(
-            resume_from, config_echo, lr_at(cfg.schedule, 0)
-        )
-        if meta.get("objective") != cfg.objective:
-            raise CheckpointMismatchError(
-                f"{resume_from}: checkpoint was fine-tuned with objective "
-                f"{meta.get('objective')!r}; cannot resume it with {cfg.objective!r}"
-            )
-        if cfg.objective == "adacos":
-            adacos_state = ft.AdaCosState(
-                scale=float(_meta_value(meta, "adacos_scale", resume_from)),
-                steps=int(_meta_value(meta, "adacos_steps", resume_from)),
-            )
-    else:
-        if cfg.init_checkpoint is not None:
-            params = _load_encoder_init(cfg.init_checkpoint, encoder_cfg)
-        else:
-            params = enc.init_params(derive_rng(cfg.seed, "init"))
-        if uses_sim:
-            params["sim_scale"] = np.float64(cfg.init_scale)
-            params["sim_bias"] = np.float64(cfg.init_bias)
-        if cfg.objective in MARGIN_OBJECTIVES:
-            from .encoder import xavier_uniform
-
-            params["cls_w"] = xavier_uniform(
-                derive_rng(cfg.seed, "classifier"),
-                n_classes,
-                encoder_cfg.embedding_dim,
-            )
-        opt = init_optimizer(params, lr_at(cfg.schedule, 0))
-        start_epoch = 0
-        if cfg.objective == "adacos":
-            adacos_state = ft.AdaCosState.for_classes(n_classes)
-
-    margin_cfg = ft.MarginConfig(margin=cfg.margin, scale=cfg.margin_scale)
-    records: list[EpochRecord] = []
-
-    for epoch in range(start_epoch, cfg.epochs):
-        lr = lr_at(cfg.schedule, epoch)
-        plan = _epoch_plan(
-            source.speaker_count,
-            source.utterances_per_speaker,
-            s_per,
-            u_per,
-            derive_rng(cfg.seed, "plan", epoch),
-        )
-        total = 0.0
-        n_batches = 0
-        for batch_plan in plan:
-            labels = [s for s, utts in batch_plan for _ in utts]
-            feats = pool.map_items(
-                partial(_finetune_item, source, cfg, feature_cfg, epoch),
-                labels,
-                [u for _, utts in batch_plan for u in utts],
-            )
-            fw = [enc.forward(params, f) for f in feats]
-            emb = np.stack([f.embedding for f in fw])
-            n_spk = len(batch_plan)
-
-            if uses_sim:
-                sim_params = SimilarityParams(
-                    float(params["sim_scale"]), float(params["sim_bias"])
-                )
-            if cfg.objective == "ge2e":
-                lb = ft.LabeledBatch.grouped(emb, n_spk, u_per)
-                out = ft.ge2e_loss(lb, sim_params)
-                upstream = out.grad_embeddings
-            elif cfg.objective in ("aprot", "acont"):
-                batch = EmbeddingBatch(emb[0::2], emb[1::2])
-                out = similarity_loss(batch, sim_params, cfg.objective)
-                upstream = np.zeros_like(emb)
-                upstream[0::2] = out.grad_view1
-                upstream[1::2] = out.grad_view2
-            else:
-                lb = ft.LabeledBatch(emb, np.asarray(labels), n_classes)
-                if cfg.objective == "cosface":
-                    out = ft.cosface_loss(lb, params["cls_w"], margin_cfg)
-                elif cfg.objective == "arcface":
-                    out = ft.arcface_loss(lb, params["cls_w"], margin_cfg)
-                else:
-                    out = ft.adacos_loss(lb, params["cls_w"], adacos_state)
-                upstream = out.grad_embeddings
-
-            grads = _summed_grads(enc, params, fw, upstream)
-            if uses_sim:
-                grads["sim_scale"] = np.float64(out.grad_scale)
-                grads["sim_bias"] = np.float64(out.grad_bias)
-            if cfg.objective in MARGIN_OBJECTIVES:
-                grads["cls_w"] = out.grad_weights
-
-            params, opt = adam_step(opt, params, grads, lr=lr)
-            if uses_sim:
-                params["sim_scale"] = np.maximum(params["sim_scale"], SCALE_FLOOR)
-            total += out.value
-            n_batches += 1
-
-        mean_loss = total / max(n_batches, 1)
-        if uses_sim:
-            w, b = float(params["sim_scale"]), float(params["sim_bias"])
-        elif cfg.objective == "adacos":
-            w, b = adacos_state.scale, 0.0
-        else:
-            w, b = cfg.margin_scale, 0.0
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                loss_total=mean_loss,
-                loss_unif=0.0,
-                loss_sim=mean_loss,
-                w=w,
-                b=b,
-            )
-        )
-
-    log_text = "\n".join([LOG_HEADER] + [r.to_line() for r in records]) + "\n"
-    meta: dict = {"epochs_done": cfg.epochs, "adam_step": opt.step,
-                  "objective": cfg.objective}
-    if adacos_state is not None:
-        meta["adacos_scale"] = adacos_state.scale
-        meta["adacos_steps"] = adacos_state.steps
-    ckpt = _write_outputs(
-        out_dir, log_text, config_echo, {**params, **_pack_optimizer(opt)}, meta
-    )
-    return TrainResult(
-        params=params,
-        opt_state=opt,
-        records=records,
-        log_text=log_text,
-        checkpoint_path=ckpt,
-        encoder_config=encoder_cfg,
-        extras={"adacos_scale": adacos_state.scale if adacos_state else None},
+    return _train(
+        "finetune", cfg.objective, source, cfg, encoder_cfg,
+        item=partial(_finetune_item, source, cfg, feature_cfg),
+        batch_shape=(s_per, u_per),
+        init_checkpoint=cfg.init_checkpoint,
+        out_dir=out_dir,
+        resume_from=resume_from,
     )
 
 

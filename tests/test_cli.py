@@ -1,12 +1,17 @@
 """End-to-end command-line pipeline on a miniature corpus."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from cel.cli import main
+from cel.cli import build_parser, main
+from cel import gradcheck
+from cel.gradcheck import ALL_SCOPES
+from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import load_config
-from cel.corpus import load_manifest
+from cel.corpus import load_manifest, write_corpus
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 
 SMALL_DOC = {
@@ -131,6 +136,27 @@ class TestPretrain:
 
 
 class TestFinetune:
+    def test_one_speaker_corpus_fails_cleanly(self, workspace, tmp_path, capsys):
+        # gen-data writes at least 2 speakers; keep only the first one's entries.
+        manifest = load_manifest(workspace / "corpus" / "manifest.tsv")
+        one = dataclasses.replace(
+            manifest,
+            n_speakers=1,
+            entries=manifest.entries[: manifest.utterances_per_speaker],
+        )
+        write_corpus(one, tmp_path)
+        rc = main(
+            [
+                "finetune",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(tmp_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [finetune]: batches need 2 speakers, corpus has 1" in err
+
     def test_random_init(self, workspace, capsys):
         out = workspace / "ft-random"
         rc = main(
@@ -229,6 +255,13 @@ class TestEvaluate:
 
 
 class TestGradcheck:
+    def test_unknown_scope_rejected_before_any_check(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "_CHECKS", {
+            **gradcheck._CHECKS, "unif": lambda seed: pytest.fail("a check ran")
+        })
+        with pytest.raises(ValueError, match="'bogus'"):
+            gradcheck.run_suite(["unif", "bogus"])
+
     def test_single_scope_passes(self, capsys):
         rc = main(["gradcheck", "--scope", "unif"])
         assert rc == 0
@@ -238,6 +271,32 @@ class TestGradcheck:
 
 
 class TestHarness:
+    def test_choices_come_from_the_registries(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def choices(command, dest):
+            actions = sub.choices[command]._actions
+            return tuple(next(a for a in actions if a.dest == dest).choices)
+
+        assert SIMILARITY_KINDS == ("aprot", "acont")
+        assert FINETUNE_OBJECTIVES == ("aprot", "acont", "ge2e", "cosface", "arcface", "adacos")
+        assert choices("pretrain", "similarity") == SIMILARITY_KINDS
+        assert choices("finetune", "objective") == FINETUNE_OBJECTIVES
+        assert choices("gradcheck", "scope") == tuple(ALL_SCOPES)
+
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain"])
+    def test_wrong_typed_config_fails_cleanly(self, workspace, tmp_path, capsys, command):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"pretrain": {"k": "eight"}}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "pretrain":
+            argv += ["--corpus", str(workspace / "corpus")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error [{command}]: config key 'pretrain.k' must be int, got 'eight'" in err
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["mystery"])

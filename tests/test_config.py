@@ -1,6 +1,8 @@
 """Run configuration: schema validation, round trips, profiles."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -13,6 +15,30 @@ from cel.config import (
     save_config,
 )
 from cel.errors import SchemaError
+
+# Valid values other than the default for the string-valued config fields.
+OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std"}
+
+
+def _changed(name, value):
+    """A valid value other than `value` for the config field `name`."""
+    if name in OTHER_CHOICE:
+        return OTHER_CHOICE[name]
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: _changed(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)
+        })
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, tuple):
+        return tuple(_changed(name, v) for v in value)
+    if value is None:
+        return "init.ckpt"
+    raise AssertionError(f"no other value known for config field {name!r} = {value!r}")
 
 
 class TestSchema:
@@ -59,6 +85,42 @@ class TestSchema:
     def test_snr_range_coerced_to_tuple(self):
         cfg = config_from_dict({"pretrain": {"snr_range": [3, 12]}})
         assert cfg.pretrain.snr_range == (3.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"pretrain": {"k": "eight"}}, "pretrain.k"),
+            ({"pretrain": {"snr_range": 5}}, "pretrain.snr_range"),
+            ({"finetune": {"epochs": None}}, "finetune.epochs"),
+            ({"corpus": {"n_speakers": "x"}}, "corpus.n_speakers"),
+            ({"pretrain": 5}, "pretrain"),
+            ({"encoder": {"hidden_dims": 7}}, "encoder.hidden_dims"),
+            ({"pretrain": {"schedule": {"initial_lr": "a"}}}, "pretrain.schedule.initial_lr"),
+            ({"pretrain": []}, "pretrain"),
+        ],
+    )
+    def test_wrong_typed_value_names_its_key(self, doc, key):
+        with pytest.raises(SchemaError, match=f"'{re.escape(key)}'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["pretrain", "finetune"])
+    def test_save_every_is_gone(self, section):
+        with pytest.raises(SchemaError, match=f"unknown config key '{section}.save_every'"):
+            config_from_dict({section: {"save_every": 0}})
+
+    @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_every_field_is_read_by_its_name(self, section):
+        # Each field of the section set to a non-default value in a JSON
+        # document keyed by the field names, so a new field needs no schema edit.
+        default = getattr(RunConfig(), section)
+        value = _changed(section, default)
+        run = dataclasses.replace(RunConfig(), **{section: value})
+        doc = {section: json.loads(json.dumps(run.to_dict()))[section]}
+        if dataclasses.is_dataclass(default):
+            assert set(doc[section]) == {f.name for f in dataclasses.fields(default)}
+            for f in dataclasses.fields(default):
+                assert getattr(value, f.name) != getattr(default, f.name), f.name
+        assert config_from_dict(doc) == run
 
 
 class TestRoundTrip:

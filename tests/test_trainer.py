@@ -13,7 +13,13 @@ import pytest
 
 from cel.config import desk_profile
 from cel.corpus import build_manifest
-from cel.encoder import EncoderConfig, LrSchedule, load_checkpoint, save_checkpoint
+from cel.encoder import (
+    Encoder,
+    EncoderConfig,
+    LrSchedule,
+    load_checkpoint,
+    save_checkpoint,
+)
 from cel.errors import (
     CheckpointMismatchError,
     CorpusTooSmallError,
@@ -150,9 +156,10 @@ class TestBatchAssembly:
         assert len(items) == cfg.k
         assert len({it.source_id for it in items}) == cfg.k
         for it in items:
-            assert it.features1.shape == (40, cfg.frames)
-            assert it.features2.shape == (40, cfg.frames)
-            assert not np.array_equal(it.features1, it.features2)
+            assert len(it.views) == 2
+            assert it.views[0].shape == (40, cfg.frames)
+            assert it.views[1].shape == (40, cfg.frames)
+            assert not np.array_equal(it.views[0], it.views[1])
 
     def test_batch_larger_than_corpus_rejected(self, source, bank, monkeypatch):
         def unreachable(*args):
@@ -225,6 +232,37 @@ class TestPretrain:
         path = _drop_meta_key(tmp_path / "checkpoint.ckpt", key)
         with pytest.raises(CheckpointMismatchError, match=f"{re.escape(str(path))}.*'{key}'"):
             pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, resume_from=path)
+
+    def test_backward_passes_summed_view_by_view(self, source, bank, monkeypatch):
+        # Every item's first view, then every item's second: the order the
+        # pre-training gradients have always been summed in.
+        made, summed = [], []
+        forward, summed_grads = Encoder.forward, trainer._summed_grads
+
+        def recorded_forward(self, params, features):
+            made.append(forward(self, params, features))
+            return made[-1]
+
+        def recorded_sum(enc, params, forwards, upstream):
+            summed.append(([id(f) for f in forwards], [id(f) for f in made]))
+            made.clear()
+            return summed_grads(enc, params, forwards, upstream)
+
+        monkeypatch.setattr(Encoder, "forward", recorded_forward)
+        monkeypatch.setattr(trainer, "_summed_grads", recorded_sum)
+        pretrain(source, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank)
+        assert summed
+        for order, encoded in summed:
+            assert order == encoded[0::2] + encoded[1::2]
+
+    def test_parameters_and_meta(self, source, bank, tmp_path):
+        cfg = tiny_pretrain_cfg(epochs=1)
+        result = pretrain(source, cfg, TINY_ENC, bank=bank, out_dir=tmp_path)
+        params = list(Encoder(TINY_ENC).param_shapes()) + ["sim_scale", "sim_bias"]
+        assert list(result.params) == params
+        _, blocks, meta = load_checkpoint(tmp_path / "checkpoint.ckpt")
+        assert set(blocks) == {f"{p}{n}" for p in ("", "opt_m.", "opt_v.") for n in params}
+        assert set(meta) == {"epochs_done", "adam_step"}
 
     def test_k_larger_than_corpus_rejected(self, source, bank):
         with pytest.raises(CorpusTooSmallError):
@@ -305,6 +343,30 @@ class TestFinetune:
         path = _drop_meta_key(tmp_path / "checkpoint.ckpt", key)
         with pytest.raises(CheckpointMismatchError, match=f"{re.escape(str(path))}.*'{key}'"):
             finetune(source, cfg, TINY_ENC, resume_from=path)
+
+    @pytest.mark.parametrize(
+        "objective,extra,head,meta",
+        [
+            ("aprot", {}, ["sim_scale", "sim_bias"], []),
+            ("ge2e", {}, ["sim_scale", "sim_bias"], []),
+            ("cosface", {"utterances_per_speaker": 1}, ["cls_w"], []),
+            ("adacos", {"utterances_per_speaker": 1}, ["cls_w"],
+             ["adacos_scale", "adacos_steps"]),
+        ],
+    )
+    def test_objective_parameters_and_meta(
+        self, source, tmp_path, objective, extra, head, meta
+    ):
+        # Encoder weights, then the objective's own parameters; the meta
+        # adds the objective and its state.
+        cfg = tiny_finetune_cfg(objective=objective, epochs=1, **extra)
+        result = finetune(source, cfg, TINY_ENC, out_dir=tmp_path)
+        params = list(Encoder(TINY_ENC).param_shapes()) + head
+        assert list(result.params) == params
+        _, blocks, got = load_checkpoint(tmp_path / "checkpoint.ckpt")
+        assert set(blocks) == {f"{p}{n}" for p in ("", "opt_m.", "opt_v.") for n in params}
+        assert set(got) == {"epochs_done", "adam_step", "objective", *meta}
+        assert got["objective"] == objective
 
     def test_checkpoint_contains_optimizer_state(self, source, tmp_path):
         cfg = tiny_finetune_cfg(epochs=1)
