@@ -7,7 +7,7 @@ verification-grade evaluation metrics.
 """
 
 from .config import RunConfig, desk_profile, load_config, fullscale_profile, save_config
-from .embedding import EmbeddingBatch, SimilarityParams, affine_similarity, cosine, normalize
+from .embedding import EmbeddingBatch, SimilarityParams, cosine, normalize
 from .encoder import Encoder, EncoderConfig, LrSchedule, load_checkpoint, save_checkpoint
 from .evaluation import DcfParams, Trial, det_points, eer, min_dcf, score_trials
 from .features import FeatureConfig, Waveform, logmel, read_wav, write_wav
@@ -63,7 +63,6 @@ __all__ = [
     "Waveform",
     "acont_loss",
     "adacos_loss",
-    "affine_similarity",
     "aprot_loss",
     "arcface_loss",
     "cosface_loss",

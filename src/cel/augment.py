@@ -13,7 +13,6 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -25,7 +24,7 @@ from .errors import (
     TooShortError,
     UtteranceTooShortError,
 )
-from .features import SAMPLE_RATE, Waveform, read_wav, write_wav
+from .features import SAMPLE_RATE, FeatureConfig, Waveform
 from .rng import derive_rng
 
 # 60 dB of decay at t = rt60 means an amplitude factor of exactly 1e-3.
@@ -44,6 +43,11 @@ _rir_spectra_lock = threading.Lock()
 # own FFT length; the oldest spectra go first beyond this many per response.
 _RIR_SPECTRA_PER_RESPONSE = 8
 
+# Speakers summed into one babble noise.
+BABBLE_VOICES = 6
+# Redraws of the second corruption before a pair is refused as undrawable.
+PAIR_DRAW_TRIES = 1000
+
 
 def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> int:
     """Samples consumed by exactly `frames` analysis frames."""
@@ -58,7 +62,6 @@ class CropPair:
 
     crop1: Waveform
     crop2: Waveform
-    source_id: str
 
     def __post_init__(self) -> None:
         if len(self.crop1) != len(self.crop2):
@@ -67,15 +70,12 @@ class CropPair:
             )
 
 
-def crop_two(
-    u: Waveform,
-    frames: int,
-    rng: np.random.Generator,
-    pad_wrap: bool = False,
-    source_id: str = "",
-) -> CropPair:
-    """Cut two independently positioned crops; they may overlap."""
-    need = crop_samples(frames)
+def random_crop(u: Waveform, need: int, rng: np.random.Generator, pad_wrap: bool) -> Waveform:
+    """`need` samples from one uniformly drawn offset.
+
+    Input shorter than `need` is wrap-padded to exactly `need` when
+    `pad_wrap` is set, and refused otherwise.
+    """
     x = u.samples
     if x.size < need:
         if not pad_wrap:
@@ -84,14 +84,20 @@ def crop_two(
                 f"(enable wrap padding to allow short utterances)"
             )
         x = np.resize(x, need)
-    hi = x.size - need + 1
-    o1 = int(rng.integers(0, hi))
-    o2 = int(rng.integers(0, hi))
-    return CropPair(
-        crop1=Waveform(x[o1 : o1 + need].copy()),
-        crop2=Waveform(x[o2 : o2 + need].copy()),
-        source_id=source_id,
-    )
+    offset = int(rng.integers(0, x.size - need + 1))
+    return Waveform(x[offset : offset + need].copy())
+
+
+def crop_two(
+    u: Waveform,
+    frames: int,
+    rng: np.random.Generator,
+    pad_wrap: bool = False,
+    feature_cfg: FeatureConfig = FeatureConfig(),
+) -> CropPair:
+    """Cut two independently positioned crops of `frames` analysis frames; they may overlap."""
+    need = crop_samples(frames, feature_cfg.win_length, feature_cfg.hop_length)
+    return CropPair(random_crop(u, need, rng, pad_wrap), random_crop(u, need, rng, pad_wrap))
 
 
 class AugmentKind(enum.Enum):
@@ -239,10 +245,10 @@ def pink_noise(n: int, rng: np.random.Generator) -> Waveform:
     return Waveform(x / np.max(np.abs(x)) * 0.9)
 
 
-def babble_noise(n: int, rng: np.random.Generator, n_voices: int = 6) -> Waveform:
+def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
     duration_s = n / SAMPLE_RATE
     mix = np.zeros(n)
-    for _ in range(n_voices):
+    for _ in range(BABBLE_VOICES):
         profile = gen_speaker(rng)
         w = gen_utterance(profile, duration_s, rng, min_samples=1)
         mix += w.samples[:n]
@@ -298,40 +304,6 @@ def synth_bank(
     return NoiseBank(tuple(noises), tuple(names), tuple(rirs), tuple(rir_names))
 
 
-def write_bank(bank: NoiseBank, root: str | Path) -> None:
-    """Write the bank as WAV files under noise/ and rir/ subdirectories."""
-    root = Path(root)
-    (root / "noise").mkdir(parents=True, exist_ok=True)
-    (root / "rir").mkdir(parents=True, exist_ok=True)
-    for w, name in zip(bank.noises, bank.noise_names):
-        write_wav(root / "noise" / name, w)
-    for h, name in zip(bank.rirs, bank.rir_names):
-        peak = float(np.max(np.abs(h)))
-        write_wav(root / "rir" / name, Waveform(h / peak))
-
-
-def load_bank(root: str | Path) -> NoiseBank:
-    """Load a bank directory; files enumerate in lexicographic name order.
-
-    Impulse responses are renormalized to peak 1 so the 16-bit quantization
-    scale does not leak into the convolution gain.
-    """
-    root = Path(root)
-    noise_paths = sorted((root / "noise").glob("*.wav"), key=lambda p: p.name)
-    rir_paths = sorted((root / "rir").glob("*.wav"), key=lambda p: p.name)
-    noises = tuple(read_wav(p) for p in noise_paths)
-    rirs = []
-    for p in rir_paths:
-        h = read_wav(p).samples
-        rirs.append(h / np.max(np.abs(h)))
-    return NoiseBank(
-        noises,
-        tuple(p.name for p in noise_paths),
-        tuple(rirs),
-        tuple(p.name for p in rir_paths),
-    )
-
-
 def sample_spec(
     rng: np.random.Generator,
     bank: NoiseBank,
@@ -364,11 +336,10 @@ def sample_pair_specs(
     bank: NoiseBank,
     crop_len: int,
     snr_range: tuple[float, float] = (0.0, 15.0),
-    max_tries: int = 1000,
 ) -> tuple[AugmentSpec, AugmentSpec]:
     """Two corruption draws guaranteed to differ in kind, slice, or response."""
     first = sample_spec(rng, bank, crop_len, snr_range)
-    for _ in range(max_tries):
+    for _ in range(PAIR_DRAW_TRIES):
         second = sample_spec(rng, bank, crop_len, snr_range)
         if second.identity() != first.identity():
             return first, second

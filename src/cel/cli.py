@@ -106,7 +106,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     run = replace(run, pretrain=cfg)
 
     source = _source_from_dir(args.corpus)
-    _echo(run, args.out)
     log.info(
         "pretrain: %d speakers, k=%d, lambda=%g, t=%g, %d epochs",
         source.speaker_count, cfg.k, cfg.uniformity_weight, cfg.kernel_t, cfg.epochs,
@@ -115,6 +114,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         source, cfg, run.encoder, run.features, out_dir=args.out,
         resume_from=args.resume,
     )
+    _echo(run, args.out)
     last = result.records[-1]
     print(
         f"pretrained {cfg.epochs} epochs: loss {last.loss_total:.4f} "
@@ -140,7 +140,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     run = replace(run, finetune=cfg)
 
     source = _source_from_dir(args.corpus)
-    _echo(run, args.out)
     log.info(
         "finetune: objective=%s init=%s, %d epochs",
         cfg.objective, cfg.init_checkpoint or "random", cfg.epochs,
@@ -149,6 +148,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         source, cfg, run.encoder, run.features, out_dir=args.out,
         resume_from=args.resume,
     )
+    _echo(run, args.out)
     last = result.records[-1]
     print(
         f"finetuned {cfg.epochs} epochs ({cfg.objective}): loss {last.loss_total:.4f}; "

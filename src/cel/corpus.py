@@ -152,20 +152,6 @@ class CorpusManifest:
     seed: int
     entries: tuple[ManifestEntry, ...]
 
-    def by_speaker(self) -> dict[str, list[ManifestEntry]]:
-        groups: dict[str, list[ManifestEntry]] = {}
-        for e in self.entries:
-            groups.setdefault(e.speaker_id, []).append(e)
-        return groups
-
-    @property
-    def speaker_ids(self) -> list[str]:
-        seen: list[str] = []
-        for e in self.entries:
-            if e.speaker_id not in seen:
-                seen.append(e.speaker_id)
-        return seen
-
 
 def speaker_id(index: int) -> str:
     return f"spk{index:03d}"

@@ -20,7 +20,7 @@ from .errors import (
 
 NORM_FLOOR = 1e-12
 
-# Trained scale stays positive; clamped here after every optimizer step.
+# Trained scale stays positive: the trainer clamps it after every optimizer step.
 SCALE_FLOOR = 1e-3
 
 
@@ -36,10 +36,6 @@ class SimilarityParams:
             raise InvalidParamError(
                 f"similarity scale must be positive, got {self.scale}"
             )
-
-    def clamped(self) -> "SimilarityParams":
-        """Copy with the scale floored, for use after an optimizer step."""
-        return SimilarityParams(max(self.scale, SCALE_FLOOR), self.bias)
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,6 @@ class EmbeddingBatch:
     def size(self) -> int:
         return self.view1.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.view1.shape[1]
-
 
 def normalize(v: np.ndarray) -> np.ndarray:
     """Project a vector onto the unit sphere.
@@ -100,8 +92,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
     c = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     return min(1.0, max(-1.0, c))
-
-
-def affine_similarity(a: np.ndarray, b: np.ndarray, params: SimilarityParams) -> float:
-    """scale * cosine(a, b) + bias."""
-    return params.scale * cosine(a, b) + params.bias

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class ForwardCache:
     last_hidden: np.ndarray
     mean: np.ndarray
     std: np.ndarray | None
-    pre_norm: np.ndarray
     norm: float
     embedding: np.ndarray
 
@@ -189,7 +188,6 @@ class Encoder:
             last_hidden=h,
             mean=mean,
             std=std,
-            pre_norm=v,
             norm=norm,
             embedding=e,
         )
@@ -264,21 +262,6 @@ class LrSchedule:
             raise InvalidParamError(
                 f"decay period must be at least 1 epoch, got {self.period_epochs}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "initial_lr": self.initial_lr,
-            "decay_fraction": self.decay_fraction,
-            "period_epochs": self.period_epochs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LrSchedule":
-        return cls(
-            initial_lr=float(d["initial_lr"]),
-            decay_fraction=float(d["decay_fraction"]),
-            period_epochs=int(d["period_epochs"]),
-        )
 
 
 PRETRAIN_SCHEDULE = LrSchedule(initial_lr=0.001, decay_fraction=0.05, period_epochs=10)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .embedding import normalize
 from .encoder import Encoder, EncoderConfig
 from .errors import CorpusTooSmallError
 from .evaluation import Trial, eer, score_trials
+from .features import FeatureConfig
 from .losses import KernelParam, pairwise_uniformity
 from .rng import derive_rng
 from .trainer import (
     CorpusSource,
-    FinetuneConfig,
-    PretrainConfig,
     TrainResult,
     embed_utterances,
     finetune,
@@ -91,13 +90,10 @@ def eer_of_params(
     params,
     trials: Sequence[Trial],
     encoder_cfg: EncoderConfig,
-    feature_cfg=None,
+    feature_cfg: FeatureConfig,
     bank: NoiseBank | None = None,
     aug_seed: int = 0,
 ) -> float:
-    from .features import FeatureConfig
-
-    feature_cfg = feature_cfg or FeatureConfig()
     embeddings = embed_utterances(
         source, params, encoder_cfg, feature_cfg, bank=bank, aug_seed=aug_seed
     )
@@ -115,7 +111,7 @@ def random_encoder_eer(
     """Verification error of an untrained (freshly initialized) encoder."""
     params = Encoder(encoder_cfg).init_params(derive_rng(seed, "init"))
     return eer_of_params(
-        source, params, trials, encoder_cfg, bank=bank, aug_seed=aug_seed
+        source, params, trials, encoder_cfg, FeatureConfig(), bank=bank, aug_seed=aug_seed
     )
 
 
@@ -132,21 +128,12 @@ def desk_split(run: RunConfig) -> tuple[CorpusManifest, tuple[int, ...], tuple[i
     return manifest, train_idx, eval_idx
 
 
-def pretrain_arm(
-    run: RunConfig,
-    seed: int,
-    uniformity_weight: float | None = None,
-    out_dir: str | Path | None = None,
+def _held_out_arm(
+    run: RunConfig, train: Callable[[CorpusSource], TrainResult]
 ) -> tuple[float, TrainResult]:
-    """Pretrain on train speakers with one seed; EER on held-out speakers."""
+    """Train on the desk split's train speakers; EER on its held-out speakers."""
     manifest, train_idx, eval_idx = desk_split(run)
-    cfg = replace(run.pretrain, seed=seed)
-    if uniformity_weight is not None:
-        cfg = replace(cfg, uniformity_weight=uniformity_weight)
-    train_src = CorpusSource(manifest, speakers=train_idx)
-    result = pretrain(
-        train_src, cfg, run.encoder, run.features, out_dir=out_dir
-    )
+    result = train(CorpusSource(manifest, speakers=train_idx))
     eval_src = CorpusSource(manifest, speakers=eval_idx)
     trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
     bank = eval_bank(run) if run.evaluation.augment_trials else None
@@ -155,6 +142,21 @@ def pretrain_arm(
         bank=bank, aug_seed=run.corpus.seed,
     )
     return value, result
+
+
+def pretrain_arm(
+    run: RunConfig,
+    seed: int,
+    uniformity_weight: float | None = None,
+    out_dir: str | Path | None = None,
+) -> tuple[float, TrainResult]:
+    """Pretrain on train speakers with one seed; EER on held-out speakers."""
+    cfg = replace(run.pretrain, seed=seed)
+    if uniformity_weight is not None:
+        cfg = replace(cfg, uniformity_weight=uniformity_weight)
+    return _held_out_arm(
+        run, lambda source: pretrain(source, cfg, run.encoder, run.features, out_dir=out_dir)
+    )
 
 
 def finetune_arm(
@@ -165,25 +167,15 @@ def finetune_arm(
     out_dir: str | Path | None = None,
 ) -> tuple[float, TrainResult]:
     """Fine-tune on labeled train speakers; EER on held-out speakers."""
-    manifest, train_idx, eval_idx = desk_split(run)
     cfg = replace(
         run.finetune,
         seed=seed,
         objective=objective,
         init_checkpoint=str(init_checkpoint) if init_checkpoint else None,
     )
-    train_src = CorpusSource(manifest, speakers=train_idx)
-    result = finetune(
-        train_src, cfg, run.encoder, run.features, out_dir=out_dir
+    return _held_out_arm(
+        run, lambda source: finetune(source, cfg, run.encoder, run.features, out_dir=out_dir)
     )
-    eval_src = CorpusSource(manifest, speakers=eval_idx)
-    trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
-    bank = eval_bank(run) if run.evaluation.augment_trials else None
-    value = eer_of_params(
-        eval_src, result.params, trials, run.encoder, run.features,
-        bank=bank, aug_seed=run.corpus.seed,
-    )
-    return value, result
 
 
 def uniform_sphere_uniformity(

@@ -95,10 +95,6 @@ class FeatureMatrix:
     hop_length: int
 
     @property
-    def n_bands(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_frames(self) -> int:
         return self.values.shape[1]
 

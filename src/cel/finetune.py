@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import SCALE_FLOOR, SimilarityParams, normalize
+from .embedding import SCALE_FLOOR, SimilarityParams
 from .errors import (
     BatchShapeInvalidError,
     BatchTooSmallError,

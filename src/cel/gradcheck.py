@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import losses
 from .embedding import EmbeddingBatch, SimilarityParams
+from .encoder import Encoder, EncoderConfig
 from .finetune import (
     AdaCosState,
     LabeledBatch,
@@ -116,32 +117,60 @@ def _random_unit_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _pair_batch(arrays: Mapping[str, np.ndarray]) -> EmbeddingBatch:
-    return EmbeddingBatch(view1=arrays["view1"], view2=arrays["view2"])
-
-
 def _sim_params(arrays: Mapping[str, np.ndarray]) -> SimilarityParams:
     return SimilarityParams(float(arrays["scale"]), float(arrays["bias"]))
 
 
-def _check_pair_loss(name: str, seed: int) -> CheckResult:
-    kernel = losses.KernelParam(t=2.0)
-    weights = losses.CelWeights(uniformity_weight=1.0)
+_KERNEL = losses.KernelParam(t=2.0)
+_MARGIN = MarginConfig(margin=0.2, scale=8.0)
 
-    def make_output(arrays: Mapping[str, np.ndarray]) -> losses.LossOutput:
-        batch = _pair_batch(arrays)
-        if name == "unif":
-            return losses.uniformity_loss(batch, kernel)
-        if name == "aprot":
-            return losses.aprot_loss(batch, _sim_params(arrays))
-        if name == "acont":
-            return losses.acont_loss(batch, _sim_params(arrays))
-        if name == "total":
-            return losses.total_loss(batch, kernel, _sim_params(arrays), weights)
-        raise ValueError(name)
+# Two-view losses of a batch and the checked arrays, which hold "scale" and
+# "bias" for every loss but "unif".
+_PAIR_LOSSES: dict[str, Callable[[EmbeddingBatch, Mapping], losses.LossOutput]] = {
+    "unif": lambda batch, a: losses.uniformity_loss(batch, _KERNEL),
+    "aprot": lambda batch, a: losses.aprot_loss(batch, _sim_params(a)),
+    "acont": lambda batch, a: losses.acont_loss(batch, _sim_params(a)),
+    "total": lambda batch, a: losses.total_loss(
+        batch, _KERNEL, _sim_params(a), losses.CelWeights(uniformity_weight=1.0)
+    ),
+}
 
+# Classifier losses of a labeled batch and the class weights. AdaCos holds
+# its scale, so its value is a function of the checked arrays alone.
+_CLASSIFIER_LOSSES: dict[str, Callable[[LabeledBatch, np.ndarray], losses.LossOutput]] = {
+    "cosface": lambda batch, w: cosface_loss(batch, w, _MARGIN),
+    "arcface": lambda batch, w: arcface_loss(batch, w, _MARGIN),
+    "adacos": lambda batch, w: adacos_loss(
+        batch, w, AdaCosState(scale=float(_MARGIN.scale)), update_scale=False
+    ),
+}
+
+
+def _compare_loss(
+    make_output: Callable[[Mapping[str, np.ndarray]], losses.LossOutput],
+    arrays: Mapping[str, np.ndarray],
+) -> tuple[float, str, int]:
+    """`compare` of a loss's value against the gradients it reports for `arrays`."""
+    out = make_output(arrays)
+    analytic = {name: out.grads[name] for name in arrays}
+    return compare(lambda a: make_output(a).value, arrays, analytic)
+
+
+def _check(
+    instances: Callable[[str, int], Iterator[tuple[float, str, int]]], name: str, seed: int
+) -> CheckResult:
+    """One row for every instance's comparison: the largest error, the last of ties."""
     worst = (0.0, "", -1)
     count = 0
+    for res in instances(name, seed):
+        count += 1
+        if res[0] >= worst[0]:
+            worst = res
+    return CheckResult(name, count, *worst)
+
+
+def _pair_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
+    loss = _PAIR_LOSSES[name]
     rng = derive_rng(seed, "gradcheck", name)
     for k in (2, 3, 5, 8):
         for m in (3, 8, 16):
@@ -153,18 +182,13 @@ def _check_pair_loss(name: str, seed: int) -> CheckResult:
                 if name != "unif":
                     arrays["scale"] = np.array(float(rng.uniform(0.5, 10.0)))
                     arrays["bias"] = np.array(float(rng.uniform(-5.0, 1.0)))
-                out = make_output(arrays)
-                analytic = {k2: out.grads[k2] for k2 in arrays}
-                res = compare(lambda a: make_output(a).value, arrays, analytic)
-                count += 1
-                if res[0] >= worst[0]:
-                    worst = res
-    return CheckResult(name, count, *worst)
+                yield _compare_loss(
+                    lambda a: loss(EmbeddingBatch(view1=a["view1"], view2=a["view2"]), a),
+                    arrays,
+                )
 
 
-def _check_finetune_loss(name: str, seed: int) -> CheckResult:
-    worst = (0.0, "", -1)
-    count = 0
+def _finetune_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
     rng = derive_rng(seed, "gradcheck", name)
     shapes = [(2, 2, 3), (4, 3, 8), (6, 4, 16), (12, 6, 8), (8, 5, 3)]
     for n, c, m in shapes:
@@ -183,41 +207,20 @@ def _check_finetune_loss(name: str, seed: int) -> CheckResult:
 
             else:
                 labels = rng.integers(0, c, size=n)
-                cfg = MarginConfig(margin=0.2, scale=8.0)
                 arrays = {
                     "embeddings": _random_unit_rows(rng, n, m),
                     "weights": _random_unit_rows(rng, c, m),
                 }
 
-                def make_output(a, labels=labels, cfg=cfg, c=c):
-                    batch = LabeledBatch(a["embeddings"], labels, c)
-                    if name == "cosface":
-                        return cosface_loss(batch, a["weights"], cfg)
-                    if name == "arcface":
-                        return arcface_loss(batch, a["weights"], cfg)
-                    if name == "adacos":
-                        state = AdaCosState(scale=float(cfg.scale))
-                        return adacos_loss(
-                            batch, a["weights"], state, update_scale=False
-                        )
-                    raise ValueError(name)
+                def make_output(a, labels=labels, c=c, loss=_CLASSIFIER_LOSSES[name]):
+                    return loss(LabeledBatch(a["embeddings"], labels, c), a["weights"])
 
-            out = make_output(arrays)
-            analytic = {k2: out.grads[k2] for k2 in arrays}
-            res = compare(lambda a: make_output(a).value, arrays, analytic)
-            count += 1
-            if res[0] >= worst[0]:
-                worst = res
-    return CheckResult(name, count, *worst)
+            yield _compare_loss(make_output, arrays)
 
 
-def _check_encoder(seed: int) -> CheckResult:
-    from .encoder import Encoder, EncoderConfig
-
-    worst = (0.0, "", -1)
-    count = 0
+def _encoder_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
     for rep in range(3):
-        rng = derive_rng(seed, "gradcheck", "encoder", rep)
+        rng = derive_rng(seed, "gradcheck", name, rep)
         cfg = EncoderConfig(input_dim=6, hidden_dims=(5, 4), embedding_dim=4,
                             pooling="mean" if rep % 2 == 0 else "mean_std")
         enc = Encoder(cfg)
@@ -237,18 +240,14 @@ def _check_encoder(seed: int) -> CheckResult:
 
         res_fwd = enc.forward(params, feats)
         back = enc.backward(params, res_fwd.cache, upstream)
-        res = compare(run, params, back.param_grads)
-        count += 1
-        if res[0] >= worst[0]:
-            worst = res
-    return CheckResult("encoder", count, *worst)
+        yield compare(run, params, back.param_grads)
 
 
 _CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    **{name: partial(_check_pair_loss, name) for name in ("unif", "aprot", "acont", "total")},
-    **{name: partial(_check_finetune_loss, name)
-       for name in ("ge2e", "cosface", "arcface", "adacos")},
-    "encoder": _check_encoder,
+    **{name: partial(_check, _pair_loss_instances, name) for name in _PAIR_LOSSES},
+    **{name: partial(_check, _finetune_loss_instances, name)
+       for name in ("ge2e", *_CLASSIFIER_LOSSES)},
+    "encoder": partial(_check, _encoder_instances, "encoder"),
 }
 ALL_SCOPES: Sequence[str] = tuple(_CHECKS)
 

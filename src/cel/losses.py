@@ -56,30 +56,6 @@ class LossOutput:
     value: float
     grads: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def grad_view1(self) -> np.ndarray:
-        return self.grads["view1"]
-
-    @property
-    def grad_view2(self) -> np.ndarray:
-        return self.grads["view2"]
-
-    @property
-    def grad_embeddings(self) -> np.ndarray:
-        return self.grads["embeddings"]
-
-    @property
-    def grad_weights(self) -> np.ndarray:
-        return self.grads["weights"]
-
-    @property
-    def grad_scale(self) -> float:
-        return float(self.grads["scale"])
-
-    @property
-    def grad_bias(self) -> float:
-        return float(self.grads["bias"])
-
 
 def gaussian_potential(a: np.ndarray, b: np.ndarray, kernel: KernelParam) -> float:
     """Pairwise Gaussian (RBF) potential exp(-t * ||a - b||^2)."""

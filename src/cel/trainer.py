@@ -41,6 +41,7 @@ from .augment import (
     apply_spec,
     crop_samples,
     crop_two,
+    random_crop,
     sample_pair_specs,
     sample_spec,
     synth_bank,
@@ -217,7 +218,6 @@ class TrainResult:
     records: list[EpochRecord]
     log_text: str
     checkpoint_path: Path | None = None
-    encoder_config: EncoderConfig | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -251,7 +251,7 @@ def _pretrain_item(
     key = source.utterance_key(local_speaker, utt)
     crop_rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     aug_rng = derive_rng(cfg.seed, "aug", epoch, local_speaker, utt)
-    pair = crop_two(wave, cfg.frames, crop_rng, source_id=key)
+    pair = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
     spec1, spec2 = sample_pair_specs(aug_rng, bank, len(pair.crop1), cfg.snr_range)
     a1 = apply_spec(pair.crop1, spec1, bank)
     a2 = apply_spec(pair.crop2, spec2, bank)
@@ -273,11 +273,7 @@ def _finetune_item(
     rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     wave = source.waveform(local_speaker, utt)
     need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
-    x = wave.samples
-    if x.size < need:
-        x = np.resize(x, need)
-    offset = int(rng.integers(0, x.size - need + 1))
-    features = logmel(Waveform(x[offset : offset + need].copy()), feature_cfg).values
+    features = logmel(random_crop(wave, need, rng, pad_wrap=True), feature_cfg).values
     return BatchItem(source_id=source.utterance_key(local_speaker, utt), views=(features,))
 
 
@@ -330,7 +326,7 @@ class _Similarity(_Objective):
 
     @staticmethod
     def grads(out: LossOutput) -> dict[str, np.ndarray]:
-        return {"sim_scale": np.float64(out.grad_scale), "sim_bias": np.float64(out.grad_bias)}
+        return {"sim_scale": out.grads["scale"], "sim_bias": out.grads["bias"]}
 
 
 class _Cel(_Similarity):
@@ -347,7 +343,7 @@ class _Cel(_Similarity):
         sim = similarity_loss(batch, self.affine(params), self.name)
         out = combine_losses(unif, sim, self.weights)
         terms = (out.value, unif.value, sim.value)
-        return [out.grad_view1, out.grad_view2], self.grads(out), terms
+        return [out.grads["view1"], out.grads["view2"]], self.grads(out), terms
 
     def meta(self) -> dict:
         return {}
@@ -372,8 +368,8 @@ class _Pair(_Similarity):
         batch = EmbeddingBatch(emb[0::2], emb[1::2])
         out = similarity_loss(batch, self.affine(params), self.name)
         upstream = np.zeros_like(emb)
-        upstream[0::2] = out.grad_view1
-        upstream[1::2] = out.grad_view2
+        upstream[0::2] = out.grads["view1"]
+        upstream[1::2] = out.grads["view2"]
         return [upstream], self.grads(out), (out.value, 0.0, out.value)
 
 
@@ -392,7 +388,7 @@ class _Ge2e(_Similarity):
         per = self.cfg.utterances_per_speaker
         batch = ft.LabeledBatch.grouped(emb, len(emb) // per, per)
         out = ft.ge2e_loss(batch, self.affine(params))
-        return [out.grad_embeddings], self.grads(out), (out.value, 0.0, out.value)
+        return [out.grads["embeddings"]], self.grads(out), (out.value, 0.0, out.value)
 
 
 class _Margin(_Objective):
@@ -413,7 +409,8 @@ class _Margin(_Objective):
     def step(self, params, views, labels):
         (emb,) = views
         out = self.loss(ft.LabeledBatch(emb, np.asarray(labels), self.n_classes), params["cls_w"])
-        return [out.grad_embeddings], {"cls_w": out.grad_weights}, (out.value, 0.0, out.value)
+        terms = (out.value, 0.0, out.value)
+        return [out.grads["embeddings"]], {"cls_w": out.grads["weights"]}, terms
 
     def logged(self, params) -> tuple[float, float]:
         return self.cfg.margin_scale, 0.0
@@ -639,7 +636,7 @@ def _train(
         ckpt = out / "checkpoint.ckpt"
         meta = {"epochs_done": cfg.epochs, "adam_step": opt.step, **objective.meta()}
         save_checkpoint(ckpt, config_echo, {**params, **_pack_optimizer(opt)}, meta)
-    return TrainResult(params, opt, records, log_text, ckpt, encoder_cfg, objective.meta())
+    return TrainResult(params, opt, records, log_text, ckpt, objective.meta())
 
 
 def pretrain(

@@ -21,14 +21,12 @@ from cel.augment import (
     crop_samples,
     crop_two,
     decay_envelope,
-    load_bank,
     pink_noise,
     sample_pair_specs,
     sample_spec,
     synth_bank,
     synth_rir,
     white_noise,
-    write_bank,
 )
 from cel.errors import (
     EmptyImpulseError,
@@ -249,27 +247,6 @@ class TestBank:
     def test_empty_bank_rejected(self):
         with pytest.raises(InvalidParamError):
             NoiseBank(noises=(), noise_names=(), rirs=(np.ones(4),), rir_names=("r",))
-
-    def test_bank_round_trip(self, tiny_bank, tmp_path):
-        write_bank(tiny_bank, tmp_path)
-        back = load_bank(tmp_path)
-        assert sorted(back.noise_names) == sorted(tiny_bank.noise_names)
-        assert back.rir_names == tiny_bank.rir_names
-        orig_noise = dict(zip(tiny_bank.noise_names, tiny_bank.noises))
-        for name, loaded in zip(back.noise_names, back.noises):
-            assert np.max(np.abs(loaded.samples - orig_noise[name].samples)) < 1e-4
-        orig_rir = dict(zip(tiny_bank.rir_names, tiny_bank.rirs))
-        for name, loaded in zip(back.rir_names, back.rirs):
-            assert np.max(np.abs(loaded)) == pytest.approx(1.0, abs=1e-12)
-            want = orig_rir[name] / np.max(np.abs(orig_rir[name]))
-            assert np.max(np.abs(loaded - want)) < 1e-3
-
-    def test_load_bank_sorted(self, tiny_bank, tmp_path):
-        write_bank(tiny_bank, tmp_path)
-        back = load_bank(tmp_path)
-        assert list(back.noise_names) == sorted(back.noise_names)
-        assert list(back.rir_names) == sorted(back.rir_names)
-
 
 class TestSpecs:
     def test_sample_spec_fields(self, tiny_bank):

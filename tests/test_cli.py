@@ -297,6 +297,23 @@ class TestHarness:
         err = capsys.readouterr().err
         assert f"error [{command}]: config key 'pretrain.k' must be int, got 'eight'" in err
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("pretrain", ["--k", "5"], "k=5 needs that many speakers, corpus has 4"),
+        ("finetune", [], "batches need 5 speakers, corpus has 4"),
+    ])
+    def test_refused_run_leaves_no_config_echo(
+        self, workspace, tmp_path, capsys, command, flags, message
+    ):
+        config = tmp_path / "big-batches.json"
+        doc = {**SMALL_DOC, "finetune": {**SMALL_DOC["finetune"], "speakers_per_batch": 5}}
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--corpus", str(workspace / "corpus"),
+                "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["mystery"])

@@ -232,10 +232,6 @@ class TestSchedule:
         assert lr_at(s, 19) == 0.002 * 0.95
         assert lr_at(s, 20) == 0.002 * 0.95**2
 
-    def test_dict_round_trip(self):
-        s = LrSchedule(initial_lr=0.01, decay_fraction=0.2, period_epochs=3)
-        assert LrSchedule.from_dict(s.to_dict()) == s
-
 
 class TestAdam:
     def test_init_rejects_bad_lr(self):

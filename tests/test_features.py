@@ -109,7 +109,6 @@ class TestLogmel:
         wave = Waveform(0.1 * rng.standard_normal(16000))
         feats = logmel(wave, FeatureConfig())
         assert feats.values.shape == (40, frame_count(16000, 400, 160))
-        assert feats.n_bands == 40
 
     def test_too_short(self):
         with pytest.raises(TooShortError):

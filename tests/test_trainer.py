@@ -13,6 +13,7 @@ import pytest
 
 from cel.config import desk_profile
 from cel.corpus import build_manifest
+from cel.embedding import SCALE_FLOOR
 from cel.encoder import (
     Encoder,
     EncoderConfig,
@@ -36,6 +37,7 @@ from cel.trainer import (
     FinetuneConfig,
     PretrainConfig,
     _epoch_plan,
+    _finetune_item,
     _pretrain_item,
     embed_utterances,
     finetune,
@@ -161,6 +163,16 @@ class TestBatchAssembly:
             assert it.views[1].shape == (40, cfg.frames)
             assert not np.array_equal(it.views[0], it.views[1])
 
+    def test_crops_follow_the_feature_config(self, source, bank):
+        # A 5 ms hop: crops sized for the default 10 ms hop would give
+        # 2 * frames - 1 frames.
+        features = FeatureConfig(hop_length=80)
+        pre_cfg, fine_cfg = tiny_pretrain_cfg(), tiny_finetune_cfg()
+        pre = _pretrain_item(source, bank, pre_cfg, features, 0, 0, 0)
+        fine = _finetune_item(source, fine_cfg, features, 0, 0, 0)
+        assert [v.shape for v in pre.views] == [(40, pre_cfg.frames)] * 2
+        assert [v.shape for v in fine.views] == [(40, fine_cfg.frames)]
+
     def test_batch_larger_than_corpus_rejected(self, source, bank, monkeypatch):
         def unreachable(*args):
             raise AssertionError("items were built for an impossible batch")
@@ -254,6 +266,22 @@ class TestPretrain:
         assert summed
         for order, encoded in summed:
             assert order == encoded[0::2] + encoded[1::2]
+
+    def test_scale_clamped_to_floor_after_every_step(self, source, bank, monkeypatch):
+        seen = []
+        adam_step = trainer.adam_step
+
+        def overshooting_step(opt, params, grads, lr=None):
+            seen.append(float(params["sim_scale"]))
+            params, opt = adam_step(opt, params, grads, lr=lr)
+            return {**params, "sim_scale": np.float64(SCALE_FLOOR / 1000)}, opt
+
+        monkeypatch.setattr(trainer, "adam_step", overshooting_step)
+        result = pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank)
+        assert len(seen) > 1
+        assert seen[1:] == [SCALE_FLOOR] * (len(seen) - 1)
+        assert result.params["sim_scale"] == SCALE_FLOOR
+        assert result.records[-1].w == SCALE_FLOOR
 
     def test_parameters_and_meta(self, source, bank, tmp_path):
         cfg = tiny_pretrain_cfg(epochs=1)
