@@ -51,7 +51,8 @@ def main() -> None:
 
     random_eers = [
         random_encoder_eer(
-            eval_src, trials, run.encoder, seed, bank=bank, aug_seed=run.corpus.seed
+            eval_src, trials, run.encoder, run.features, seed,
+            bank=bank, aug_seed=run.corpus.seed,
         )
         for seed in args.seeds
     ]

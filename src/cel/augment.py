@@ -92,12 +92,16 @@ def crop_two(
     u: Waveform,
     frames: int,
     rng: np.random.Generator,
-    pad_wrap: bool = False,
     feature_cfg: FeatureConfig = FeatureConfig(),
 ) -> CropPair:
-    """Cut two independently positioned crops of `frames` analysis frames; they may overlap."""
+    """Cut two independently positioned crops of `frames` analysis frames; they may overlap.
+
+    An utterance shorter than one crop is refused.
+    """
     need = crop_samples(frames, feature_cfg.win_length, feature_cfg.hop_length)
-    return CropPair(random_crop(u, need, rng, pad_wrap), random_crop(u, need, rng, pad_wrap))
+    return CropPair(
+        random_crop(u, need, rng, pad_wrap=False), random_crop(u, need, rng, pad_wrap=False)
+    )
 
 
 class AugmentKind(enum.Enum):
@@ -186,13 +190,14 @@ def _rir_spectrum(h: np.ndarray, n: int) -> np.ndarray:
 def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     """Convolve with an impulse response, truncated to the input length.
 
-    If convolution raises the peak above the input's, the output is scaled
-    back down to the input peak so the [-1, 1] range survives. Long responses
-    are convolved by FFT, in the same steps and so to the same bits as
-    `scipy.signal.fftconvolve`; the spectrum of a read-only response (every
-    NoiseBank's) is cached per FFT length.
+    The response is cast to float32 and convolved in float32. If convolution
+    raises the peak above the input's, the output is scaled back down to the
+    input peak so the [-1, 1] range survives. Long responses are convolved by
+    FFT, in the same steps and so to the same bits as
+    `scipy.signal.fftconvolve` on float32 input; the complex64 spectrum of a
+    read-only float32 response (every NoiseBank's) is cached per FFT length.
     """
-    h = np.asarray(rir, dtype=np.float64)
+    h = np.asarray(rir, dtype=np.float32)
     if h.size == 0:
         raise EmptyImpulseError("impulse response must be nonempty")
     if not np.isfinite(h).all():
@@ -259,7 +264,7 @@ def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
 class NoiseBank:
     """Noise waveforms and impulse responses, both in fixed order.
 
-    The impulse responses are stored as read-only float64 copies, so
+    The impulse responses are stored as read-only float32 copies, so
     `apply_rir` may cache their spectra.
     """
 
@@ -274,7 +279,7 @@ class NoiseBank:
                 f"bank needs at least one noise and one impulse response, "
                 f"got {len(self.noises)} and {len(self.rirs)}"
             )
-        rirs = tuple(np.array(h, dtype=np.float64) for h in self.rirs)
+        rirs = tuple(np.array(h, dtype=np.float32) for h in self.rirs)
         for h in rirs:
             h.setflags(write=False)
         object.__setattr__(self, "rirs", rirs)

@@ -104,6 +104,7 @@ def random_encoder_eer(
     source: CorpusSource,
     trials: Sequence[Trial],
     encoder_cfg: EncoderConfig,
+    feature_cfg: FeatureConfig,
     seed: int,
     bank: NoiseBank | None = None,
     aug_seed: int = 0,
@@ -111,7 +112,7 @@ def random_encoder_eer(
     """Verification error of an untrained (freshly initialized) encoder."""
     params = Encoder(encoder_cfg).init_params(derive_rng(seed, "init"))
     return eer_of_params(
-        source, params, trials, encoder_cfg, FeatureConfig(), bank=bank, aug_seed=aug_seed
+        source, params, trials, encoder_cfg, feature_cfg, bank=bank, aug_seed=aug_seed
     )
 
 

@@ -4,6 +4,10 @@ The feature recipe: 25 ms Hamming-windowed frames with a 10 ms hop, 512-point
 real FFT power spectrum, 40 triangular mel filters on the HTK scale between
 20 Hz and 7600 Hz, natural log with an additive floor, and optional
 per-utterance mean normalization. Output orientation is bands x frames.
+
+Samples and features are float32 from the WAV reader to the log-mel output:
+16-bit PCM carries no information that float32 loses. The encoder casts its
+input to float64.
 """
 
 from __future__ import annotations
@@ -14,26 +18,31 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import InvalidRangeError, TooShortError, UnsupportedWavError
 
 SAMPLE_RATE = 16000
 
 # int16 <-> float conventions: divide by 32768 on read (range [-1, 1)),
-# scale by 32767 on write so +1.0 cannot overflow.
+# scale by 32767 on write so +1.0 cannot overflow. The write scale is applied
+# in float64: in float32, x * 32767 rounds to another int16 for some samples.
 _READ_SCALE = 1.0 / 32768.0
 _WRITE_SCALE = 32767.0
 
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono audio at 16 kHz with samples in [-1, 1]."""
+    """Mono audio at 16 kHz with float32 samples in [-1, 1]."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.samples, dtype=np.float64)
+        x = np.asarray(self.samples)
+        if x.dtype != np.float32:
+            # Checked in float64: the float32 cast turns values beyond its range into inf.
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
             raise InvalidRangeError(f"samples must be a nonempty 1-d array, got shape {x.shape}")
         if self.sample_rate != SAMPLE_RATE:
@@ -45,7 +54,7 @@ class Waveform:
         peak = float(np.max(np.abs(x)))
         if peak > 1.0 + 1e-9:
             raise InvalidRangeError(f"samples must lie in [-1, 1], peak is {peak:.6g}")
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", x.astype(np.float32, copy=False))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -162,20 +171,22 @@ def frame_signal(x: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
 def _analysis_arrays(
     cfg: FeatureConfig, sample_rate: int = SAMPLE_RATE
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Hamming window and mel filterbank of a config, built once and read-only.
+    """The float32 Hamming window and mel filterbank of a config, built once and read-only.
 
     Every log-mel call with the same config shares these two arrays, so they
     are frozen against writes.
     """
-    window = np.hamming(cfg.win_length)
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, sample_rate, cfg.f_min, cfg.f_max)
+    window = np.hamming(cfg.win_length).astype(np.float32)
+    bank = mel_filterbank(
+        cfg.n_mels, cfg.n_fft, sample_rate, cfg.f_min, cfg.f_max
+    ).astype(np.float32)
     window.setflags(write=False)
     bank.setflags(write=False)
     return window, bank
 
 
 def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
-    """40 x T log-mel spectrogram of a waveform."""
+    """40 x T float32 log-mel spectrogram of a waveform."""
     x = w.samples
     if x.size < cfg.win_length:
         raise TooShortError(
@@ -183,7 +194,7 @@ def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
         )
     frames = frame_signal(x, cfg.win_length, cfg.hop_length)
     window, bank = _analysis_arrays(cfg, w.sample_rate)
-    spectrum = np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)
+    spectrum = sp_fft.rfft(frames * window, n=cfg.n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     energies = bank @ power.T
     values = np.log(energies + cfg.log_floor)
@@ -212,13 +223,14 @@ def read_wav(path: str | Path) -> Waveform:
                 f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz"
             )
         raw = f.readframes(f.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) * _READ_SCALE
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) * _READ_SCALE
     return Waveform(samples)
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
     """Write a waveform as a mono 16-bit 16 kHz PCM WAV file."""
-    quantized = np.clip(np.round(w.samples * _WRITE_SCALE), -32768, 32767).astype("<i2")
+    scaled = w.samples.astype(np.float64) * _WRITE_SCALE
+    quantized = np.clip(np.round(scaled), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)

@@ -229,7 +229,6 @@ class BatchItem:
     fine-tuning items hold one clean segment.
     """
 
-    source_id: str
     views: tuple[np.ndarray, ...]
 
 
@@ -248,17 +247,13 @@ def _pretrain_item(
     may run in any order and on any thread.
     """
     wave = source.waveform(local_speaker, utt)
-    key = source.utterance_key(local_speaker, utt)
     crop_rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     aug_rng = derive_rng(cfg.seed, "aug", epoch, local_speaker, utt)
     pair = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
     spec1, spec2 = sample_pair_specs(aug_rng, bank, len(pair.crop1), cfg.snr_range)
     a1 = apply_spec(pair.crop1, spec1, bank)
     a2 = apply_spec(pair.crop2, spec2, bank)
-    return BatchItem(
-        source_id=key,
-        views=(logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values),
-    )
+    return BatchItem(views=(logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values))
 
 
 def _finetune_item(
@@ -274,7 +269,7 @@ def _finetune_item(
     wave = source.waveform(local_speaker, utt)
     need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
     features = logmel(random_crop(wave, need, rng, pad_wrap=True), feature_cfg).values
-    return BatchItem(source_id=source.utterance_key(local_speaker, utt), views=(features,))
+    return BatchItem(views=(features,))
 
 
 class _Objective:

@@ -388,7 +388,7 @@ def test_c06_desk_training_beats_random_encoder(capsys, desk_run, lambda1_arms, 
     t0 = time.perf_counter()
     random_eers = [
         random_encoder_eer(
-            eval_src, trials, desk_run.encoder, seed,
+            eval_src, trials, desk_run.encoder, desk_run.features, seed,
             bank=bank, aug_seed=desk_run.corpus.seed,
         )
         for seed in SEEDS

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sp_fft
 
 import oracles
 from cel.errors import InvalidRangeError, TooShortError, UnsupportedWavError
@@ -42,6 +43,10 @@ class TestWaveform:
     def test_rejects_nan(self):
         with pytest.raises(InvalidRangeError):
             Waveform(np.array([0.0, np.nan]))
+
+    def test_rejects_float64_beyond_float32_range_by_its_peak(self):
+        with pytest.raises(InvalidRangeError, match="peak is 1e"):
+            Waveform(np.array([0.0, 1e39]))
 
 
 class TestFrameCount:
@@ -121,9 +126,12 @@ class TestLogmel:
         np.testing.assert_allclose(feats.values[:, 0], want, atol=1e-8)
 
     def test_mean_normalization_zeroes_band_means(self, rng):
+        # Each band loses its own float32 mean, bit for bit.
         wave = Waveform(0.1 * rng.standard_normal(16000))
-        feats = logmel(wave, FeatureConfig(mean_normalize=True))
-        np.testing.assert_allclose(feats.values.mean(axis=1), 0.0, atol=1e-12)
+        cfg = FeatureConfig(mean_normalize=True)
+        raw = logmel(wave, cfg.without_normalization()).values
+        feats = logmel(wave, cfg)
+        assert feats.values.tobytes() == (raw - raw.mean(axis=1, keepdims=True)).tobytes()
 
     def test_normalization_toggle_is_exact_shift(self, rng):
         wave = Waveform(0.1 * rng.standard_normal(16000))
@@ -136,12 +144,13 @@ class TestLogmel:
         "cfg", [FeatureConfig(), FeatureConfig(n_mels=24, win_length=320, mean_normalize=False)]
     )
     def test_matches_uncached_computation_bit_for_bit(self, rng, cfg):
-        samples = np.clip(0.3 * rng.standard_normal(29040), -1.0, 1.0)
+        samples = np.clip(0.3 * rng.standard_normal(29040), -1.0, 1.0).astype(np.float32)
         frames = frame_signal(samples, cfg.win_length, cfg.hop_length)
-        spectrum = np.fft.rfft(frames * np.hamming(cfg.win_length), n=cfg.n_fft, axis=1)
+        window = np.hamming(cfg.win_length).astype(np.float32)
+        spectrum = sp_fft.rfft(frames * window, n=cfg.n_fft, axis=1)
         power = spectrum.real**2 + spectrum.imag**2
         bank = mel_filterbank(cfg.n_mels, cfg.n_fft, 16000, cfg.f_min, cfg.f_max)
-        want = np.log(bank @ power.T + cfg.log_floor)
+        want = np.log(bank.astype(np.float32) @ power.T + np.float32(cfg.log_floor))
         if cfg.mean_normalize:
             want = want - want.mean(axis=1, keepdims=True)
         for _ in range(2):  # the second call reuses the cached window and filterbank
@@ -189,6 +198,22 @@ class TestWavIo:
         write_wav(p2, first)
         second = read_wav(p2)
         assert np.max(np.abs(second.samples - first.samples)) <= 1.0 / 32768 + 1e-12
+
+    def test_write_quantizes_every_read_value_in_float64(self, tmp_path):
+        import wave
+
+        # Every value read_wav can return, written back: x * 32767 rounds in
+        # float64, as for float64 samples. In float32 the product rounds to
+        # another int16 for 48 of these values.
+        codes = np.arange(-32768, 32768)
+        x = codes.astype(np.float32) / np.float32(32768.0)
+        want = np.round(codes / 32768.0 * 32767.0).astype("<i2")
+        assert np.count_nonzero(np.round(x * np.float32(32767.0)) != want) == 48
+        path = tmp_path / "grid.wav"
+        write_wav(path, Waveform(x))
+        with wave.open(str(path), "rb") as f:
+            written = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
+        np.testing.assert_array_equal(written, want)
 
     def test_rejects_stereo(self, tmp_path):
         import wave

@@ -28,7 +28,8 @@ from cel.errors import (
     UtteranceTooShortError,
 )
 from cel.evaluation import Trial
-from cel.features import FeatureConfig
+from cel.experiments import build_trials, random_encoder_eer
+from cel.features import FeatureConfig, frame_count
 from cel.pool import ItemPool, map_items
 from cel.rng import derive_rng
 from cel.trainer import (
@@ -156,7 +157,7 @@ class TestBatchAssembly:
             [u for _, (u,) in batch],
         ))
         assert len(items) == cfg.k
-        assert len({it.source_id for it in items}) == cfg.k
+        assert len({(s, u) for s, (u,) in batch}) == cfg.k
         for it in items:
             assert len(it.views) == 2
             assert it.views[0].shape == (40, cfg.frames)
@@ -461,6 +462,25 @@ class TestEmbedUtterances:
         emb = embed_utterances(sub, params, TINY_ENC)
         assert len(emb) == 2 * source.utterances_per_speaker
         assert all(k.startswith(("spk000", "spk002")) for k in emb)
+
+    def test_random_encoder_eer_embeds_with_the_run_features(self, source, monkeypatch):
+        from cel.encoder import Encoder
+
+        # A 5 ms hop: features of the default 10 ms hop would have half the frames.
+        features = FeatureConfig(hop_length=80)
+        frames = []
+        forward = Encoder.forward
+
+        def recorded(self, params, feats):
+            frames.append(feats.shape[1])
+            return forward(self, params, feats)
+
+        monkeypatch.setattr(Encoder, "forward", recorded)
+        random_encoder_eer(source, build_trials(source), TINY_ENC, features, seed=0)
+        n = len(source.waveform(0, 0))
+        want = frame_count(n, features.win_length, features.hop_length)
+        assert len(frames) == source.speaker_count * source.utterances_per_speaker
+        assert set(frames) == {want}
 
 
 def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
