@@ -56,20 +56,6 @@ def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> i
     return (frames - 1) * hop_length + win_length
 
 
-@dataclass(frozen=True)
-class CropPair:
-    """Two equal-length crops taken from one source utterance."""
-
-    crop1: Waveform
-    crop2: Waveform
-
-    def __post_init__(self) -> None:
-        if len(self.crop1) != len(self.crop2):
-            raise InvalidParamError(
-                f"crops must have equal length, got {len(self.crop1)} and {len(self.crop2)}"
-            )
-
-
 def random_crop(u: Waveform, need: int, rng: np.random.Generator, pad_wrap: bool) -> Waveform:
     """`need` samples from one uniformly drawn offset.
 
@@ -93,15 +79,13 @@ def crop_two(
     frames: int,
     rng: np.random.Generator,
     feature_cfg: FeatureConfig = FeatureConfig(),
-) -> CropPair:
+) -> tuple[Waveform, Waveform]:
     """Cut two independently positioned crops of `frames` analysis frames; they may overlap.
 
     An utterance shorter than one crop is refused.
     """
     need = crop_samples(frames, feature_cfg.win_length, feature_cfg.hop_length)
-    return CropPair(
-        random_crop(u, need, rng, pad_wrap=False), random_crop(u, need, rng, pad_wrap=False)
-    )
+    return random_crop(u, need, rng, pad_wrap=False), random_crop(u, need, rng, pad_wrap=False)
 
 
 class AugmentKind(enum.Enum):
@@ -223,15 +207,14 @@ def synth_rir(
     rt60_ms: float,
     length_ms: float,
     rng: np.random.Generator,
-    sample_rate: int = SAMPLE_RATE,
 ) -> np.ndarray:
     """Exponentially decaying white-noise impulse response, first tap 1."""
     if rt60_ms <= 0:
         raise InvalidParamError(f"rt60 must be positive, got {rt60_ms}")
     if length_ms <= 0:
         raise InvalidParamError(f"length must be positive, got {length_ms}")
-    n = int(round(length_ms / 1000.0 * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(length_ms / 1000.0 * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     h = rng.standard_normal(n) * decay_envelope(t, rt60_ms / 1000.0)
     h[0] = 1.0
     return h
@@ -269,9 +252,7 @@ class NoiseBank:
     """
 
     noises: tuple[Waveform, ...]
-    noise_names: tuple[str, ...]
     rirs: tuple[np.ndarray, ...]
-    rir_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.noises or not self.rirs:
@@ -294,19 +275,15 @@ def synth_bank(
     """Build an in-memory bank of white/pink/babble noises and room responses."""
     n = int(round(noise_duration_s * SAMPLE_RATE))
     noises: list[Waveform] = []
-    names: list[str] = []
     for kind, gen in (("white", white_noise), ("pink", pink_noise), ("babble", babble_noise)):
         for i in range(n_each):
             noises.append(gen(n, derive_rng(seed, "noise", kind, i)))
-            names.append(f"{kind}{i:02d}.wav")
     rirs: list[np.ndarray] = []
-    rir_names: list[str] = []
     for i in range(rir_count):
         rng = derive_rng(seed, "rir", i)
         rt60 = float(rng.uniform(150.0, 500.0))
         rirs.append(synth_rir(rt60, rt60 * 1.5, rng))
-        rir_names.append(f"room{i:02d}.wav")
-    return NoiseBank(tuple(noises), tuple(names), tuple(rirs), tuple(rir_names))
+    return NoiseBank(tuple(noises), tuple(rirs))
 
 
 def sample_spec(
@@ -326,7 +303,7 @@ def sample_spec(
         noise = bank.noises[noise_index]
         if len(noise) < crop_len:
             raise TooShortError(
-                f"bank noise {bank.noise_names[noise_index]} has {len(noise)} "
+                f"bank noise {noise_index} has {len(noise)} "
                 f"samples, crops need {crop_len}"
             )
         noise_offset = int(rng.integers(0, len(noise) - crop_len + 1))

@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import RunConfig, config_from_dict, load_config, save_config
 from .corpus import build_manifest, load_manifest, write_corpus
 from .encoder import load_encoder
-from .errors import CelError, DegenerateTrialsError
+from .errors import CelError
 from .evaluation import (
     DcfParams,
     det_points,
@@ -54,15 +54,13 @@ def _setup_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS[name], format="%(levelname)s %(message)s")
 
 
-def _base_config(args: argparse.Namespace) -> RunConfig:
-    """Config file merged over defaults; flags are applied by the caller."""
-    if getattr(args, "config", None):
-        run = load_config(args.config)
-    else:
-        run = config_from_dict({})
-    if getattr(args, "seed", None) is not None:
-        run = run.with_seed(args.seed)
-    return run
+def _base_config(config_path: str | None, seed: int | None = None) -> RunConfig:
+    """Config file merged over defaults, with `seed` threaded through training.
+
+    Flags other than --seed are applied by the caller.
+    """
+    run = load_config(config_path) if config_path else config_from_dict({})
+    return run if seed is None else run.with_seed(seed)
 
 
 def _echo(run: RunConfig, out_dir: str | Path) -> None:
@@ -72,7 +70,7 @@ def _echo(run: RunConfig, out_dir: str | Path) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    run = _base_config(args)
+    run = _base_config(args.config)
     c = run.corpus
     manifest = build_manifest(
         c.n_speakers, c.utterances_per_speaker, c.duration_s, c.seed
@@ -93,7 +91,7 @@ def _source_from_dir(corpus_dir: str | Path) -> CorpusSource:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    run = _base_config(args)
+    run = _base_config(args.config, args.seed)
     cfg = run.pretrain
     if args.k is not None:
         cfg = replace(cfg, k=args.k)
@@ -125,7 +123,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    run = _base_config(args)
+    run = _base_config(args.config, args.seed)
     cfg = run.finetune
     if args.objective is not None:
         cfg = replace(cfg, objective=args.objective)
@@ -158,10 +156,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = _base_config(args)
+    run = _base_config(args.config)
     trials = read_trial_list(args.trials)
-    if not trials:
-        raise DegenerateTrialsError(f"{args.trials}: no trials")
 
     encoder_cfg, params = load_encoder(args.checkpoint)
     source = _source_from_dir(args.corpus)
@@ -186,7 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     scopes = tuple(args.scope) if args.scope else ALL_SCOPES
-    results = run_suite(scopes, seed=args.seed if args.seed is not None else 7)
+    results = run_suite(scopes, seed=args.seed)
     print(f"{'loss':<10s} {'n':>4s} {'max_rel_err':>12s}  worst  status")
     for r in results:
         print(r.row())
@@ -211,17 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master seed for all derived RNG")
+
+    def seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int,
+                       help="training seed: sets pretrain.seed and finetune.seed")
 
     p = sub.add_parser("gen-data", help="synthesize a labeled corpus")
-    common(p)
+    config(p)
     p.add_argument("--out", required=True, help="corpus output directory")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
-    common(p)
+    config(p)
+    seed(p)
     p.add_argument("--corpus", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--k", type=int, help="speakers (utterances) per batch")
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="supervised fine-tuning")
-    common(p)
+    config(p)
+    seed(p)
     p.add_argument("--corpus", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--objective", choices=FINETUNE_OBJECTIVES)
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="score a trial list with a checkpoint")
-    common(p)
+    config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="directory holding trial audio")
     p.add_argument("--trials", required=True, help="trial list file")
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(p)
+    p.add_argument("--seed", type=int, default=7,
+                   help="seed of the random check instances (default: 7)")
     p.add_argument("--scope", action="append", choices=ALL_SCOPES,
                    help="restrict to one loss (repeatable); default: all")
     p.set_defaults(func=cmd_gradcheck)

@@ -52,7 +52,6 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -62,10 +61,13 @@ class RunConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        """Thread one seed through every stage that consumes randomness."""
+        """Thread one seed through both training stages.
+
+        The corpus keeps its own `corpus.seed`, and evaluation draws no
+        random numbers of its own.
+        """
         return replace(
             self,
-            seed=seed,
             pretrain=replace(self.pretrain, seed=seed),
             finetune=replace(self.finetune, seed=seed),
         )

@@ -233,7 +233,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 continue
             sid, uid, rel = line.split("\t")
             entries.append(ManifestEntry(sid, uid, rel))
-        return CorpusManifest(
+        manifest = CorpusManifest(
             n_speakers=int(header["n_speakers"]),
             utterances_per_speaker=int(header["utterances_per_speaker"]),
             duration_s=float(header["duration_s"]),
@@ -242,6 +242,14 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         )
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed manifest: {exc}") from exc
+    want = manifest.n_speakers * manifest.utterances_per_speaker
+    if len(entries) != want:
+        raise SchemaError(
+            f"{path}: header says {manifest.n_speakers} speakers x "
+            f"{manifest.utterances_per_speaker} utterances ({want} entries), "
+            f"but the manifest lists {len(entries)}"
+        )
+    return manifest
 
 
 def load_utterance(root: str | Path, entry: ManifestEntry) -> Waveform:

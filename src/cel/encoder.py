@@ -14,8 +14,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -89,6 +88,8 @@ def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 @dataclass
 class ForwardCache:
+    """One forward pass: its unit embedding and what `Encoder.backward` reads."""
+
     params: Mapping[str, np.ndarray]
     layer_inputs: list[np.ndarray]
     relu_masks: list[np.ndarray]
@@ -98,27 +99,6 @@ class ForwardCache:
     std: np.ndarray | None
     norm: float
     embedding: np.ndarray
-
-
-@dataclass
-class ForwardResult:
-    embedding: np.ndarray
-    cache: ForwardCache
-
-
-@dataclass
-class BackwardResult:
-    param_grads: dict[str, np.ndarray]
-    # The first layer's pre-activation gradient (T, hidden) and weights
-    # (hidden, input_dim); input_grad is their product, computed on first
-    # read because no training step needs it.
-    first_layer_grad: np.ndarray = field(repr=False)
-    first_layer_weights: np.ndarray = field(repr=False)
-
-    @cached_property
-    def input_grad(self) -> np.ndarray:
-        """Gradient with respect to the (input_dim, T) features."""
-        return (self.first_layer_grad @ self.first_layer_weights).T
 
 
 class Encoder:
@@ -148,7 +128,8 @@ class Encoder:
 
     def forward(
         self, params: Mapping[str, np.ndarray], features: np.ndarray
-    ) -> ForwardResult:
+    ) -> ForwardCache:
+        """The unit embedding of (input_dim, T) features, in a cache for `backward`."""
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.config.input_dim:
             raise ShapeMismatchError(
@@ -179,8 +160,7 @@ class Encoder:
                 f"pre-normalization output has norm {norm:.3e}; "
                 f"cannot project onto the unit sphere"
             )
-        e = v / norm
-        cache = ForwardCache(
+        return ForwardCache(
             params=params,
             layer_inputs=layer_inputs,
             relu_masks=relu_masks,
@@ -189,16 +169,16 @@ class Encoder:
             mean=mean,
             std=std,
             norm=norm,
-            embedding=e,
+            embedding=v / norm,
         )
-        return ForwardResult(embedding=e, cache=cache)
 
     def backward(
         self,
         params: Mapping[str, np.ndarray],
         cache: ForwardCache,
         upstream: np.ndarray,
-    ) -> BackwardResult:
+    ) -> dict[str, np.ndarray]:
+        """Parameter gradients of `upstream . embedding` at the cached forward pass."""
         if cache.params is not params:
             raise StaleCacheError(
                 "cache was produced by a different parameter set; "
@@ -240,7 +220,7 @@ class Encoder:
             if i > 0:
                 g_h = g_z @ params[f"w{i}"]
 
-        return BackwardResult(grads, g_z, params["w0"])
+        return grads
 
 
 @dataclass(frozen=True)
@@ -276,6 +256,12 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
     )
 
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerState:
     """Adam accumulators; updates return a new state, nothing mutates."""
@@ -283,20 +269,13 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_optimizer(params: Mapping[str, np.ndarray], lr: float) -> OptimizerState:
-    if lr <= 0:
-        raise InvalidParamError(f"learning rate must be positive, got {lr}")
+def init_optimizer(params: Mapping[str, np.ndarray]) -> OptimizerState:
     return OptimizerState(
         m={k: np.zeros_like(v) for k, v in params.items()},
         v={k: np.zeros_like(v) for k, v in params.items()},
         step=0,
-        lr=lr,
     )
 
 
@@ -304,9 +283,9 @@ def adam_step(
     state: OptimizerState,
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
-    lr: float | None = None,
+    lr: float,
 ) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One bias-corrected Adam update over every named parameter."""
+    """One bias-corrected Adam update at learning rate `lr` over every named parameter."""
     for name, p in params.items():
         if name not in state.m or state.m[name].shape != np.shape(p):
             raise ShapeMismatchError(
@@ -317,23 +296,19 @@ def adam_step(
                 f"gradient missing or mis-shaped for parameter {name!r}"
             )
     step = state.step + 1
-    rate = state.lr if lr is None else lr
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
-    c1 = 1.0 - state.beta1**step
-    c2 = 1.0 - state.beta2**step
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        new_params[name] = np.asarray(p) - rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        new_params[name] = np.asarray(p) - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
-    return new_params, OptimizerState(
-        m=new_m, v=new_v, step=step, lr=rate,
-        beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-    )
+    return new_params, OptimizerState(m=new_m, v=new_v, step=step)
 
 
 MAGIC = b"CELCKPT1"

@@ -120,15 +120,14 @@ def _split_scores(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _staircases(
-    targets: np.ndarray, nontargets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thresholds, P_fa, P_miss) over distinct scores plus one sentinel.
 
     Accept iff score >= threshold; a trial exactly at threshold is accepted.
     The sentinel sits above every score so the sweep always reaches the
     reject-all corner (P_fa 0, P_miss 1).
     """
+    targets, nontargets = _split_scores(trials)
     distinct = np.unique(np.concatenate([targets, nontargets]))
     thresholds = np.concatenate([distinct, [distinct[-1] + 1.0]])
     p_fa = 1.0 - np.searchsorted(nontargets, thresholds, side="left") / nontargets.size
@@ -145,8 +144,7 @@ def eer(trials: Sequence[Trial]) -> tuple[float, float]:
     linearly in sweep position and the common value at the intersection is
     returned.
     """
-    targets, nontargets = _split_scores(trials)
-    thresholds, p_fa, p_miss = _staircases(targets, nontargets)
+    thresholds, p_fa, p_miss = _sweep(trials)
     i = int(np.argmax(p_miss >= p_fa))
     if p_miss[i] == p_fa[i] or i == 0:
         return float(p_fa[i]), float(thresholds[i])
@@ -160,8 +158,7 @@ def eer(trials: Sequence[Trial]) -> tuple[float, float]:
 
 def min_dcf(trials: Sequence[Trial], params: DcfParams = DcfParams()) -> tuple[float, float]:
     """Minimum normalized detection cost and the threshold attaining it."""
-    targets, nontargets = _split_scores(trials)
-    thresholds, p_fa, p_miss = _staircases(targets, nontargets)
+    thresholds, p_fa, p_miss = _sweep(trials)
     dcf = (
         params.c_miss * params.p_target * p_miss
         + params.c_fa * (1.0 - params.p_target) * p_fa
@@ -173,8 +170,7 @@ def min_dcf(trials: Sequence[Trial], params: DcfParams = DcfParams()) -> tuple[f
 
 def det_points(trials: Sequence[Trial]) -> list[tuple[float, float]]:
     """(P_fa, P_miss) staircase, one point per distinct score plus sentinel."""
-    targets, nontargets = _split_scores(trials)
-    _, p_fa, p_miss = _staircases(targets, nontargets)
+    _, p_fa, p_miss = _sweep(trials)
     return [(float(a), float(b)) for a, b in zip(p_fa, p_miss)]
 
 

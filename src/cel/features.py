@@ -36,7 +36,6 @@ class Waveform:
     """Mono audio at 16 kHz with float32 samples in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         x = np.asarray(self.samples)
@@ -45,10 +44,6 @@ class Waveform:
             x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
             raise InvalidRangeError(f"samples must be a nonempty 1-d array, got shape {x.shape}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise UnsupportedWavError(
-                f"only {SAMPLE_RATE} Hz audio is supported, got {self.sample_rate}"
-            )
         if not np.isfinite(x).all():
             raise InvalidRangeError("samples must be finite")
         peak = float(np.max(np.abs(x)))
@@ -58,10 +53,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -98,10 +89,9 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n_mels x T log-mel energies with a fixed frame hop."""
+    """n_mels x T log-mel energies."""
 
     values: np.ndarray
-    hop_length: int
 
     @property
     def n_frames(self) -> int:
@@ -126,23 +116,22 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
 def mel_filterbank(
     n_filters: int,
     n_fft: int,
-    sample_rate: int = SAMPLE_RATE,
     f_min: float = 20.0,
     f_max: float = 7600.0,
 ) -> np.ndarray:
-    """Triangular filters with centers equally spaced on the mel scale.
+    """Triangular filters at SAMPLE_RATE with centers equally spaced on the mel scale.
 
     Returns an (n_filters, n_fft // 2 + 1) nonnegative matrix. Raises if any
     filter would have empty support on the FFT grid.
     """
     if n_filters < 1:
         raise InvalidRangeError(f"need at least one filter, got {n_filters}")
-    if not (0 <= f_min < f_max <= sample_rate / 2):
+    if not (0 <= f_min < f_max <= SAMPLE_RATE / 2):
         raise InvalidRangeError(
-            f"need 0 <= f_min < f_max <= {sample_rate / 2}, got [{f_min}, {f_max}]"
+            f"need 0 <= f_min < f_max <= {SAMPLE_RATE / 2}, got [{f_min}, {f_max}]"
         )
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    bin_hz = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
 
     left = edges_hz[:-2, None]
     center = edges_hz[1:-1, None]
@@ -168,18 +157,14 @@ def frame_signal(x: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _analysis_arrays(
-    cfg: FeatureConfig, sample_rate: int = SAMPLE_RATE
-) -> tuple[np.ndarray, np.ndarray]:
+def _analysis_arrays(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     """The float32 Hamming window and mel filterbank of a config, built once and read-only.
 
     Every log-mel call with the same config shares these two arrays, so they
     are frozen against writes.
     """
     window = np.hamming(cfg.win_length).astype(np.float32)
-    bank = mel_filterbank(
-        cfg.n_mels, cfg.n_fft, sample_rate, cfg.f_min, cfg.f_max
-    ).astype(np.float32)
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, cfg.f_min, cfg.f_max).astype(np.float32)
     window.setflags(write=False)
     bank.setflags(write=False)
     return window, bank
@@ -193,14 +178,14 @@ def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
             f"waveform has {x.size} samples, need at least {cfg.win_length} for one frame"
         )
     frames = frame_signal(x, cfg.win_length, cfg.hop_length)
-    window, bank = _analysis_arrays(cfg, w.sample_rate)
+    window, bank = _analysis_arrays(cfg)
     spectrum = sp_fft.rfft(frames * window, n=cfg.n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     energies = bank @ power.T
     values = np.log(energies + cfg.log_floor)
     if cfg.mean_normalize:
         values = values - values.mean(axis=1, keepdims=True)
-    return FeatureMatrix(values=values, hop_length=cfg.hop_length)
+    return FeatureMatrix(values)
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -234,5 +219,5 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(quantized.tobytes())

@@ -27,7 +27,7 @@ runs with the same seed write byte-identical logs and checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
@@ -53,7 +53,7 @@ from .encoder import (
     PRETRAIN_SCHEDULE,
     Encoder,
     EncoderConfig,
-    ForwardResult,
+    ForwardCache,
     LrSchedule,
     OptimizerState,
     adam_step,
@@ -69,7 +69,9 @@ from .features import FeatureConfig, Waveform, logmel
 from .losses import CelWeights, KernelParam, LossOutput, combine_losses, similarity_loss, uniformity_loss
 from .rng import derive_rng
 
-LOG_HEADER = "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
+# SNR range (dB) of the noise condition `embed_utterances` draws for each
+# utterance when it is given a bank.
+EVAL_SNR_RANGE = (5.0, 15.0)
 
 
 @dataclass
@@ -199,16 +201,13 @@ class EpochRecord:
     b: float
 
     def to_line(self) -> str:
-        cells = [
-            str(self.epoch),
-            repr(float(self.lr)),
-            repr(float(self.loss_total)),
-            repr(float(self.loss_unif)),
-            repr(float(self.loss_sim)),
-            repr(float(self.w)),
-            repr(float(self.b)),
-        ]
-        return "\t".join(cells)
+        """The record's `metrics.tsv` row: the epoch, then each value's float repr."""
+        epoch, *values = astuple(self)
+        return "\t".join([str(epoch), *(repr(float(v)) for v in values)])
+
+
+# The header row of `metrics.tsv`: the column names of EpochRecord.
+LOG_HEADER = "\t".join(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -218,18 +217,6 @@ class TrainResult:
     records: list[EpochRecord]
     log_text: str
     checkpoint_path: Path | None = None
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    """One utterance's encoder inputs, as log-mel features.
-
-    Pre-training items hold two augmented crops (views) of the utterance;
-    fine-tuning items hold one clean segment.
-    """
-
-    views: tuple[np.ndarray, ...]
 
 
 def _pretrain_item(
@@ -240,8 +227,8 @@ def _pretrain_item(
     epoch: int,
     local_speaker: int,
     utt: int,
-) -> BatchItem:
-    """Two independently corrupted crops of one utterance, as log-mel features.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two independently corrupted crops (views) of one utterance, as log-mel features.
 
     Draws only from the item's own crop and augmentation streams, so items
     may run in any order and on any thread.
@@ -249,11 +236,11 @@ def _pretrain_item(
     wave = source.waveform(local_speaker, utt)
     crop_rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     aug_rng = derive_rng(cfg.seed, "aug", epoch, local_speaker, utt)
-    pair = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
-    spec1, spec2 = sample_pair_specs(aug_rng, bank, len(pair.crop1), cfg.snr_range)
-    a1 = apply_spec(pair.crop1, spec1, bank)
-    a2 = apply_spec(pair.crop2, spec2, bank)
-    return BatchItem(views=(logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values))
+    crop1, crop2 = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
+    spec1, spec2 = sample_pair_specs(aug_rng, bank, len(crop1), cfg.snr_range)
+    a1 = apply_spec(crop1, spec1, bank)
+    a2 = apply_spec(crop2, spec2, bank)
+    return logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values
 
 
 def _finetune_item(
@@ -263,13 +250,15 @@ def _finetune_item(
     epoch: int,
     local_speaker: int,
     utt: int,
-) -> BatchItem:
-    """Log-mel features of one clean fixed-length segment, from the item's own stream."""
+) -> tuple[np.ndarray]:
+    """Log-mel features of one clean fixed-length segment, its one view.
+
+    Draws only from the item's own crop stream.
+    """
     rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     wave = source.waveform(local_speaker, utt)
     need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
-    features = logmel(random_crop(wave, need, rng, pad_wrap=True), feature_cfg).values
-    return BatchItem(views=(features,))
+    return (logmel(random_crop(wave, need, rng, pad_wrap=True), feature_cfg).values,)
 
 
 class _Objective:
@@ -453,7 +442,7 @@ FINETUNE_OBJECTIVES = tuple(OBJECTIVES["finetune"])
 def _summed_grads(
     enc: Encoder,
     params: Mapping[str, np.ndarray],
-    forwards: Sequence[ForwardResult],
+    forwards: Sequence[ForwardCache],
     upstream: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Encoder parameter gradients of a batch, summed in the order given.
@@ -464,7 +453,7 @@ def _summed_grads(
     """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     for fw, up in zip(forwards, upstream):
-        for name, g in enc.backward(params, fw.cache, up).param_grads.items():
+        for name, g in enc.backward(params, fw, up).items():
             grads[name] += g
     return grads
 
@@ -475,15 +464,14 @@ def _epoch_plan(
     speakers_per_batch: int,
     utts_per_item: int,
     rng: np.random.Generator,
-    min_speakers: int = 2,
 ) -> list[list[tuple[int, tuple[int, ...]]]]:
     """One pass over the corpus as batches of disjoint speakers.
 
     Each epoch shuffles a per-speaker utterance order, then runs rounds in
     which shuffled speakers are grouped into batches; speaker s contributes
-    its next utts_per_item utterances in round order. Trailing groups smaller
-    than min_speakers are dropped for that round (the shuffle rotates who
-    sits in the remainder).
+    its next utts_per_item utterances in round order. A trailing group of one
+    speaker is dropped for that round (the shuffle rotates who sits in the
+    remainder).
     """
     utt_orders = [rng.permutation(utterances_per_speaker) for _ in range(n_speakers)]
     rounds = utterances_per_speaker // utts_per_item
@@ -492,7 +480,7 @@ def _epoch_plan(
         order = rng.permutation(n_speakers)
         for start in range(0, n_speakers, speakers_per_batch):
             group = order[start : start + speakers_per_batch]
-            if len(group) < min_speakers:
+            if len(group) < 2:
                 continue
             batch = []
             for s in group:
@@ -553,7 +541,7 @@ def _train(
     source: CorpusSource,
     cfg: PretrainConfig | FinetuneConfig,
     encoder_cfg: EncoderConfig,
-    item: Callable[..., BatchItem],
+    item: Callable[..., tuple[np.ndarray, ...]],
     batch_shape: tuple[int, int],
     init_checkpoint: str | Path | None,
     out_dir: str | Path | None,
@@ -561,7 +549,8 @@ def _train(
 ) -> TrainResult:
     """The epoch loop of both phases.
 
-    `item(epoch, speaker, utt)` builds one utterance's encoder inputs;
+    `item(epoch, speaker, utt)` builds one utterance's encoder inputs, one
+    feature matrix per view;
     batches hold `batch_shape` = (speakers, utterances per speaker); the
     objective `OBJECTIVES[phase][objective_name]` scores them.
     """
@@ -575,7 +564,7 @@ def _train(
         _, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
         params, m, v = _unpack_checkpoint(blocks)
         step = int(_meta_value(meta, "adam_step", resume_from))
-        opt = OptimizerState(m=m, v=v, step=step, lr=lr_at(cfg.schedule, 0))
+        opt = OptimizerState(m=m, v=v, step=step)
         start_epoch = int(_meta_value(meta, "epochs_done", resume_from))
         objective.resume(meta, resume_from)
     else:
@@ -584,7 +573,7 @@ def _train(
         else:
             params = enc.init_params(derive_rng(cfg.seed, "init"))
         params.update(objective.init_params())
-        opt = init_optimizer(params, lr_at(cfg.schedule, 0))
+        opt = init_optimizer(params)
         start_epoch = 0
 
     records: list[EpochRecord] = []
@@ -604,7 +593,7 @@ def _train(
             )
             # Encoded as each item arrives, then grouped by view: backward
             # passes are summed view by view, each in item order.
-            forwards = [[enc.forward(params, v) for v in it.views] for it in items]
+            forwards = [[enc.forward(params, v) for v in views] for views in items]
             by_view = list(zip(*forwards))
             upstream, own_grads, terms = objective.step(
                 params, [np.stack([f.embedding for f in fw]) for fw in by_view], labels
@@ -614,7 +603,7 @@ def _train(
                 [g for up in upstream for g in up],
             )
             grads.update(own_grads)
-            params, opt = adam_step(opt, params, grads, lr=lr)
+            params, opt = adam_step(opt, params, grads, lr)
             if "sim_scale" in params:
                 params["sim_scale"] = np.maximum(params["sim_scale"], SCALE_FLOOR)
             totals += terms
@@ -631,7 +620,7 @@ def _train(
         ckpt = out / "checkpoint.ckpt"
         meta = {"epochs_done": cfg.epochs, "adam_step": opt.step, **objective.meta()}
         save_checkpoint(ckpt, config_echo, {**params, **_pack_optimizer(opt)}, meta)
-    return TrainResult(params, opt, records, log_text, ckpt, objective.meta())
+    return TrainResult(params, opt, records, log_text, ckpt)
 
 
 def pretrain(
@@ -696,7 +685,6 @@ def embed_utterances(
     encoder_cfg: EncoderConfig = EncoderConfig(),
     feature_cfg: FeatureConfig = FeatureConfig(),
     bank: NoiseBank | None = None,
-    snr_range: tuple[float, float] = (5.0, 15.0),
     aug_seed: int = 0,
     ids: Collection[str] | None = None,
 ) -> dict[str, np.ndarray]:
@@ -714,7 +702,7 @@ def embed_utterances(
         wave = source.waveform(s, u)
         if bank is not None:
             rng = derive_rng(aug_seed, "eval-aug", key)
-            spec = sample_spec(rng, bank, len(wave), snr_range)
+            spec = sample_spec(rng, bank, len(wave), EVAL_SNR_RANGE)
             wave = apply_spec(wave, spec, bank)
         return key, logmel(wave, feature_cfg).values
 

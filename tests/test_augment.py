@@ -47,13 +47,13 @@ class TestCrop:
 
     def test_crop_two_lengths_and_content(self, rng):
         u = Waveform(0.1 * rng.standard_normal(40000))
-        pair = crop_two(u, 180, rng)
+        crop1, crop2 = crop_two(u, 180, rng)
         n = crop_samples(180)
-        assert len(pair.crop1) == n and len(pair.crop2) == n
+        assert len(crop1) == n and len(crop2) == n
         # Both crops are contiguous slices of the source.
         as_str = u.samples.tobytes()
-        assert pair.crop1.samples.tobytes() in as_str
-        assert pair.crop2.samples.tobytes() in as_str
+        assert crop1.samples.tobytes() in as_str
+        assert crop2.samples.tobytes() in as_str
 
     def test_crop_too_short_raises(self, rng):
         u = Waveform(np.ones(100) * 0.1)
@@ -76,8 +76,8 @@ class TestCrop:
         u = Waveform(marked * 0.5)
         draws = 2000
         for i in range(draws):
-            pair = crop_two(u, frames, derive_rng("offsets", i))
-            offset = int(round(float(pair.crop1.samples[0]) * 2 * n))
+            crop1, _ = crop_two(u, frames, derive_rng("offsets", i))
+            offset = int(round(float(crop1.samples[0]) * 2 * n))
             bins[min(7, offset * 8 // (max_offset + 1))] += 1
         expected = draws / 8
         chi2 = float(np.sum((bins - expected) ** 2 / expected))
@@ -265,7 +265,7 @@ class TestBank:
 
     def test_empty_bank_rejected(self):
         with pytest.raises(InvalidParamError):
-            NoiseBank(noises=(), noise_names=(), rirs=(np.ones(4),), rir_names=("r",))
+            NoiseBank(noises=(), rirs=(np.ones(4),))
 
 class TestSpecs:
     def test_sample_spec_fields(self, tiny_bank):

@@ -11,7 +11,7 @@ from cel import gradcheck
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import load_config
-from cel.corpus import load_manifest, write_corpus
+from cel.corpus import load_manifest, save_manifest, write_corpus
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 
 SMALL_DOC = {
@@ -133,6 +133,25 @@ class TestPretrain:
         )
         assert rc == 1
         assert "error [pretrain]:" in capsys.readouterr().err
+
+    def test_manifest_shorter_than_its_header_fails_cleanly(self, workspace, tmp_path, capsys):
+        manifest = load_manifest(workspace / "corpus" / "manifest.tsv")
+        save_manifest(
+            dataclasses.replace(manifest, entries=manifest.entries[:6]),
+            tmp_path / "manifest.tsv",
+        )
+        rc = main(
+            [
+                "pretrain",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(tmp_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error [pretrain]: {tmp_path / 'manifest.tsv'}: header says 4 speakers x " \
+            "2 utterances (8 entries), but the manifest lists 6" in err
 
 
 class TestFinetune:
@@ -313,6 +332,17 @@ class TestHarness:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "5", "--out", "unused"],
+        ["evaluate", "--seed", "5", "--checkpoint", "c", "--corpus", "c", "--trials", "t",
+         "--out", "unused"],
+        ["gradcheck", "--config", "unused.json"],
+    ])
+    def test_flags_that_nothing_reads_are_rejected(self, argv):
+        # gen-data and evaluate draw no training randomness; gradcheck reads no config.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

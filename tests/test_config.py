@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from cel.config import (
     save_config,
 )
 from cel.errors import SchemaError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Valid values other than the default for the string-valued config fields.
 OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std"}
@@ -59,8 +62,14 @@ class TestSchema:
             config_from_dict({"pretrain": {"schedule": {"warmup": 5}}})
 
     def test_bool_seed_rejected(self):
-        with pytest.raises(SchemaError, match="seed"):
-            config_from_dict({"seed": True})
+        with pytest.raises(SchemaError, match="pretrain.seed"):
+            config_from_dict({"pretrain": {"seed": True}})
+
+    def test_top_level_seed_is_an_unknown_key(self):
+        # The training seeds live in pretrain.seed and finetune.seed; a
+        # top-level seed would be read by nothing.
+        with pytest.raises(SchemaError, match="unknown config key 'seed'"):
+            config_from_dict({"seed": 5})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(SchemaError):
@@ -151,7 +160,6 @@ class TestRoundTrip:
 class TestProfiles:
     def test_with_seed_threads_through_stages(self):
         cfg = RunConfig().with_seed(99)
-        assert cfg.seed == 99
         assert cfg.pretrain.seed == 99
         assert cfg.finetune.seed == 99
 
@@ -170,3 +178,11 @@ class TestProfiles:
         assert run.finetune.margin == 0.2
         assert run.finetune.margin_scale == 30.0
         assert run.finetune.epochs == 250
+
+    @pytest.mark.parametrize("name, profile", [
+        ("desk", desk_profile), ("fullscale", fullscale_profile),
+    ])
+    def test_config_file_matches_its_profile(self, name, profile):
+        # The CLI and the benchmark read configs/*.json; the scripts and the
+        # tests build the same runs from the profile functions.
+        assert load_config(ROOT / "configs" / f"{name}.json") == profile()

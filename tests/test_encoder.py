@@ -149,13 +149,13 @@ class TestBackward:
         out = enc.forward(params, feats)
         other = {k: v.copy() for k, v in params.items()}
         with pytest.raises(StaleCacheError):
-            enc.backward(other, out.cache, np.ones(5))
+            enc.backward(other, out, np.ones(5))
 
     def test_upstream_shape_checked(self):
         enc, params, feats = random_setup()
         out = enc.forward(params, feats)
         with pytest.raises(ShapeMismatchError):
-            enc.backward(params, out.cache, np.ones(6))
+            enc.backward(params, out, np.ones(6))
 
     @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
     def test_param_gradients_match_finite_differences(self, pooling):
@@ -166,7 +166,7 @@ class TestBackward:
             return float(np.dot(w, enc.forward(p, feats).embedding))
 
         out = enc.forward(params, feats)
-        back = enc.backward(params, out.cache, w)
+        back = enc.backward(params, out, w)
         h = 1e-6
         worst = 0.0
         for name, p in params.items():
@@ -181,36 +181,10 @@ class TestBackward:
                 dn = loss(params)
                 pf[j] = orig
                 flat[j] = (up - dn) / (2 * h)
-            got = back.param_grads[name]
+            got = back[name]
             denom = np.maximum(np.abs(num), 1e-4)
             worst = max(worst, float(np.max(np.abs(got - num) / denom)))
         assert worst < 1e-5
-
-    def test_input_gradient_matches_finite_differences(self):
-        enc, params, feats = random_setup(frames=5, seed=7)
-        w = derive_rng("probe-in").standard_normal(5)
-        out = enc.forward(params, feats)
-        back = enc.backward(params, out.cache, w)
-        h = 1e-6
-        num = np.zeros_like(feats)
-        for i in range(feats.shape[0]):
-            for t in range(feats.shape[1]):
-                orig = feats[i, t]
-                feats[i, t] = orig + h
-                up = float(np.dot(w, enc.forward(params, feats).embedding))
-                feats[i, t] = orig - h
-                dn = float(np.dot(w, enc.forward(params, feats).embedding))
-                feats[i, t] = orig
-                num[i, t] = (up - dn) / (2 * h)
-        denom = np.maximum(np.abs(num), 1e-4)
-        assert np.max(np.abs(back.input_grad - num) / denom) < 1e-5
-
-    def test_input_gradient_computed_only_when_read(self):
-        enc, params, feats = random_setup()
-        back = enc.backward(params, enc.forward(params, feats).cache, np.ones(5))
-        assert "input_grad" not in vars(back)
-        assert back.input_grad.shape == feats.shape
-        assert "input_grad" in vars(back)
 
 
 class TestSchedule:
@@ -234,10 +208,6 @@ class TestSchedule:
 
 
 class TestAdam:
-    def test_init_rejects_bad_lr(self):
-        with pytest.raises(InvalidParamError):
-            init_optimizer({"w": np.zeros(3)}, 0.0)
-
     def test_matches_reference_trajectory(self):
         rng = derive_rng("adam", 1)
         params = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
@@ -245,37 +215,37 @@ class TestAdam:
             name: [rng.standard_normal(p.shape) for _ in range(6)]
             for name, p in params.items()
         }
-        state = init_optimizer(params, lr=0.01)
+        state = init_optimizer(params)
         current = params
         for step in range(6):
             grads = {name: grad_seq[name][step] for name in params}
-            current, state = adam_step(state, current, grads)
+            current, state = adam_step(state, current, grads, 0.01)
         for name, p in params.items():
             want = oracles.oracle_adam_steps(p, grad_seq[name], lr=0.01)
             np.testing.assert_allclose(current[name], want, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros((2, 2))}
-        state = init_optimizer(params, lr=0.1)
+        state = init_optimizer(params)
         with pytest.raises(ShapeMismatchError):
-            adam_step(state, params, {"w": np.zeros(3)})
+            adam_step(state, params, {"w": np.zeros(3)}, 0.1)
         with pytest.raises(ShapeMismatchError):
-            adam_step(state, params, {})
+            adam_step(state, params, {}, 0.1)
         with pytest.raises(ShapeMismatchError):
-            adam_step(state, {"v": np.zeros(2)}, {"v": np.zeros(2)})
+            adam_step(state, {"v": np.zeros(2)}, {"v": np.zeros(2)}, 0.1)
 
     def test_lr_override(self):
         params = {"w": np.ones(3)}
         grads = {"w": np.ones(3)}
-        state = init_optimizer(params, lr=0.1)
+        state = init_optimizer(params)
         small, _ = adam_step(state, params, grads, lr=0.001)
         big, _ = adam_step(state, params, grads, lr=0.1)
         assert np.all(np.abs(1.0 - small["w"]) < np.abs(1.0 - big["w"]))
 
     def test_state_not_mutated(self):
         params = {"w": np.ones(3)}
-        state = init_optimizer(params, lr=0.1)
-        adam_step(state, params, {"w": np.ones(3)})
+        state = init_optimizer(params)
+        adam_step(state, params, {"w": np.ones(3)}, 0.1)
         assert state.step == 0
         assert np.all(state.m["w"] == 0.0)
 

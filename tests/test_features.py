@@ -26,15 +26,10 @@ class TestWaveform:
     def test_basic(self):
         w = Waveform(np.zeros(16000))
         assert len(w) == 16000
-        assert w.duration_s == pytest.approx(1.0)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidRangeError):
             Waveform(np.zeros(0))
-
-    def test_rejects_wrong_rate(self):
-        with pytest.raises(UnsupportedWavError):
-            Waveform(np.zeros(100), sample_rate=8000)
 
     def test_rejects_clipping_beyond_tolerance(self):
         with pytest.raises(InvalidRangeError):
@@ -149,7 +144,7 @@ class TestLogmel:
         window = np.hamming(cfg.win_length).astype(np.float32)
         spectrum = sp_fft.rfft(frames * window, n=cfg.n_fft, axis=1)
         power = spectrum.real**2 + spectrum.imag**2
-        bank = mel_filterbank(cfg.n_mels, cfg.n_fft, 16000, cfg.f_min, cfg.f_max)
+        bank = mel_filterbank(cfg.n_mels, cfg.n_fft, cfg.f_min, cfg.f_max)
         want = np.log(bank.astype(np.float32) @ power.T + np.float32(cfg.log_floor))
         if cfg.mean_normalize:
             want = want - want.mean(axis=1, keepdims=True)

@@ -35,6 +35,7 @@ from cel.rng import derive_rng
 from cel.trainer import (
     LOG_HEADER,
     CorpusSource,
+    EpochRecord,
     FinetuneConfig,
     PretrainConfig,
     _epoch_plan,
@@ -158,11 +159,11 @@ class TestBatchAssembly:
         ))
         assert len(items) == cfg.k
         assert len({(s, u) for s, (u,) in batch}) == cfg.k
-        for it in items:
-            assert len(it.views) == 2
-            assert it.views[0].shape == (40, cfg.frames)
-            assert it.views[1].shape == (40, cfg.frames)
-            assert not np.array_equal(it.views[0], it.views[1])
+        for views in items:
+            assert len(views) == 2
+            assert views[0].shape == (40, cfg.frames)
+            assert views[1].shape == (40, cfg.frames)
+            assert not np.array_equal(views[0], views[1])
 
     def test_crops_follow_the_feature_config(self, source, bank):
         # A 5 ms hop: crops sized for the default 10 ms hop would give
@@ -171,8 +172,8 @@ class TestBatchAssembly:
         pre_cfg, fine_cfg = tiny_pretrain_cfg(), tiny_finetune_cfg()
         pre = _pretrain_item(source, bank, pre_cfg, features, 0, 0, 0)
         fine = _finetune_item(source, fine_cfg, features, 0, 0, 0)
-        assert [v.shape for v in pre.views] == [(40, pre_cfg.frames)] * 2
-        assert [v.shape for v in fine.views] == [(40, fine_cfg.frames)]
+        assert [v.shape for v in pre] == [(40, pre_cfg.frames)] * 2
+        assert [v.shape for v in fine] == [(40, fine_cfg.frames)]
 
     def test_batch_larger_than_corpus_rejected(self, source, bank, monkeypatch):
         def unreachable(*args):
@@ -184,6 +185,11 @@ class TestBatchAssembly:
 
 
 class TestPretrain:
+    def test_log_columns_are_the_record_fields(self):
+        assert LOG_HEADER == "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
+        record = EpochRecord(3, 0.001, 1.5, -2.0, 3.5, np.float64(10.0), -5)
+        assert record.to_line() == "3\t0.001\t1.5\t-2.0\t3.5\t10.0\t-5.0"
+
     def test_smoke_and_log_shape(self, source, bank, tmp_path):
         cfg = tiny_pretrain_cfg()
         result = pretrain(
@@ -316,7 +322,7 @@ class TestFinetune:
         assert len(result.records) == 1
         assert np.isfinite(result.records[0].loss_total)
         if objective == "adacos":
-            assert result.extras["adacos_scale"] > 0.0
+            assert result.records[0].w > 0.0
 
     def test_init_from_pretrain_checkpoint(self, source, bank, tmp_path):
         pre_dir = tmp_path / "pre"
