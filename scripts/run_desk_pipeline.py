@@ -16,15 +16,7 @@ import time
 from pathlib import Path
 
 from cel.config import desk_profile
-from cel.experiments import (
-    build_trials,
-    desk_split,
-    eval_bank,
-    finetune_arm,
-    pretrain_arm,
-    random_encoder_eer,
-)
-from cel.trainer import CorpusSource
+from cel.experiments import finetune_arm, held_out_set, pretrain_arm, random_encoder_eer
 
 
 def main() -> None:
@@ -43,11 +35,8 @@ def main() -> None:
     run = desk_profile()
     t_start = time.perf_counter()
 
-    manifest, _train_idx, eval_idx = desk_split(run)
-    eval_src = CorpusSource(manifest, speakers=eval_idx)
-    trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
-    bank = eval_bank(run) if run.evaluation.augment_trials else None
-    print(f"held-out trials: {len(trials)} over {len(eval_idx)} speakers")
+    eval_src, trials, bank = held_out_set(run)
+    print(f"held-out trials: {len(trials)} over {eval_src.speaker_count} speakers")
 
     random_eers = [
         random_encoder_eer(

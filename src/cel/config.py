@@ -32,19 +32,9 @@ class CorpusConfig:
 
 
 @dataclass(frozen=True)
-class BankConfig:
-    n_each: int = 2
-    noise_duration_s: float = 5.0
-    rir_count: int = 4
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     eval_speakers: int = 8
     nontarget_per_target: int = 3
-    # Trial utterances get one fixed random noise/reverb condition each,
-    # so verification is scored under test-time degradation.
-    augment_trials: bool = True
     c_miss: float = 1.0
     c_fa: float = 1.0
     p_target: float = 0.05
@@ -55,7 +45,6 @@ class RunConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    bank: BankConfig = field(default_factory=BankConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)

@@ -51,22 +51,27 @@ def build_trials(
     source: CorpusSource, nontarget_per_target: int = 3, seed: int = 0
 ) -> list[Trial]:
     """All same-speaker pairs as targets plus sampled cross-speaker pairs."""
-    keys = [
-        [source.utterance_key(s, u) for u in range(source.utterances_per_speaker)]
-        for s in range(source.speaker_count)
-    ]
+    n_spk, n_utt = source.speaker_count, source.utterances_per_speaker
+    keys = [[source.utterance_key(s, u) for u in range(n_utt)] for s in range(n_spk)]
     trials: list[Trial] = []
     for per in keys:
         for a in range(len(per)):
             for b in range(a + 1, len(per)):
                 trials.append(Trial(per[a], per[b], True))
     n_targets = len(trials)
+    wanted = nontarget_per_target * n_targets
+    available = n_spk * (n_spk - 1) * n_utt**2  # distinct ordered cross-speaker pairs
+    if wanted > available:
+        raise CorpusTooSmallError(
+            f"{wanted} non-target trials requested, but {n_spk} speakers x {n_utt} "
+            f"utterances give only {available} distinct cross-speaker pairs"
+        )
     rng = derive_rng(seed, "trials")
     seen = set()
-    while len(trials) - n_targets < nontarget_per_target * n_targets:
-        s1, s2 = rng.choice(source.speaker_count, size=2, replace=False)
-        u1 = int(rng.integers(0, source.utterances_per_speaker))
-        u2 = int(rng.integers(0, source.utterances_per_speaker))
+    while len(trials) - n_targets < wanted:
+        s1, s2 = rng.choice(n_spk, size=2, replace=False)
+        u1 = int(rng.integers(0, n_utt))
+        u2 = int(rng.integers(0, n_utt))
         pair = (keys[s1][u1], keys[s2][u2])
         if pair in seen:
             continue
@@ -77,12 +82,7 @@ def build_trials(
 
 def eval_bank(run: RunConfig) -> NoiseBank:
     """Noise/reverb bank for trial-side conditions, disjoint from training."""
-    return synth_bank(
-        derive_rng(run.corpus.seed, "eval-bank").integers(0, 2**31 - 1),
-        n_each=run.bank.n_each,
-        noise_duration_s=run.bank.noise_duration_s,
-        rir_count=run.bank.rir_count,
-    )
+    return synth_bank(derive_rng(run.corpus.seed, "eval-bank").integers(0, 2**31 - 1))
 
 
 def eer_of_params(
@@ -129,15 +129,25 @@ def desk_split(run: RunConfig) -> tuple[CorpusManifest, tuple[int, ...], tuple[i
     return manifest, train_idx, eval_idx
 
 
+def held_out_set(run: RunConfig) -> tuple[CorpusSource, list[Trial], NoiseBank]:
+    """The desk split's held-out speakers, their trials and the bank that corrupts them."""
+    manifest, _train_idx, eval_idx = desk_split(run)
+    eval_src = CorpusSource(manifest, speakers=eval_idx)
+    trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
+    return eval_src, trials, eval_bank(run)
+
+
 def _held_out_arm(
     run: RunConfig, train: Callable[[CorpusSource], TrainResult]
 ) -> tuple[float, TrainResult]:
-    """Train on the desk split's train speakers; EER on its held-out speakers."""
-    manifest, train_idx, eval_idx = desk_split(run)
+    """Train on the desk split's train speakers; EER on its held-out speakers.
+
+    The held-out set is built first, so a split too small for its trials
+    fails before any training.
+    """
+    eval_src, trials, bank = held_out_set(run)
+    manifest, train_idx, _eval_idx = desk_split(run)
     result = train(CorpusSource(manifest, speakers=train_idx))
-    eval_src = CorpusSource(manifest, speakers=eval_idx)
-    trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
-    bank = eval_bank(run) if run.evaluation.augment_trials else None
     value = eer_of_params(
         eval_src, result.params, trials, run.encoder, run.features,
         bank=bank, aug_seed=run.corpus.seed,

@@ -22,6 +22,7 @@ from .embedding import SCALE_FLOOR, SimilarityParams
 from .errors import (
     BatchShapeInvalidError,
     BatchTooSmallError,
+    InvalidParamError,
     LabelOutOfRangeError,
     SingleClassError,
 )
@@ -109,13 +110,9 @@ class MarginConfig:
 
     def __post_init__(self) -> None:
         if self.margin < 0:
-            raise BatchShapeInvalidError(
-                f"margin must be >= 0, got {self.margin}"
-            )
+            raise InvalidParamError(f"margin must be >= 0, got {self.margin}")
         if self.scale <= 0:
-            raise BatchShapeInvalidError(
-                f"scale must be positive, got {self.scale}"
-            )
+            raise InvalidParamError(f"scale must be positive, got {self.scale}")
 
 
 @dataclass

@@ -138,8 +138,6 @@ class PretrainConfig:
     frames: int = 180
     snr_range: tuple[float, float] = (0.0, 15.0)
     schedule: LrSchedule = PRETRAIN_SCHEDULE
-    init_scale: float = 10.0
-    init_bias: float = -5.0
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -169,8 +167,6 @@ class FinetuneConfig:
     seed: int = 0
     schedule: LrSchedule = FINETUNE_SCHEDULE
     init_checkpoint: str | None = None
-    init_scale: float = 10.0
-    init_bias: float = -5.0
 
     def __post_init__(self) -> None:
         if self.objective not in FINETUNE_OBJECTIVES:
@@ -297,10 +293,8 @@ class _Similarity(_Objective):
     """Scores through the learned affine cosine w*cos + b (sim_scale, sim_bias)."""
 
     def init_params(self) -> dict[str, np.ndarray]:
-        return {
-            "sim_scale": np.float64(self.cfg.init_scale),
-            "sim_bias": np.float64(self.cfg.init_bias),
-        }
+        init = SimilarityParams()
+        return {"sim_scale": np.float64(init.scale), "sim_bias": np.float64(init.bias)}
 
     def logged(self, params: Mapping[str, np.ndarray]) -> tuple[float, float]:
         return float(params["sim_scale"]), float(params["sim_bias"])

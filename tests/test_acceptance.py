@@ -22,11 +22,9 @@ from cel.augment import add_noise, apply_rir, white_noise
 from cel.config import RunConfig, desk_profile
 from cel.evaluation import Trial, eer, min_dcf
 from cel.experiments import (
-    build_trials,
-    desk_split,
     equilibrium_descent,
-    eval_bank,
     finetune_arm,
+    held_out_set,
     pretrain_arm,
     random_encoder_eer,
     uniform_sphere_uniformity,
@@ -54,7 +52,6 @@ from cel.losses import (
     uniformity_loss,
 )
 from cel.rng import derive_rng
-from cel.trainer import CorpusSource
 
 SEEDS = (0, 1, 2)
 LOSS_SCOPES = ("unif", "aprot", "acont", "total", "ge2e", "cosface", "arcface", "adacos")
@@ -369,13 +366,7 @@ def lambda0_arms(desk_run, heavy_dirs) -> ArmSet:
 
 @pytest.fixture(scope="module")
 def desk_eval(desk_run):
-    manifest, _train_idx, eval_idx = desk_split(desk_run)
-    eval_src = CorpusSource(manifest, speakers=eval_idx)
-    trials = build_trials(
-        eval_src, desk_run.evaluation.nontarget_per_target, desk_run.corpus.seed
-    )
-    bank = eval_bank(desk_run)
-    return eval_src, trials, bank
+    return held_out_set(desk_run)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,21 @@ class TestFinetune:
         err = capsys.readouterr().err
         assert "error [finetune]: batches need 2 speakers, corpus has 1" in err
 
+    def test_negative_margin_fails_cleanly(self, workspace, tmp_path, capsys):
+        rc = main(
+            [
+                "finetune",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"),
+                "--out", str(tmp_path / "out"),
+                "--objective", "cosface",
+                "--margin", "-0.1",
+            ]
+        )
+        assert rc == 1
+        assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "config.json").exists()
+
     def test_random_init(self, workspace, capsys):
         out = workspace / "ft-random"
         rc = main(

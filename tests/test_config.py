@@ -117,6 +117,18 @@ class TestSchema:
         with pytest.raises(SchemaError, match=f"unknown config key '{section}.save_every'"):
             config_from_dict({section: {"save_every": 0}})
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"bank": {"n_each": 2, "noise_duration_s": 5.0, "rir_count": 4}}, "bank"),
+        ({"evaluation": {"augment_trials": False}}, "evaluation.augment_trials"),
+        ({"pretrain": {"init_scale": 5.0}}, "pretrain.init_scale"),
+        ({"finetune": {"init_bias": 0.0}}, "finetune.init_bias"),
+    ])
+    def test_settings_that_had_one_value_are_unknown_keys(self, doc, key):
+        # Banks are synth_bank's defaults, experiment trials are always
+        # corrupted, and the similarity head starts at SimilarityParams().
+        with pytest.raises(SchemaError, match=f"unknown config key '{re.escape(key)}'"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
     def test_every_field_is_read_by_its_name(self, section):
         # Each field of the section set to a non-default value in a JSON

@@ -10,6 +10,7 @@ from cel.embedding import SimilarityParams
 from cel.errors import (
     BatchShapeInvalidError,
     BatchTooSmallError,
+    InvalidParamError,
     LabelOutOfRangeError,
     SingleClassError,
 )
@@ -139,6 +140,13 @@ class TestMarginLosses:
         out = arcface_loss(batch, weights, MarginConfig(0.2, 30.0))
         want = oracles.oracle_arcface(batch.embeddings, list(batch.labels), weights)
         assert out.value == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"margin": -0.1}, "margin"), ({"scale": 0.0}, "scale"), ({"scale": -1.0}, "scale"),
+    ])
+    def test_bad_margin_or_scale_is_an_invalid_param(self, kw, name):
+        with pytest.raises(InvalidParamError, match=f"^{name} must be"):
+            MarginConfig(**kw)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

@@ -13,7 +13,7 @@ import pytest
 
 from cel.config import desk_profile
 from cel.corpus import build_manifest
-from cel.embedding import SCALE_FLOOR
+from cel.embedding import SCALE_FLOOR, SimilarityParams
 from cel.encoder import (
     Encoder,
     EncoderConfig,
@@ -336,7 +336,7 @@ class TestFinetune:
         result = finetune(source, cfg, TINY_ENC)
         assert np.isfinite(result.records[0].loss_total)
         # Fresh similarity head: the pretrained sim params are not inherited.
-        assert pre.params["sim_scale"] != pytest.approx(float(cfg.init_scale))
+        assert pre.params["sim_scale"] != pytest.approx(SimilarityParams().scale)
 
     def test_byte_identical_reruns(self, source, tmp_path):
         cfg = tiny_finetune_cfg(objective="cosface", utterances_per_speaker=1)
