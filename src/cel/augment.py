@@ -243,12 +243,13 @@ def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
     return Waveform(mix / np.max(np.abs(mix)) * 0.9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseBank:
     """Noise waveforms and impulse responses, both in fixed order.
 
     The impulse responses are stored as read-only float32 copies, so
-    `apply_rir` may cache their spectra.
+    `apply_rir` may cache their spectra. A bank hashes and compares by
+    identity, so it can key the evaluation feature cache of `CorpusSource`.
     """
 
     noises: tuple[Waveform, ...]

@@ -9,13 +9,14 @@ fine-tune from pretrained versus random initialization.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .augment import NoiseBank, synth_bank
-from .config import RunConfig
+from .config import CorpusConfig, EvalConfig, RunConfig
 from .corpus import CorpusManifest, build_manifest
 from .embedding import normalize
 from .encoder import Encoder, EncoderConfig
@@ -129,12 +130,26 @@ def desk_split(run: RunConfig) -> tuple[CorpusManifest, tuple[int, ...], tuple[i
     return manifest, train_idx, eval_idx
 
 
-def held_out_set(run: RunConfig) -> tuple[CorpusSource, list[Trial], NoiseBank]:
-    """The desk split's held-out speakers, their trials and the bank that corrupts them."""
+def held_out_set(run: RunConfig) -> tuple[CorpusSource, tuple[Trial, ...], NoiseBank]:
+    """The desk split's held-out speakers, their trials and the bank that corrupts them.
+
+    Memoized on the two sections it reads, `run.corpus` and `run.evaluation`,
+    so every arm of a run in one process scores one source: its waveforms
+    are synthesized and its corrupted features computed once. Callers share
+    the returned objects, so the trials are a tuple.
+    """
+    return _held_out_set(run.corpus, run.evaluation)
+
+
+@lru_cache(maxsize=4)
+def _held_out_set(
+    corpus: CorpusConfig, evaluation: EvalConfig
+) -> tuple[CorpusSource, tuple[Trial, ...], NoiseBank]:
+    run = RunConfig(corpus=corpus, evaluation=evaluation)
     manifest, _train_idx, eval_idx = desk_split(run)
     eval_src = CorpusSource(manifest, speakers=eval_idx)
-    trials = build_trials(eval_src, run.evaluation.nontarget_per_target, run.corpus.seed)
-    return eval_src, trials, eval_bank(run)
+    trials = build_trials(eval_src, evaluation.nontarget_per_target, corpus.seed)
+    return eval_src, tuple(trials), eval_bank(run)
 
 
 def _held_out_arm(

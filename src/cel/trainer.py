@@ -79,13 +79,23 @@ class CorpusSource:
     """Waveform access over a manifest, optionally restricted to a speaker subset.
 
     With a root directory the WAV files are read; otherwise utterances are
-    regenerated from the manifest seed. Waveforms are cached in memory.
+    regenerated from the manifest seed. Waveforms are cached in memory, and
+    so are the evaluation features that `embed_utterances` computes: one
+    read-only log-mel array per (manifest speaker, utterance, feature
+    config, bank, aug_seed), with None for aug_seed when there is no bank.
+    The corruption depends only on that key, never on the checkpoint, so
+    every checkpoint scored on a source after the first reuses its
+    features. At 40 mels and a 10 ms hop the feature cache is about a
+    quarter of the size of the waveform cache (12 MB for the 192 desk
+    utterances); a source that embeds its utterances only once pays it for
+    nothing.
     """
 
     manifest: CorpusManifest
     root: str | Path | None = None
     speakers: tuple[int, ...] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
+    _features: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.speakers is None:
@@ -123,6 +133,36 @@ class CorpusSource:
             else:
                 self._cache[key] = utterance_waveform(self.manifest, i, utt)
         return self._cache[key]
+
+    def features(
+        self,
+        local_speaker: int,
+        utt: int,
+        feature_cfg: FeatureConfig,
+        bank: NoiseBank | None,
+        aug_seed: int,
+    ) -> np.ndarray:
+        """Read-only log-mel features of one whole utterance, computed once.
+
+        With a bank, the utterance is first corrupted by the one noise/reverb
+        condition drawn for it from (aug_seed, "eval-aug", its key). Misses
+        follow the waveform cache's rule: equal values, and one store wins.
+        """
+        key = (
+            self.speakers[local_speaker], utt, feature_cfg, bank,
+            None if bank is None else aug_seed,
+        )
+        feats = self._features.get(key)
+        if feats is None:
+            wave = self.waveform(local_speaker, utt)
+            if bank is not None:
+                rng = derive_rng(aug_seed, "eval-aug", self.utterance_key(local_speaker, utt))
+                spec = sample_spec(rng, bank, len(wave), EVAL_SNR_RANGE)
+                wave = apply_spec(wave, spec, bank)
+            feats = logmel(wave, feature_cfg).values
+            feats.setflags(write=False)
+            self._features[key] = feats
+        return feats
 
 
 @dataclass(frozen=True)
@@ -375,6 +415,10 @@ class _Margin(_Objective):
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.margin = ft.MarginConfig(margin=self.cfg.margin, scale=self.cfg.margin_scale)
+
+    @staticmethod
+    def validate(cfg: FinetuneConfig) -> None:
+        ft.MarginConfig(margin=cfg.margin, scale=cfg.margin_scale)
 
     def init_params(self) -> dict[str, np.ndarray]:
         rng = derive_rng(self.cfg.seed, "classifier")
@@ -688,17 +732,14 @@ def embed_utterances(
     noise/reverb condition (deterministic per key), which evaluates
     robustness rather than clean-audio separability. With `ids`, only the
     utterances whose keys it holds are read and embedded, each exactly as a
-    whole-corpus call embeds it; ids outside the corpus are ignored.
+    whole-corpus call embeds it; ids outside the corpus are ignored. The
+    features come from, and stay in, the source's feature cache
+    (`CorpusSource.features`).
     """
     enc = Encoder(encoder_cfg)
 
     def features(s: int, u: int, key: str) -> tuple[str, np.ndarray]:
-        wave = source.waveform(s, u)
-        if bank is not None:
-            rng = derive_rng(aug_seed, "eval-aug", key)
-            spec = sample_spec(rng, bank, len(wave), EVAL_SNR_RANGE)
-            wave = apply_spec(wave, spec, bank)
-        return key, logmel(wave, feature_cfg).values
+        return key, source.features(s, u, feature_cfg, bank, aug_seed)
 
     utterances = [
         (s, u, source.utterance_key(s, u))

@@ -191,6 +191,23 @@ class TestFinetune:
         assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "config.json").exists()
 
+    def test_bad_margin_in_config_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        doc = {**SMALL_DOC, "finetune": {**SMALL_DOC["finetune"], "margin": -0.1}}
+        config_path = tmp_path / "bad-margin.json"
+        config_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "finetune",
+                "--config", str(config_path),
+                "--corpus", str(tmp_path / "no-corpus"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        # The corpus directory does not exist: reading it would fail with another message.
+        assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_random_init(self, workspace, capsys):
         out = workspace / "ft-random"
         rc = main(

@@ -15,7 +15,7 @@ from cel.config import (
     fullscale_profile,
     save_config,
 )
-from cel.errors import SchemaError
+from cel.errors import InvalidParamError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,6 +128,16 @@ class TestSchema:
         # corrupted, and the similarity head starts at SimilarityParams().
         with pytest.raises(SchemaError, match=f"unknown config key '{re.escape(key)}'"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("finetune, message", [
+        ({"objective": "cosface", "margin": -0.1}, "margin must be >= 0, got -0.1"),
+        ({"objective": "cosface", "margin_scale": -3.0}, "scale must be positive, got -3.0"),
+        ({"objective": "arcface", "margin_scale": -3.0}, "scale must be positive, got -3.0"),
+        ({"objective": "adacos", "margin_scale": -3.0}, "scale must be positive, got -3.0"),
+    ])
+    def test_margin_objective_checks_its_margin_at_load(self, finetune, message):
+        with pytest.raises(InvalidParamError, match=re.escape(message)):
+            config_from_dict({"finetune": finetune})
 
     @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
     def test_every_field_is_read_by_its_name(self, section):

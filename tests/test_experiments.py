@@ -7,8 +7,9 @@ import pytest
 from cel.config import desk_profile
 from cel.corpus import build_manifest
 from cel.errors import CorpusTooSmallError
-from cel.experiments import build_trials, pretrain_arm
-from cel.trainer import CorpusSource
+from cel import experiments
+from cel.experiments import build_trials, finetune_arm, held_out_set, pretrain_arm
+from cel.trainer import CorpusSource, TrainResult
 
 
 def source(n_speakers, utterances):
@@ -39,10 +40,49 @@ class TestBuildTrials:
         assert build_trials(src, nontarget_per_target=2, seed=4) == trials
 
 
+def _untrained(source, cfg, *args, **kwargs) -> TrainResult:
+    return TrainResult({}, None, [], "")
+
+
 class TestHeldOutArm:
+    def test_arms_of_one_run_score_one_source(self, monkeypatch):
+        # Training and scoring are stubbed: only the held-out set each arm scores matters.
+        scored = []
+
+        def eer_of_params(source, params, trials, *args, bank, aug_seed):
+            scored.append((source, trials, bank))
+            return 0.0
+
+        monkeypatch.setattr(experiments, "pretrain", _untrained)
+        monkeypatch.setattr(experiments, "finetune", _untrained)
+        monkeypatch.setattr(experiments, "eer_of_params", eer_of_params)
+        run = desk_profile()
+        pretrain_arm(run, 0)
+        pretrain_arm(run, 1, uniformity_weight=0.0)
+        finetune_arm(run, 0, "cosface", None)
+        finetune_arm(run.with_seed(5), 2, "ge2e", None)
+        source, trials, bank = held_out_set(run)
+        assert isinstance(trials, tuple)
+        assert len(scored) == 4
+        for got in scored:
+            assert got[0] is source and got[1] is trials and got[2] is bank
+
+    @pytest.mark.parametrize("section, change", [
+        ("evaluation", {"eval_speakers": 6}),
+        ("evaluation", {"nontarget_per_target": 2}),
+        ("corpus", {"seed": 101}),
+    ])
+    def test_another_split_gets_another_source(self, section, change):
+        run = desk_profile()
+        other = replace(run, **{section: replace(getattr(run, section), **change)})
+        assert held_out_set(other)[0] is not held_out_set(run)[0]
+
     def test_split_too_small_for_its_trials_fails_before_training(self, tmp_path):
         run = desk_profile()
         run = replace(run, evaluation=replace(run.evaluation, eval_speakers=2))
         with pytest.raises(CorpusTooSmallError, match="90 non-target.* only 72"):
             pretrain_arm(run, 0, out_dir=tmp_path)
+        # The failure is not cached: a second arm fails the same way.
+        with pytest.raises(CorpusTooSmallError, match="90 non-target.* only 72"):
+            finetune_arm(run, 0, "cosface", None, out_dir=tmp_path)
         assert not any(tmp_path.iterdir())

@@ -29,7 +29,7 @@ from cel.errors import (
 )
 from cel.evaluation import Trial
 from cel.experiments import build_trials, random_encoder_eer
-from cel.features import FeatureConfig, frame_count
+from cel.features import FeatureConfig, frame_count, logmel
 from cel.pool import ItemPool, map_items
 from cel.rng import derive_rng
 from cel.trainer import (
@@ -46,7 +46,7 @@ from cel.trainer import (
     pretrain,
 )
 from cel import pool, trainer
-from cel.augment import synth_bank
+from cel.augment import apply_spec, sample_spec, synth_bank
 
 TINY_ENC = EncoderConfig(input_dim=40, hidden_dims=(16,), embedding_dim=8)
 FAST_SCHED = LrSchedule(initial_lr=0.01, decay_fraction=0.5, period_epochs=2)
@@ -452,8 +452,10 @@ class TestEmbedUtterances:
             return waveform(self, s, u)
 
         monkeypatch.setattr(CorpusSource, "waveform", counted)
+        # A fresh source: `full` filled the feature cache of `source`.
         emb = embed_utterances(
-            source, params, TINY_ENC, bank=bank, aug_seed=2, ids=ids | {"nowhere.wav"}
+            CorpusSource(source.manifest), params, TINY_ENC, bank=bank, aug_seed=2,
+            ids=ids | {"nowhere.wav"},
         )
         assert sorted(fetched) == sorted(ids)
         assert list(emb) == [k for k in keys if k in ids]
@@ -489,6 +491,85 @@ class TestEmbedUtterances:
         assert set(frames) == {want}
 
 
+class TestFeatureCache:
+    @pytest.fixture()
+    def logmel_calls(self, monkeypatch):
+        """The number of `cel.trainer.logmel` calls so far, as a one-item list."""
+        calls = [0]
+        logmel = trainer.logmel
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return logmel(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "logmel", counted)
+        return calls
+
+    @staticmethod
+    def _params():
+        return Encoder(TINY_ENC).init_params(derive_rng("emb-init"))
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "clean"])
+    def test_cold_and_warm_embeddings_equal_the_uncached_pipeline(self, source, bank, noisy):
+        bank = bank if noisy else None
+        fresh = CorpusSource(source.manifest)
+        params = self._params()
+        cold = embed_utterances(fresh, params, TINY_ENC, bank=bank, aug_seed=4)
+        warm = embed_utterances(fresh, params, TINY_ENC, bank=bank, aug_seed=4)
+        enc = Encoder(TINY_ENC)
+        for s in range(source.speaker_count):
+            for u in range(source.utterances_per_speaker):
+                key = source.utterance_key(s, u)
+                wave = source.waveform(s, u)
+                if bank is not None:
+                    rng = derive_rng(4, "eval-aug", key)
+                    spec = sample_spec(rng, bank, len(wave), trainer.EVAL_SNR_RANGE)
+                    wave = apply_spec(wave, spec, bank)
+                want = enc.forward(params, logmel(wave, FeatureConfig()).values).embedding
+                assert cold[key].tobytes() == want.tobytes()
+                assert warm[key].tobytes() == want.tobytes()
+
+    def test_cached_features_are_read_only(self, source, bank):
+        feats = CorpusSource(source.manifest).features(0, 1, FeatureConfig(), bank, 4)
+        assert not feats.flags.writeable
+        with pytest.raises(ValueError):
+            feats[0, 0] = 0.0
+
+    def test_each_key_part_separates_entries(self, source, bank, logmel_calls):
+        fresh = CorpusSource(source.manifest)
+        params = self._params()
+        n = source.speaker_count * source.utterances_per_speaker
+        twin = synth_bank(seed=71, n_each=1, noise_duration_s=4.5, rir_count=1)
+
+        def misses(**kwargs) -> int:
+            before = logmel_calls[0]
+            embed_utterances(fresh, params, TINY_ENC, **kwargs)
+            return logmel_calls[0] - before
+
+        assert misses(bank=bank, aug_seed=1) == n
+        assert misses(bank=bank, aug_seed=1) == 0
+        # Equal samples from the same seed, but another bank.
+        assert misses(bank=twin, aug_seed=1) == n
+        assert misses(bank=bank, aug_seed=2) == n
+        assert misses(feature_cfg=FeatureConfig(hop_length=80), bank=bank, aug_seed=1) == n
+        assert misses(feature_cfg=FeatureConfig(hop_length=80), bank=bank, aug_seed=1) == 0
+
+    def test_clean_lookup_hits_whatever_the_aug_seed(self, source, logmel_calls):
+        fresh = CorpusSource(source.manifest)
+        params = self._params()
+        first = embed_utterances(fresh, params, TINY_ENC, aug_seed=1)
+        calls = logmel_calls[0]
+        again = embed_utterances(fresh, params, TINY_ENC, aug_seed=9)
+        assert logmel_calls[0] == calls == source.speaker_count * source.utterances_per_speaker
+        _assert_same_embeddings(again, first)
+
+    def test_training_leaves_the_feature_cache_empty(self, source, bank):
+        fresh = CorpusSource(source.manifest)
+        pretrain(fresh, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank)
+        finetune(fresh, tiny_finetune_cfg(epochs=1), TINY_ENC)
+        assert fresh._cache and not fresh._features
+
+
 def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
     """A pretraining run, a fine-tuning run and noisy embeddings, written under out."""
     pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, out_dir=out / "pre")
@@ -515,22 +596,37 @@ def _wait_for_child(pid: int, what: str) -> None:
 
 
 class TestItemPool:
-    def test_outputs_do_not_depend_on_pool_size(
-        self, source, bank, tmp_path, monkeypatch, on_pools
-    ):
-        # The reference maps the items in order on the calling thread.
+    @staticmethod
+    def _check_pool_sizes(source, bank, tmp_path, monkeypatch, on_pools, cold: bool):
+        def pipeline(out: Path, clear: bool) -> dict[str, np.ndarray]:
+            if clear:
+                source._features.clear()
+            return _run_all(source, bank, out)
+
+        # The reference maps the items in order on the calling thread, from
+        # an empty feature cache; warm runs embed the features it cached.
         with monkeypatch.context() as m:
             m.setattr(pool, "map_items", map)
-            want = _run_all(source, bank, tmp_path / "serial")
+            want = pipeline(tmp_path / "serial", clear=True)
         files = [f"{run}/{name}" for run in ("pre", "ft")
                  for name in ("metrics.tsv", "checkpoint.ckpt")]
         # The default pool, one worker, and more workers than cores.
-        got = on_pools(lambda n: _run_all(source, bank, tmp_path / f"workers{n}"))
+        got = on_pools(lambda n: pipeline(tmp_path / f"workers{n}", clear=cold))
         for n, emb in got.items():
             for name in files:
                 out = tmp_path / f"workers{n}"
                 assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
             _assert_same_embeddings(emb, want)
+
+    def test_outputs_do_not_depend_on_pool_size(
+        self, source, bank, tmp_path, monkeypatch, on_pools
+    ):
+        self._check_pool_sizes(source, bank, tmp_path, monkeypatch, on_pools, cold=True)
+
+    def test_warm_feature_cache_outputs_do_not_depend_on_pool_size(
+        self, source, bank, tmp_path, monkeypatch, on_pools
+    ):
+        self._check_pool_sizes(source, bank, tmp_path, monkeypatch, on_pools, cold=False)
 
     def test_cold_source_outputs_do_not_depend_on_pool_size(
         self, source, bank, tmp_path, monkeypatch, on_pools
