@@ -56,20 +56,11 @@ def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> i
     return (frames - 1) * hop_length + win_length
 
 
-def random_crop(u: Waveform, need: int, rng: np.random.Generator, pad_wrap: bool) -> Waveform:
-    """`need` samples from one uniformly drawn offset.
-
-    Input shorter than `need` is wrap-padded to exactly `need` when
-    `pad_wrap` is set, and refused otherwise.
-    """
+def random_crop(u: Waveform, need: int, rng: np.random.Generator) -> Waveform:
+    """`need` samples from one uniformly drawn offset; shorter input is refused."""
     x = u.samples
     if x.size < need:
-        if not pad_wrap:
-            raise UtteranceTooShortError(
-                f"utterance has {x.size} samples, crops need {need} "
-                f"(enable wrap padding to allow short utterances)"
-            )
-        x = np.resize(x, need)
+        raise UtteranceTooShortError(f"utterance has {x.size} samples, crops need {need}")
     offset = int(rng.integers(0, x.size - need + 1))
     return Waveform(x[offset : offset + need].copy())
 
@@ -85,7 +76,7 @@ def crop_two(
     An utterance shorter than one crop is refused.
     """
     need = crop_samples(frames, feature_cfg.win_length, feature_cfg.hop_length)
-    return random_crop(u, need, rng, pad_wrap=False), random_crop(u, need, rng, pad_wrap=False)
+    return random_crop(u, need, rng), random_crop(u, need, rng)
 
 
 class AugmentKind(enum.Enum):

@@ -128,8 +128,8 @@ def config_from_dict(doc: Mapping) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(doc)
 
 

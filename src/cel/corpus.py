@@ -222,7 +222,10 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    text = Path(path).read_text().splitlines()
+    try:
+        text = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: manifest is not UTF-8 text: {exc}") from exc
     if not text or not text[0].startswith("# "):
         raise SchemaError(f"{path}: missing manifest header line")
     try:
@@ -240,7 +243,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             seed=int(header["seed"]),
             entries=tuple(entries),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed manifest: {exc}") from exc
     want = manifest.n_speakers * manifest.utterances_per_speaker
     if len(entries) != want:

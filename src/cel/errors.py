@@ -65,6 +65,10 @@ class NormalizationDegenerateError(CelError):
     """Pre-normalization encoder output has near-zero norm."""
 
 
+class NonFiniteError(CelError):
+    """A training step produced a non-finite loss or gradient."""
+
+
 class CorpusTooSmallError(CelError):
     """Corpus cannot fill one batch under the sampling constraints."""
 

@@ -176,8 +176,12 @@ def det_points(trials: Sequence[Trial]) -> list[tuple[float, float]]:
 
 def read_trial_list(path: str | Path) -> list[Trial]:
     """Parse 'label enroll test [score]' lines; label 1 marks a target."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise TrialParseError(f"{path}: trial list is not UTF-8 text: {exc}") from exc
     trials = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -189,25 +189,35 @@ def logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read a mono 16-bit 16 kHz PCM WAV file."""
-    with wave.open(str(path), "rb") as f:
-        if f.getcomptype() != "NONE":
-            raise UnsupportedWavError(
-                f"{path}: compressed WAV ({f.getcomptype()}) is not supported"
-            )
-        if f.getnchannels() != 1:
-            raise UnsupportedWavError(
-                f"{path}: expected mono audio, got {f.getnchannels()} channels"
-            )
-        if f.getsampwidth() != 2:
-            raise UnsupportedWavError(
-                f"{path}: expected 16-bit samples, got {8 * f.getsampwidth()}-bit"
-            )
-        if f.getframerate() != SAMPLE_RATE:
-            raise UnsupportedWavError(
-                f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz"
-            )
-        raw = f.readframes(f.getnframes())
+    """Read a mono 16-bit 16 kHz PCM WAV file; a corrupt one raises UnsupportedWavError."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getcomptype() != "NONE":
+                raise UnsupportedWavError(
+                    f"{path}: compressed WAV ({f.getcomptype()}) is not supported"
+                )
+            if f.getnchannels() != 1:
+                raise UnsupportedWavError(
+                    f"{path}: expected mono audio, got {f.getnchannels()} channels"
+                )
+            if f.getsampwidth() != 2:
+                raise UnsupportedWavError(
+                    f"{path}: expected 16-bit samples, got {8 * f.getsampwidth()}-bit"
+                )
+            if f.getframerate() != SAMPLE_RATE:
+                raise UnsupportedWavError(
+                    f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz"
+                )
+            raw = f.readframes(f.getnframes())
+    # The wave module reports a malformed chunk layout with these three; a
+    # chunk that claims more bytes than the file holds raises RuntimeError.
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise UnsupportedWavError(f"{path}: corrupt WAV file ({exc!r})") from exc
+    if len(raw) % 2:
+        raise UnsupportedWavError(
+            f"{path}: corrupt WAV file: its data holds {len(raw)} bytes, "
+            "not a whole number of 16-bit samples"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) * _READ_SCALE
     return Waveform(samples)
 

@@ -3,13 +3,15 @@
 Both phases train the same encoder with the same Adam loop (`_train`); the
 items and the objective differ. Pre-training items are two independently
 augmented crops of one utterance (one utterance per speaker per batch),
-scored by uniformity plus angular similarity; fine-tuning items are one
-clean fixed-length segment each, scored by any of six supervised
-objectives. `OBJECTIVES` maps each phase's objective names to a class that
-says which parameters the objective adds to the encoder's, how a batch's
-embeddings become its loss and gradients, which w and b the metric log
-shows, and what it adds to the checkpoint meta; config validation and the
-CLI's choices read their names from it.
+cut at sample offsets and corrupted before their log-mel, scored by
+uniformity plus angular similarity; fine-tuning items are one clean
+fixed-length segment each, cut at a hop offset from the utterance's
+log-mel (computed once per source) and mean-normalized per crop, scored
+by any of six supervised objectives. `OBJECTIVES` maps each phase's
+objective names to a class that says which parameters the objective adds
+to the encoder's, how a batch's embeddings become its loss and gradients,
+which w and b the metric log shows, and what it adds to the checkpoint
+meta; config validation and the CLI's choices read their names from it.
 
 Every random draw comes from a stream derived from (run seed, purpose,
 epoch, item), so runs are bit-reproducible and resumable mid-run. Each
@@ -22,7 +24,9 @@ each in item order) and Adam, so outputs do not depend on the pool size.
 The pool leaves room for BLAS's own threads: with BLAS on every CPU (its
 default) it has one thread, so set OPENBLAS_NUM_THREADS=1 to get one item
 thread per CPU. Metric logs carry only deterministic quantities, so two
-runs with the same seed write byte-identical logs and checkpoints.
+runs with the same seed write byte-identical logs and checkpoints. A step
+whose loss or gradient is not finite raises NonFiniteError before Adam
+applies it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .augment import (
     apply_spec,
     crop_samples,
     crop_two,
-    random_crop,
     sample_pair_specs,
     sample_spec,
     synth_bank,
@@ -64,7 +67,12 @@ from .encoder import (
     save_checkpoint,
     xavier_uniform,
 )
-from .errors import CheckpointMismatchError, CorpusTooSmallError, InvalidParamError
+from .errors import (
+    CheckpointMismatchError,
+    CorpusTooSmallError,
+    InvalidParamError,
+    NonFiniteError,
+)
 from .features import FeatureConfig, Waveform, logmel
 from .losses import CelWeights, KernelParam, LossOutput, combine_losses, similarity_loss, uniformity_loss
 from .rng import derive_rng
@@ -80,15 +88,21 @@ class CorpusSource:
 
     With a root directory the WAV files are read; otherwise utterances are
     regenerated from the manifest seed. Waveforms are cached in memory, and
-    so are the evaluation features that `embed_utterances` computes: one
-    read-only log-mel array per (manifest speaker, utterance, feature
-    config, bank, aug_seed), with None for aug_seed when there is no bank.
-    The corruption depends only on that key, never on the checkpoint, so
-    every checkpoint scored on a source after the first reuses its
-    features. At 40 mels and a 10 ms hop the feature cache is about a
-    quarter of the size of the waveform cache (12 MB for the 192 desk
-    utterances); a source that embeds its utterances only once pays it for
-    nothing.
+    so are two kinds of whole-utterance log-mel, each read-only and in a
+    store of its own:
+
+    - the evaluation features that `embed_utterances` computes, one array
+      per (manifest speaker, utterance, feature config, bank, aug_seed),
+      with None for aug_seed when there is no bank. The corruption depends
+      only on that key, never on the checkpoint, so every checkpoint scored
+      on a source after the first reuses its features. At 40 mels and a
+      10 ms hop they take about a quarter of the waveform cache's size
+      (12 MB for the 192 desk utterances); a source that embeds its
+      utterances only once pays that for nothing.
+    - the unnormalized fine-tuning features that `_finetune_item` cuts its
+      crops from, one array per (manifest speaker, utterance, feature
+      config, crop frames). The first fine-tuning epoch fills them (about
+      9 MB for the 144 desk training utterances at 40 mels).
     """
 
     manifest: CorpusManifest
@@ -96,6 +110,7 @@ class CorpusSource:
     speakers: tuple[int, ...] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _features: dict = field(default_factory=dict, repr=False)
+    _crop_features: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.speakers is None:
@@ -162,6 +177,28 @@ class CorpusSource:
             feats = logmel(wave, feature_cfg).values
             feats.setflags(write=False)
             self._features[key] = feats
+        return feats
+
+    def crop_features(
+        self, local_speaker: int, utt: int, feature_cfg: FeatureConfig, frames: int
+    ) -> np.ndarray:
+        """Read-only unnormalized log-mel of one whole clean utterance, computed once.
+
+        An utterance shorter than one crop of `frames` frames is first
+        wrap-padded to exactly one crop. Misses follow the waveform cache's
+        rule: equal values, and one store wins.
+        """
+        raw_cfg = feature_cfg.without_normalization()
+        key = (self.speakers[local_speaker], utt, raw_cfg, frames)
+        feats = self._crop_features.get(key)
+        if feats is None:
+            wave = self.waveform(local_speaker, utt)
+            need = crop_samples(frames, raw_cfg.win_length, raw_cfg.hop_length)
+            if len(wave) < need:
+                wave = Waveform(np.resize(wave.samples, need))
+            feats = logmel(wave, raw_cfg).values
+            feats.setflags(write=False)
+            self._crop_features[key] = feats
         return feats
 
 
@@ -289,12 +326,18 @@ def _finetune_item(
 ) -> tuple[np.ndarray]:
     """Log-mel features of one clean fixed-length segment, its one view.
 
-    Draws only from the item's own crop stream.
+    The segment is `cfg.frames` columns of the utterance's cached log-mel
+    (`CorpusSource.crop_features`) from an offset drawn in hops from the
+    item's own crop stream, then mean-normalized if the config says so:
+    the log-mel of the waveform crop at that offset, to the bit.
     """
+    feats = source.crop_features(local_speaker, utt, feature_cfg, cfg.frames)
     rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
-    wave = source.waveform(local_speaker, utt)
-    need = crop_samples(cfg.frames, feature_cfg.win_length, feature_cfg.hop_length)
-    return (logmel(random_crop(wave, need, rng, pad_wrap=True), feature_cfg).values,)
+    offset = int(rng.integers(0, feats.shape[1] - cfg.frames + 1))
+    crop = feats[:, offset : offset + cfg.frames]
+    if feature_cfg.mean_normalize:
+        crop = crop - crop.mean(axis=1, keepdims=True)
+    return (crop,)
 
 
 class _Objective:
@@ -624,7 +667,7 @@ def _train(
             derive_rng(cfg.seed, "plan", epoch),
         )
         totals = np.zeros(3)
-        for batch_plan in plan:
+        for batch_index, batch_plan in enumerate(plan):
             labels = [s for s, utts in batch_plan for _ in utts]
             items = pool.map_items(
                 partial(item, epoch), labels, [u for _, utts in batch_plan for u in utts]
@@ -641,6 +684,12 @@ def _train(
                 [g for up in upstream for g in up],
             )
             grads.update(own_grads)
+            finite = np.isfinite(terms).all() and all(np.isfinite(g).all() for g in grads.values())
+            if not finite:
+                raise NonFiniteError(
+                    f"{phase} ({objective_name}): non-finite loss or gradient at epoch "
+                    f"{epoch}, batch {batch_index}; no update was applied"
+                )
             params, opt = adam_step(opt, params, grads, lr)
             if "sim_scale" in params:
                 params["sim_scale"] = np.maximum(params["sim_scale"], SCALE_FLOOR)

@@ -22,7 +22,6 @@ from cel.augment import (
     crop_two,
     decay_envelope,
     pink_noise,
-    random_crop,
     sample_pair_specs,
     sample_spec,
     synth_bank,
@@ -59,11 +58,6 @@ class TestCrop:
         u = Waveform(np.ones(100) * 0.1)
         with pytest.raises(UtteranceTooShortError):
             crop_two(u, 180, rng)
-
-    def test_pad_wrap_mode(self, rng):
-        u = Waveform(0.1 * rng.standard_normal(1000))
-        crop = random_crop(u, crop_samples(180), rng, pad_wrap=True)
-        assert len(crop) == crop_samples(180)
 
     def test_offsets_cover_range_uniformly(self):
         # Chi-square over 8 bins of the crop offset distribution.

@@ -3,11 +3,13 @@
 import argparse
 import dataclasses
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from cel.cli import build_parser, main
-from cel import gradcheck
+from cel import gradcheck, trainer
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import load_config
@@ -208,6 +210,29 @@ class TestFinetune:
         assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_loss_fails_cleanly(self, workspace, tmp_path, monkeypatch, capsys):
+        step = trainer._Margin.step
+
+        def poisoned(self, params, views, labels):
+            upstream, own, terms = step(self, params, views, labels)
+            return upstream, own, (np.nan, *terms[1:])
+
+        monkeypatch.setattr(trainer._Margin, "step", poisoned)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "finetune",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"),
+                "--out", str(out),
+                "--init", "random",
+            ]
+        )
+        assert rc == 1
+        assert "error [finetune]: finetune (cosface): non-finite loss or gradient at " \
+            "epoch 0, batch 0" in capsys.readouterr().err
+        assert not (out / "checkpoint.ckpt").exists()
+
     def test_random_init(self, workspace, capsys):
         out = workspace / "ft-random"
         rc = main(
@@ -303,6 +328,52 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error [evaluate]:" in err and str(corrupt) in err
+
+
+class TestCorruptFiles:
+    """A damaged input file of each kind stops the command with one error line."""
+
+    @staticmethod
+    def _damaged_corpus(workspace, tmp_path, name: str, damage) -> tuple:
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / name
+        path.write_bytes(damage(path.read_bytes()))
+        return corpus, path
+
+    @pytest.mark.parametrize("kind", ["config", "manifest", "trials", "wav"])
+    def test_fails_with_an_error_naming_the_file(
+        self, workspace, pretrained, tmp_path, capsys, kind
+    ):
+        config, corpus = workspace / "small.json", workspace / "corpus"
+        trials = trial_file(workspace)
+        if kind == "config":
+            config = tmp_path / "bad.json"
+            config.write_bytes(b'{"pretrain": {"k": 2}}\xff')
+            bad = config
+        elif kind == "manifest":
+            # A byte that is not UTF-8 in the header line.
+            corpus, bad = self._damaged_corpus(
+                workspace, tmp_path, "manifest.tsv", lambda b: b[:3] + b"\xff" + b[4:]
+            )
+        elif kind == "trials":
+            trials = tmp_path / "bad-trials.txt"
+            trials.write_bytes(b"1 spk000/utt000.wav spk000/utt001.wav\n\xfe\n")
+            bad = trials
+        else:
+            # One byte short: the data no longer holds whole 16-bit samples.
+            corpus, bad = self._damaged_corpus(
+                workspace, tmp_path, "spk000/utt000.wav", lambda b: b[:-1]
+            )
+        command = "evaluate" if kind == "trials" else "pretrain"
+        argv = [command, "--config", str(config), "--corpus", str(corpus),
+                "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(pretrained), "--trials", str(trials)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {bad}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestGradcheck:

@@ -170,6 +170,12 @@ class TestManifest:
         with pytest.raises(SchemaError):
             load_manifest(path)
 
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("# [1, 2]\nspk000\tutt000\tspk000/utt000.wav\n")
+        with pytest.raises(SchemaError, match="malformed manifest"):
+            load_manifest(path)
+
     def test_garbled_body_rejected(self, tmp_path, tiny_manifest):
         path = tmp_path / "manifest.tsv"
         save_manifest(tiny_manifest, path)

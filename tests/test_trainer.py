@@ -1,5 +1,6 @@
 """Training loops: batch assembly, epoch plans, determinism, resume, embedding."""
 
+import itertools
 import os
 import re
 import signal
@@ -25,11 +26,12 @@ from cel.errors import (
     CheckpointMismatchError,
     CorpusTooSmallError,
     InvalidParamError,
+    NonFiniteError,
     UtteranceTooShortError,
 )
 from cel.evaluation import Trial
 from cel.experiments import build_trials, random_encoder_eer
-from cel.features import FeatureConfig, frame_count, logmel
+from cel.features import FeatureConfig, Waveform, frame_count, logmel
 from cel.pool import ItemPool, map_items
 from cel.rng import derive_rng
 from cel.trainer import (
@@ -46,7 +48,7 @@ from cel.trainer import (
     pretrain,
 )
 from cel import pool, trainer
-from cel.augment import apply_spec, sample_spec, synth_bank
+from cel.augment import apply_spec, crop_samples, sample_spec, synth_bank
 
 TINY_ENC = EncoderConfig(input_dim=40, hidden_dims=(16,), embedding_dim=8)
 FAST_SCHED = LrSchedule(initial_lr=0.01, decay_fraction=0.5, period_epochs=2)
@@ -182,6 +184,51 @@ class TestBatchAssembly:
         monkeypatch.setattr(trainer, "_pretrain_item", unreachable)
         with pytest.raises(CorpusTooSmallError):
             pretrain(source, tiny_pretrain_cfg(k=9), TINY_ENC, bank=bank)
+
+
+class TestFinetuneCrops:
+    def test_crop_is_the_logmel_of_the_hop_aligned_waveform_crop(self, source):
+        # One source serves every config in turn, so a cache key that drops
+        # a part of the config would hand one config another's features.
+        configs = [
+            FeatureConfig(), FeatureConfig(hop_length=80), FeatureConfig(mean_normalize=False)
+        ]
+        fresh, frames = CorpusSource(source.manifest), 60
+        for features, (s, u) in itertools.product(configs, [(0, 0), (2, 1), (4, 1)]):
+            hop = features.hop_length
+            need = crop_samples(frames, features.win_length, hop)
+            samples = source.waveform(s, u).samples
+            feats = fresh.crop_features(s, u, features, frames)
+            last = feats.shape[1] - frames
+            assert last == frame_count(len(samples), features.win_length, hop) - frames
+            for o in (0, 1, 7, last // 2, last):
+                crop = feats[:, o : o + frames]
+                if features.mean_normalize:
+                    crop = crop - crop.mean(axis=1, keepdims=True)
+                want = logmel(Waveform(samples[o * hop : o * hop + need]), features).values
+                assert crop.tobytes() == want.tobytes()
+            # The item cuts at the hop offset its own crop stream draws.
+            cfg = tiny_finetune_cfg(frames=frames)
+            o = int(derive_rng(cfg.seed, "crop", 1, s, u).integers(0, last + 1))
+            (item,) = _finetune_item(fresh, cfg, features, 1, s, u)
+            want = logmel(Waveform(samples[o * hop : o * hop + need]), features).values
+            assert item.tobytes() == want.tobytes()
+
+    def test_utterance_shorter_than_a_crop_yields_a_full_item(self, source):
+        # 500 and 600 frames need 80,240 and 96,240 samples; the 4 s
+        # utterances have 64,000. One source serves both crop lengths.
+        fresh, features = CorpusSource(source.manifest), FeatureConfig()
+        for frames in (500, 600):
+            (item,) = _finetune_item(fresh, tiny_finetune_cfg(frames=frames), features, 0, 1, 0)
+            assert item.shape == (features.n_mels, frames)
+            wrapped = np.resize(source.waveform(1, 0).samples, crop_samples(frames))
+            assert item.tobytes() == logmel(Waveform(wrapped), features).values.tobytes()
+
+    def test_cached_crop_features_are_read_only(self, source):
+        feats = CorpusSource(source.manifest).crop_features(0, 1, FeatureConfig(), 60)
+        assert not feats.flags.writeable
+        with pytest.raises(ValueError):
+            feats[0, 0] = 0.0
 
 
 class TestPretrain:
@@ -412,6 +459,43 @@ class TestFinetune:
         assert meta["epochs_done"] == 1
 
 
+class TestNonFiniteStep:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("what", ["loss", "gradient"])
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_stops_before_the_update_naming_epoch_and_batch(
+        self, source, bank, tmp_path, monkeypatch, phase, what
+    ):
+        # Pretraining steps 4 batches an epoch (2 rounds of 2), fine-tuning 2;
+        # the step of epoch 1, batch 1 goes bad.
+        objective = trainer._Cel if phase == "pretrain" else trainer._Pair
+        per_epoch = 4 if phase == "pretrain" else 2
+        step, calls = objective.step, []
+
+        def poisoned(self, params, views, labels):
+            upstream, own, terms = step(self, params, views, labels)
+            calls.append(None)
+            if len(calls) == per_epoch + 2:
+                if what == "loss":
+                    terms = (np.nan, *terms[1:])
+                else:
+                    upstream = [np.full_like(u, np.inf) for u in upstream]
+            return upstream, own, terms
+
+        monkeypatch.setattr(objective, "step", poisoned)
+        adam_step, updates = trainer.adam_step, []
+        monkeypatch.setattr(
+            trainer, "adam_step", lambda *a: updates.append(None) or adam_step(*a)
+        )
+        with pytest.raises(NonFiniteError, match=f"^{phase} .*epoch 1, batch 1"):
+            if phase == "pretrain":
+                pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, out_dir=tmp_path)
+            else:
+                finetune(source, tiny_finetune_cfg(), TINY_ENC, out_dir=tmp_path)
+        assert len(updates) == per_epoch + 1
+        assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
 class TestEmbedUtterances:
     def test_keys_cover_all_utterances(self, source):
         enc_rng = derive_rng("emb-init")
@@ -563,6 +647,15 @@ class TestFeatureCache:
         assert logmel_calls[0] == calls == source.speaker_count * source.utterances_per_speaker
         _assert_same_embeddings(again, first)
 
+    def test_finetuning_computes_each_utterance_log_mel_once(self, source, logmel_calls):
+        fresh = CorpusSource(source.manifest)
+        cfg = tiny_finetune_cfg(epochs=2)
+        first = finetune(fresh, cfg, TINY_ENC)
+        assert logmel_calls[0] == source.speaker_count * source.utterances_per_speaker
+        again = finetune(fresh, cfg, TINY_ENC)
+        assert logmel_calls[0] == source.speaker_count * source.utterances_per_speaker
+        assert again.log_text == first.log_text
+
     def test_training_leaves_the_feature_cache_empty(self, source, bank):
         fresh = CorpusSource(source.manifest)
         pretrain(fresh, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank)
@@ -601,10 +694,11 @@ class TestItemPool:
         def pipeline(out: Path, clear: bool) -> dict[str, np.ndarray]:
             if clear:
                 source._features.clear()
+                source._crop_features.clear()
             return _run_all(source, bank, out)
 
         # The reference maps the items in order on the calling thread, from
-        # an empty feature cache; warm runs embed the features it cached.
+        # empty feature caches; warm runs use the features it cached.
         with monkeypatch.context() as m:
             m.setattr(pool, "map_items", map)
             want = pipeline(tmp_path / "serial", clear=True)
