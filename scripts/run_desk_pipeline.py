@@ -15,8 +15,10 @@ import statistics
 import time
 from pathlib import Path
 
-from cel.config import desk_profile
+from cel.config import load_config
 from cel.experiments import finetune_arm, held_out_set, pretrain_arm, random_encoder_eer
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
 def main() -> None:
@@ -32,7 +34,7 @@ def main() -> None:
     )
     args = ap.parse_args()
 
-    run = desk_profile()
+    run = load_config(DESK_CONFIG)
     t_start = time.perf_counter()
 
     eval_src, trials, bank = held_out_set(run)

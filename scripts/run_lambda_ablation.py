@@ -13,8 +13,10 @@ import statistics
 import time
 from pathlib import Path
 
-from cel.config import desk_profile
+from cel.config import load_config
 from cel.experiments import pretrain_arm
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
 def main() -> None:
@@ -27,7 +29,7 @@ def main() -> None:
     )
     args = ap.parse_args()
 
-    run = desk_profile()
+    run = load_config(DESK_CONFIG)
     t_start = time.perf_counter()
 
     print(f"{'weight':>7s}  {'per-seed EER':<24s}  {'median':>7s}")

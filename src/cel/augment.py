@@ -284,9 +284,7 @@ def sample_spec(
     crop_len: int,
     snr_range: tuple[float, float] = (0.0, 15.0),
 ) -> AugmentSpec:
-    """Draw one corruption uniformly over the training kinds."""
-    if snr_range[0] > snr_range[1]:
-        raise InvalidParamError(f"empty SNR range {snr_range}")
+    """Draw one corruption uniformly over the training kinds; SNRs from (low, high) dB."""
     kind = TRAIN_KINDS[int(rng.integers(0, len(TRAIN_KINDS)))]
     snr_db = math.inf
     noise_index = noise_offset = rir_index = -1

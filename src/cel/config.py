@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from .encoder import EncoderConfig, LrSchedule
-from .errors import SchemaError
+from .encoder import EncoderConfig
+from .errors import InvalidParamError, SchemaError
+from .evaluation import DcfParams
 from .features import FeatureConfig
 from .trainer import FinetuneConfig, PretrainConfig
 
@@ -38,6 +39,12 @@ class EvalConfig:
     c_miss: float = 1.0
     c_fa: float = 1.0
     p_target: float = 0.05
+
+    def __post_init__(self) -> None:
+        DcfParams(c_miss=self.c_miss, c_fa=self.c_fa, p_target=self.p_target)
+        for name in ("eval_speakers", "nontarget_per_target"):
+            if getattr(self, name) < 1:
+                raise InvalidParamError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -136,27 +143,3 @@ def load_config(path: str | Path) -> RunConfig:
 def save_config(cfg: RunConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-
-def desk_profile(seed: int = 0) -> RunConfig:
-    """Small, fast configuration for single-core desk experiments."""
-    base = RunConfig(
-        corpus=CorpusConfig(n_speakers=32, utterances_per_speaker=6, duration_s=4.0),
-        encoder=EncoderConfig(input_dim=40, hidden_dims=(48, 48), embedding_dim=32),
-        pretrain=PretrainConfig(
-            k=8,
-            epochs=40,
-            frames=180,
-            schedule=LrSchedule(initial_lr=0.002, decay_fraction=0.05, period_epochs=10),
-        ),
-        finetune=FinetuneConfig(epochs=8, speakers_per_batch=8, frames=300),
-    )
-    return base.with_seed(seed)
-
-
-def fullscale_profile(seed: int = 0) -> RunConfig:
-    """Full-scale hyperparameters; data and encoder stay desk-scale stand-ins."""
-    base = RunConfig(
-        pretrain=PretrainConfig(k=200, uniformity_weight=1.0, kernel_t=2.0, epochs=500),
-        finetune=FinetuneConfig(epochs=250, margin=0.2, margin_scale=30.0),
-    )
-    return base.with_seed(seed)

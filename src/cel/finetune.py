@@ -65,40 +65,9 @@ class LabeledBatch:
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def grouped(cls, embeddings: np.ndarray, speakers: int, utterances: int) -> "LabeledBatch":
-        """Batch laid out as consecutive blocks of one speaker each."""
-        emb = np.asarray(embeddings, dtype=np.float64)
-        if emb.shape[0] != speakers * utterances:
-            raise BatchShapeInvalidError(
-                f"expected {speakers * utterances} rows for "
-                f"{speakers} speakers x {utterances} utterances, got {emb.shape[0]}"
-            )
-        labels = np.repeat(np.arange(speakers, dtype=np.int64), utterances)
-        return cls(emb, labels, speakers)
-
     @property
     def size(self) -> int:
         return self.embeddings.shape[0]
-
-    def group_shape(self) -> tuple[int, int]:
-        """Recover (speakers, utterances) from a block-grouped label layout."""
-        labels = self.labels
-        distinct = np.unique(labels)
-        speakers = distinct.size
-        if speakers == 0 or self.size % speakers != 0:
-            raise BatchShapeInvalidError(
-                f"{self.size} rows cannot split evenly into {speakers} speaker groups"
-            )
-        utterances = self.size // speakers
-        blocks = labels.reshape(speakers, utterances)
-        if not (blocks == blocks[:, :1]).all():
-            raise BatchShapeInvalidError(
-                "labels must form consecutive same-speaker blocks"
-            )
-        if np.unique(blocks[:, 0]).size != speakers:
-            raise BatchShapeInvalidError("speaker blocks must have distinct labels")
-        return speakers, utterances
 
 
 @dataclass(frozen=True)
@@ -158,21 +127,21 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
-def ge2e_loss(batch: LabeledBatch, params: SimilarityParams) -> LossOutput:
-    """Softmax-variant generalized end-to-end loss.
+def ge2e_loss(embeddings: np.ndarray, params: SimilarityParams) -> LossOutput:
+    """Softmax-variant generalized end-to-end loss of a (speakers, utterances, dim) array.
 
     Every utterance is scored against every speaker centroid through the
     affine cosine similarity; the own-speaker centroid excludes the scored
     utterance itself. Value is the mean negative log-softmax of the
-    own-speaker score.
+    own-speaker score. The "embeddings" gradient has the input's shape.
     """
-    speakers, utterances = batch.group_shape()
-    if speakers < 2 or utterances < 2:
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 3 or emb.shape[0] < 2 or emb.shape[1] < 2:
         raise BatchShapeInvalidError(
-            f"need >= 2 speakers and >= 2 utterances per speaker, "
-            f"got {speakers} x {utterances}"
+            f"need a (speakers, utterances, dim) array with >= 2 speakers and "
+            f">= 2 utterances per speaker, got shape {emb.shape}"
         )
-    emb = batch.embeddings.reshape(speakers, utterances, -1)
+    speakers, utterances = emb.shape[:2]
     w, b = params.scale, params.bias
 
     sums = emb.sum(axis=1)  # (S, m)
@@ -228,7 +197,7 @@ def ge2e_loss(batch: LabeledBatch, params: SimilarityParams) -> LossOutput:
     return LossOutput(
         value=value,
         grads={
-            "embeddings": g_emb.reshape(batch.size, -1),
+            "embeddings": g_emb,
             "scale": np.float64(grad_scale),
             "bias": np.float64(grad_bias),
         },

@@ -196,14 +196,13 @@ def _finetune_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str,
             if name == "ge2e":
                 spk, utt = c, max(2, n // c)
                 arrays = {
-                    "embeddings": _random_unit_rows(rng, spk * utt, m),
+                    "embeddings": _random_unit_rows(rng, spk * utt, m).reshape(spk, utt, m),
                     "scale": np.array(float(rng.uniform(0.5, 10.0))),
                     "bias": np.array(float(rng.uniform(-5.0, 1.0))),
                 }
 
-                def make_output(a, spk=spk, utt=utt):
-                    batch = LabeledBatch.grouped(a["embeddings"], spk, utt)
-                    return ge2e_loss(batch, _sim_params(a))
+                def make_output(a):
+                    return ge2e_loss(a["embeddings"], _sim_params(a))
 
             else:
                 labels = rng.integers(0, c, size=n)

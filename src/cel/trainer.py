@@ -228,6 +228,9 @@ class PretrainConfig:
             raise InvalidParamError(f"epochs must be at least 1, got {self.epochs}")
         if self.frames < 1:
             raise InvalidParamError(f"frames must be at least 1, got {self.frames}")
+        if self.snr_range[0] > self.snr_range[1]:
+            raise InvalidParamError(f"empty SNR range {self.snr_range}")
+        OBJECTIVES["pretrain"][self.similarity_kind].validate(self)
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,8 @@ class FinetuneConfig:
         OBJECTIVES["finetune"][self.objective].validate(self)
         if self.epochs < 1:
             raise InvalidParamError(f"epochs must be at least 1, got {self.epochs}")
+        if self.frames < 1:
+            raise InvalidParamError(f"frames must be at least 1, got {self.frames}")
 
 
 @dataclass(frozen=True)
@@ -358,8 +363,8 @@ class _Objective:
         self.n_classes, self.embedding_dim = n_classes, embedding_dim
 
     @staticmethod
-    def validate(cfg: FinetuneConfig) -> None:
-        """Raise InvalidParamError when cfg's batches cannot feed the objective."""
+    def validate(cfg: PretrainConfig | FinetuneConfig) -> None:
+        """Raise InvalidParamError when the phase's config cannot feed the objective."""
 
     def meta(self) -> dict:
         return {"objective": self.name}
@@ -397,6 +402,11 @@ class _Cel(_Similarity):
         super().__init__(*args)
         self.kernel = KernelParam(t=self.cfg.kernel_t)
         self.weights = CelWeights(uniformity_weight=self.cfg.uniformity_weight)
+
+    @staticmethod
+    def validate(cfg: PretrainConfig) -> None:
+        KernelParam(t=cfg.kernel_t)
+        CelWeights(uniformity_weight=cfg.uniformity_weight)
 
     def step(self, params, views, labels):
         batch = EmbeddingBatch(*views)
@@ -446,10 +456,11 @@ class _Ge2e(_Similarity):
 
     def step(self, params, views, labels):
         (emb,) = views
-        per = self.cfg.utterances_per_speaker
-        batch = ft.LabeledBatch.grouped(emb, len(emb) // per, per)
-        out = ft.ge2e_loss(batch, self.affine(params))
-        return [out.grads["embeddings"]], self.grads(out), (out.value, 0.0, out.value)
+        # Rows come speaker by speaker, so they reshape to (speakers, utterances, dim).
+        out = ft.ge2e_loss(emb.reshape(-1, self.cfg.utterances_per_speaker, emb.shape[1]),
+                           self.affine(params))
+        upstream = out.grads["embeddings"].reshape(emb.shape)
+        return [upstream], self.grads(out), (out.value, 0.0, out.value)
 
 
 class _Margin(_Objective):
@@ -530,12 +541,14 @@ def _summed_grads(
 
     The encoder passes stay on the calling thread: they are small matrix
     products whose Python overhead holds the interpreter lock, and on the
-    pool they measured slower.
+    pool they measured slower. Non-finite upstream gradients raise no numpy
+    warning here; the caller's finiteness check reports them.
     """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    for fw, up in zip(forwards, upstream):
-        for name, g in enc.backward(params, fw, up).items():
-            grads[name] += g
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fw, up in zip(forwards, upstream):
+            for name, g in enc.backward(params, fw, up).items():
+                grads[name] += g
     return grads
 
 

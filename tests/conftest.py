@@ -1,5 +1,6 @@
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from cel import pool
 from cel.corpus import build_manifest
 from cel.augment import synth_bank
+from cel.config import load_config
 from cel.pool import ItemPool
+
+
+@pytest.fixture(scope="session")
+def desk_run():
+    """The desk recipe, `configs/desk.json`."""
+    return load_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 from cel.augment import add_noise, apply_rir, white_noise
-from cel.config import RunConfig, desk_profile
+from cel.config import RunConfig
 from cel.evaluation import Trial, eer, min_dcf
 from cel.experiments import (
     equilibrium_descent,
@@ -181,11 +181,11 @@ def test_c03_loss_invariants_hold_on_random_batches(capsys):
 
         utt = int(rng.integers(2, 5))
         g_emb = unit_rows(rng, k * utt, m)
-        g_val = ge2e_loss(LabeledBatch.grouped(g_emb, k, utt), sim).value
+        g_val = ge2e_loss(g_emb.reshape(k, utt, m), sim).value
         order = np.concatenate(
             [s * utt + rng.permutation(utt) for s in rng.permutation(k)]
         )
-        g_perm = ge2e_loss(LabeledBatch.grouped(g_emb[order], k, utt), sim).value
+        g_perm = ge2e_loss(g_emb[order].reshape(k, utt, m), sim).value
         worst_perm = max(worst_perm, abs(g_perm - g_val))
 
         n_cls = int(rng.integers(2, 9))
@@ -342,11 +342,6 @@ def pretrain_arm_set(run: RunConfig, root: Path, weight: float) -> ArmSet:
         value, result = pretrain_arm(run, seed, uniformity_weight=weight, out_dir=out)
         arms.append(Arm(seed, value, Path(result.checkpoint_path), out))
     return ArmSet(tuple(arms), time.perf_counter() - t0)
-
-
-@pytest.fixture(scope="module")
-def desk_run() -> RunConfig:
-    return desk_profile(seed=0)
 
 
 @pytest.fixture(scope="module")

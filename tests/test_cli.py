@@ -305,6 +305,16 @@ class TestEvaluate:
         assert rc == 1
         assert "error [evaluate]:" in capsys.readouterr().err
 
+    def test_bad_config_value_fails_before_any_input_is_read(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"evaluation": {"p_target": 1.5}}))
+        missing = str(tmp_path / "missing")
+        rc = main(["evaluate", "--config", str(config), "--checkpoint", missing,
+                   "--corpus", "/nonexistent", "--trials", missing, "--out", missing])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [evaluate]:" in err and "p_target" in err and "nonexistent" not in err
+
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_corrupt_checkpoint_fails_cleanly(
         self, workspace, pretrained, tmp_path, capsys, damage

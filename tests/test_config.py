@@ -1,4 +1,4 @@
-"""Run configuration: schema validation, round trips, profiles."""
+"""Run configuration: schema validation, round trips, the configs/ profiles."""
 
 import dataclasses
 import json
@@ -7,17 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from cel.config import (
-    RunConfig,
-    config_from_dict,
-    desk_profile,
-    load_config,
-    fullscale_profile,
-    save_config,
-)
-from cel.errors import InvalidParamError, SchemaError
+from cel.config import RunConfig, config_from_dict, load_config, save_config
+from cel.errors import CelError, InvalidParamError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
+FULLSCALE = ROOT / "configs" / "fullscale.json"
 
 # Valid values other than the default for the string-valued config fields.
 OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std"}
@@ -139,6 +133,22 @@ class TestSchema:
         with pytest.raises(InvalidParamError, match=re.escape(message)):
             config_from_dict({"finetune": finetune})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"evaluation": {"nontarget_per_target": 0}}, "nontarget_per_target must be at least 1, got 0"),
+        ({"evaluation": {"eval_speakers": 0}}, "eval_speakers must be at least 1, got 0"),
+        ({"evaluation": {"c_miss": 0.0}}, "costs must be positive, got c_miss=0.0"),
+        ({"evaluation": {"c_fa": -1.0}}, "costs must be positive, got c_miss=1.0, c_fa=-1.0"),
+        ({"evaluation": {"p_target": 1.5}}, "p_target must be in (0, 1), got 1.5"),
+        ({"pretrain": {"kernel_t": 0.0}}, "kernel sharpness must be positive, got 0.0"),
+        ({"pretrain": {"uniformity_weight": -1.0}}, "uniformity weight must be nonnegative, got -1.0"),
+        ({"pretrain": {"snr_range": [15, 0]}}, "empty SNR range (15.0, 0.0)"),
+        ({"finetune": {"frames": 0}}, "frames must be at least 1, got 0"),
+    ])
+    def test_out_of_range_value_fails_at_load(self, doc, message):
+        # Each would otherwise fail only once training or scoring reached it.
+        with pytest.raises(CelError, match=re.escape(message)):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
     def test_every_field_is_read_by_its_name(self, section):
         # Each field of the section set to a non-default value in a JSON
@@ -155,12 +165,12 @@ class TestSchema:
 
 
 class TestRoundTrip:
-    def test_dict_round_trip_identity(self):
-        cfg = desk_profile(seed=7)
+    def test_dict_round_trip_identity(self, desk_run):
+        cfg = desk_run.with_seed(7)
         assert config_from_dict(cfg.to_dict()) == cfg
 
     def test_file_round_trip_identity(self, tmp_path):
-        cfg = fullscale_profile(seed=3)
+        cfg = RunConfig().with_seed(3)
         path = tmp_path / "run.json"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -185,14 +195,13 @@ class TestProfiles:
         assert cfg.pretrain.seed == 99
         assert cfg.finetune.seed == 99
 
-    def test_desk_profile_is_small(self):
-        run = desk_profile()
-        assert run.corpus.n_speakers == 32
-        assert run.pretrain.k <= run.corpus.n_speakers - run.evaluation.eval_speakers
-        assert run.encoder.embedding_dim == 32
+    def test_desk_config_is_small(self, desk_run):
+        assert desk_run.corpus.n_speakers == 32
+        assert desk_run.pretrain.k <= desk_run.corpus.n_speakers - desk_run.evaluation.eval_speakers
+        assert desk_run.encoder.embedding_dim == 32
 
-    def test_fullscale_profile_keeps_reference_hyperparameters(self):
-        run = fullscale_profile()
+    def test_fullscale_config_keeps_reference_hyperparameters(self):
+        run = load_config(FULLSCALE)
         assert run.pretrain.k == 200
         assert run.pretrain.uniformity_weight == 1.0
         assert run.pretrain.kernel_t == 2.0
@@ -201,10 +210,6 @@ class TestProfiles:
         assert run.finetune.margin_scale == 30.0
         assert run.finetune.epochs == 250
 
-    @pytest.mark.parametrize("name, profile", [
-        ("desk", desk_profile), ("fullscale", fullscale_profile),
-    ])
-    def test_config_file_matches_its_profile(self, name, profile):
-        # The CLI and the benchmark read configs/*.json; the scripts and the
-        # tests build the same runs from the profile functions.
-        assert load_config(ROOT / "configs" / f"{name}.json") == profile()
+    def test_fullscale_config_is_the_defaults(self):
+        # The full-scale recipe is RunConfig()'s defaults; the file spells it out.
+        assert load_config(FULLSCALE) == RunConfig()

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from cel.config import desk_profile
 from cel.corpus import build_manifest
 from cel.errors import CorpusTooSmallError
 from cel import experiments
@@ -45,7 +44,7 @@ def _untrained(source, cfg, *args, **kwargs) -> TrainResult:
 
 
 class TestHeldOutArm:
-    def test_arms_of_one_run_score_one_source(self, monkeypatch):
+    def test_arms_of_one_run_score_one_source(self, monkeypatch, desk_run):
         # Training and scoring are stubbed: only the held-out set each arm scores matters.
         scored = []
 
@@ -56,12 +55,11 @@ class TestHeldOutArm:
         monkeypatch.setattr(experiments, "pretrain", _untrained)
         monkeypatch.setattr(experiments, "finetune", _untrained)
         monkeypatch.setattr(experiments, "eer_of_params", eer_of_params)
-        run = desk_profile()
-        pretrain_arm(run, 0)
-        pretrain_arm(run, 1, uniformity_weight=0.0)
-        finetune_arm(run, 0, "cosface", None)
-        finetune_arm(run.with_seed(5), 2, "ge2e", None)
-        source, trials, bank = held_out_set(run)
+        pretrain_arm(desk_run, 0)
+        pretrain_arm(desk_run, 1, uniformity_weight=0.0)
+        finetune_arm(desk_run, 0, "cosface", None)
+        finetune_arm(desk_run.with_seed(5), 2, "ge2e", None)
+        source, trials, bank = held_out_set(desk_run)
         assert isinstance(trials, tuple)
         assert len(scored) == 4
         for got in scored:
@@ -72,14 +70,12 @@ class TestHeldOutArm:
         ("evaluation", {"nontarget_per_target": 2}),
         ("corpus", {"seed": 101}),
     ])
-    def test_another_split_gets_another_source(self, section, change):
-        run = desk_profile()
-        other = replace(run, **{section: replace(getattr(run, section), **change)})
-        assert held_out_set(other)[0] is not held_out_set(run)[0]
+    def test_another_split_gets_another_source(self, desk_run, section, change):
+        other = replace(desk_run, **{section: replace(getattr(desk_run, section), **change)})
+        assert held_out_set(other)[0] is not held_out_set(desk_run)[0]
 
-    def test_split_too_small_for_its_trials_fails_before_training(self, tmp_path):
-        run = desk_profile()
-        run = replace(run, evaluation=replace(run.evaluation, eval_speakers=2))
+    def test_split_too_small_for_its_trials_fails_before_training(self, desk_run, tmp_path):
+        run = replace(desk_run, evaluation=replace(desk_run.evaluation, eval_speakers=2))
         with pytest.raises(CorpusTooSmallError, match="90 non-target.* only 72"):
             pretrain_arm(run, 0, out_dir=tmp_path)
         # The failure is not cached: a second arm fails the same way.

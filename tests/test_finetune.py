@@ -31,17 +31,11 @@ def unit_rows(rng, n, m):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def grouped_batch(rng, speakers, utterances, dim):
-    emb = unit_rows(rng, speakers * utterances, dim)
-    return LabeledBatch.grouped(emb, speakers, utterances)
+def grouped_rows(rng, speakers, utterances, dim):
+    return unit_rows(rng, speakers * utterances, dim).reshape(speakers, utterances, dim)
 
 
 class TestLabeledBatch:
-    def test_grouped_layout(self, rng):
-        b = grouped_batch(rng, 3, 2, 4)
-        assert b.group_shape() == (3, 2)
-        np.testing.assert_array_equal(b.labels, [0, 0, 1, 1, 2, 2])
-
     def test_label_range_enforced(self, rng):
         emb = unit_rows(rng, 4, 3)
         with pytest.raises(LabelOutOfRangeError):
@@ -63,9 +57,8 @@ class TestGe2e:
         # orthogonal across speakers.
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        emb = np.stack([e1, e1, e2, e2])
-        batch = LabeledBatch.grouped(emb, 2, 2)
-        out = ge2e_loss(batch, SimilarityParams(1.0, 0.0))
+        emb = np.stack([[e1, e1], [e2, e2]])
+        out = ge2e_loss(emb, SimilarityParams(1.0, 0.0))
         # Own score 1, other score 0: each row CE = log(1 + e^-1).
         assert out.value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
@@ -73,37 +66,34 @@ class TestGe2e:
     @settings(max_examples=30)
     def test_matches_oracle(self, seed, speakers, utterances):
         rng = np.random.default_rng(seed)
-        batch = grouped_batch(rng, speakers, utterances, 5)
-        out = ge2e_loss(batch, SimilarityParams(10.0, -5.0))
-        groups = [
-            [batch.embeddings[j * utterances + i] for i in range(utterances)]
-            for j in range(speakers)
-        ]
+        emb = grouped_rows(rng, speakers, utterances, 5)
+        out = ge2e_loss(emb, SimilarityParams(10.0, -5.0))
+        groups = [list(speaker) for speaker in emb]
         assert out.value == pytest.approx(oracles.oracle_ge2e(groups), abs=1e-10)
 
     def test_gradient_matches_finite_difference(self, rng):
-        batch = grouped_batch(rng, 3, 3, 4)
+        emb = grouped_rows(rng, 3, 3, 4)
         p = SimilarityParams(5.0, -1.0)
-        out = ge2e_loss(batch, p)
+        out = ge2e_loss(emb, p)
+        assert out.grads["embeddings"].shape == emb.shape
         arrays = {
-            "embeddings": batch.embeddings,
+            "embeddings": emb,
             "scale": np.array(p.scale),
             "bias": np.array(p.bias),
         }
 
         def f(a):
-            b = LabeledBatch.grouped(a["embeddings"], 3, 3)
-            return ge2e_loss(b, SimilarityParams(float(a["scale"]), float(a["bias"]))).value
+            return ge2e_loss(a["embeddings"], SimilarityParams(float(a["scale"]), float(a["bias"]))).value
 
         num = finite_difference(f, arrays)
         errs = relative_errors({k: out.grads[k] for k in arrays}, num)
         assert max(e.max() for e in errs.values()) < 1e-6
 
-    def test_requires_group_structure(self, rng):
-        emb = unit_rows(rng, 4, 3)
-        batch = LabeledBatch(emb, np.array([0, 1, 0, 1]), num_classes=2)
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 4, 3), (4, 1, 3)])
+    def test_requires_speakers_by_utterances(self, rng, shape):
+        emb = rng.standard_normal(shape)
         with pytest.raises(BatchShapeInvalidError):
-            ge2e_loss(batch, SimilarityParams(10.0, -5.0))
+            ge2e_loss(emb, SimilarityParams(10.0, -5.0))
 
 
 def margin_case(rng, n=6, classes=3, dim=4):

@@ -1,13 +1,16 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and each module's
+name in the package is the module itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import cel
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cel"
-# `__init__.py` imports names to re-export them.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,3 +51,13 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom typing import Callable, Mapping\nx: 'Mapping' = {}\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Callable"}
+
+
+SUBMODULES = [p.stem for p in MODULES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_package_attribute_is_the_module(name):
+    # Every module is imported first, so none can rebind another's name.
+    modules = {m: importlib.import_module(f"cel.{m}") for m in SUBMODULES}
+    assert getattr(cel, name) is modules[name]

@@ -10,17 +10,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, cwd=ROOT):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
 
 
 @pytest.mark.parametrize("name", ["run_desk_pipeline.py", "run_lambda_ablation.py"])
-def test_help_exits_cleanly(name):
-    done = run_script(name, "--help")
+def test_help_exits_cleanly(name, tmp_path):
+    # Started outside the repo: a script finds what it reads from its own path.
+    done = run_script(name, "--help", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cel.config import desk_profile
 from cel.corpus import build_manifest
 from cel.embedding import SCALE_FLOOR, SimilarityParams
 from cel.encoder import (
@@ -460,7 +459,7 @@ class TestFinetune:
 
 
 class TestNonFiniteStep:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("what", ["loss", "gradient"])
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
     def test_stops_before_the_update_naming_epoch_and_batch(
@@ -804,8 +803,7 @@ class TestItemPool:
 
 
 class TestDeskProfile:
-    def test_profile_is_self_consistent(self):
-        run = desk_profile()
-        assert run.pretrain.k <= run.corpus.n_speakers - run.evaluation.eval_speakers
-        assert run.pretrain.uniformity_weight == 1.0
-        assert run.pretrain.kernel_t == 2.0
+    def test_profile_is_self_consistent(self, desk_run):
+        assert desk_run.pretrain.k <= desk_run.corpus.n_speakers - desk_run.evaluation.eval_speakers
+        assert desk_run.pretrain.uniformity_weight == 1.0
+        assert desk_run.pretrain.kernel_t == 2.0
