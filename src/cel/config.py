@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -55,6 +56,13 @@ class RunConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self) -> None:
+        if self.encoder.input_dim != self.features.n_mels:
+            raise InvalidParamError(
+                f"encoder.input_dim ({self.encoder.input_dim}) must equal "
+                f"features.n_mels ({self.features.n_mels}), the encoder's input rows"
+            )
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Thread one seed through both training stages.
@@ -103,7 +111,11 @@ def _section(doc: Any, defaults: Any, path: str) -> Any:
 
 
 def _value(value: Any, hint: Any, default: Any, key: str) -> Any:
-    """`value` as the type `hint`; JSON lists become tuples and ints floats."""
+    """`value` as the type `hint`; JSON lists become tuples and ints floats.
+
+    `json.loads` reads `NaN`, `Infinity` and overflowing literals such as
+    `1e999`; a float field refuses them.
+    """
     if dataclasses.is_dataclass(hint):
         return _section(value, default, key)
     want = hint
@@ -118,7 +130,13 @@ def _value(value: Any, hint: Any, default: Any, key: str) -> Any:
             if len(kinds) == len(value):
                 return tuple(_value(v, t, None, key) for v, t in zip(value, kinds))
     elif hint is float and type(value) in (int, float):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+        raise SchemaError(f"config key '{key}' must be a finite float, got {value!r}")
     elif type(value) is hint:
         return value
     name = want.__name__ if typing.get_origin(want) is None else str(want)
@@ -135,7 +153,7 @@ def config_from_dict(doc: Mapping) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -22,7 +22,8 @@ from .errors import CorpusTooSmallError, SchemaError, TooShortError
 from .features import SAMPLE_RATE, FeatureConfig, Waveform, logmel, read_wav, write_wav
 from .rng import derive_rng
 
-# Long enough that two default 180-frame crops fit without wrap padding.
+# Room for two non-overlapping default 180-frame crops (10 ms hop, 25 ms
+# window); pretraining refuses an utterance shorter than one crop.
 MIN_UTTERANCE_SAMPLES = 2 * ((180 - 1) * 160 + 400)
 
 N_HARMONICS = 16
@@ -243,7 +244,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             seed=int(header["seed"]),
             entries=tuple(entries),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed manifest: {exc}") from exc
     want = manifest.n_speakers * manifest.utterances_per_speaker
     if len(entries) != want:

@@ -355,7 +355,8 @@ def _parse_header(
     """(config, [(name, shape)], meta, offset of the first block) of a checkpoint.
 
     Raises struct.error, ValueError (which covers JSON and UTF-8 decoding),
-    KeyError or TypeError when the header is truncated or malformed.
+    KeyError, TypeError or RecursionError (JSON nested too deep) when the
+    header is truncated or malformed.
     """
     (head_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
@@ -389,7 +390,7 @@ def load_checkpoint(
         )
     try:
         config, entries, meta, offset = _parse_header(blob)
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointMismatchError(
             f"{path}: corrupt checkpoint header ({type(exc).__name__}: {exc})"
         ) from exc

@@ -131,25 +131,27 @@ def desk_split(run: RunConfig) -> tuple[CorpusManifest, tuple[int, ...], tuple[i
 
 
 def held_out_set(run: RunConfig) -> tuple[CorpusSource, tuple[Trial, ...], NoiseBank]:
-    """The desk split's held-out speakers, their trials and the bank that corrupts them.
-
-    Memoized on the two sections it reads, `run.corpus` and `run.evaluation`,
-    so every arm of a run in one process scores one source: its waveforms
-    are synthesized and its corrupted features computed once. Callers share
-    the returned objects, so the trials are a tuple.
-    """
-    return _held_out_set(run.corpus, run.evaluation)
+    """The desk split's held-out speakers, their trials and the bank that corrupts them."""
+    return _split_sources(run.corpus, run.evaluation)[1:]
 
 
 @lru_cache(maxsize=4)
-def _held_out_set(
+def _split_sources(
     corpus: CorpusConfig, evaluation: EvalConfig
-) -> tuple[CorpusSource, tuple[Trial, ...], NoiseBank]:
+) -> tuple[CorpusSource, CorpusSource, tuple[Trial, ...], NoiseBank]:
+    """The desk split as (training source, held-out source, trials, bank).
+
+    Memoized on the two sections it reads, `run.corpus` and `run.evaluation`,
+    so every arm of a run in one process trains on one source and scores
+    one: each waveform is synthesized and each log-mel computed once.
+    Callers share the returned objects, so the trials are a tuple.
+    """
     run = RunConfig(corpus=corpus, evaluation=evaluation)
-    manifest, _train_idx, eval_idx = desk_split(run)
+    manifest, train_idx, eval_idx = desk_split(run)
     eval_src = CorpusSource(manifest, speakers=eval_idx)
     trials = build_trials(eval_src, evaluation.nontarget_per_target, corpus.seed)
-    return eval_src, tuple(trials), eval_bank(run)
+    train_src = CorpusSource(manifest, speakers=train_idx)
+    return train_src, eval_src, tuple(trials), eval_bank(run)
 
 
 def _held_out_arm(
@@ -160,9 +162,8 @@ def _held_out_arm(
     The held-out set is built first, so a split too small for its trials
     fails before any training.
     """
-    eval_src, trials, bank = held_out_set(run)
-    manifest, train_idx, _eval_idx = desk_split(run)
-    result = train(CorpusSource(manifest, speakers=train_idx))
+    train_src, eval_src, trials, bank = _split_sources(run.corpus, run.evaluation)
+    result = train(train_src)
     value = eer_of_params(
         eval_src, result.params, trials, run.encoder, run.features,
         bank=bank, aug_seed=run.corpus.seed,

@@ -87,22 +87,15 @@ class CorpusSource:
     """Waveform access over a manifest, optionally restricted to a speaker subset.
 
     With a root directory the WAV files are read; otherwise utterances are
-    regenerated from the manifest seed. Waveforms are cached in memory, and
-    so are two kinds of whole-utterance log-mel, each read-only and in a
-    store of its own:
-
-    - the evaluation features that `embed_utterances` computes, one array
-      per (manifest speaker, utterance, feature config, bank, aug_seed),
-      with None for aug_seed when there is no bank. The corruption depends
-      only on that key, never on the checkpoint, so every checkpoint scored
-      on a source after the first reuses its features. At 40 mels and a
-      10 ms hop they take about a quarter of the waveform cache's size
-      (12 MB for the 192 desk utterances); a source that embeds its
-      utterances only once pays that for nothing.
-    - the unnormalized fine-tuning features that `_finetune_item` cuts its
-      crops from, one array per (manifest speaker, utterance, feature
-      config, crop frames). The first fine-tuning epoch fills them (about
-      9 MB for the 144 desk training utterances at 40 mels).
+    regenerated from the manifest seed. A source holds two stores: its
+    waveforms, and the read-only whole-utterance log-mels of `features`.
+    `embed_utterances` fills the second with evaluation features, whose
+    corruption depends only on the key, never on the checkpoint, so every
+    checkpoint scored on a source after the first reuses them (12 MB for the
+    192 desk utterances at 40 mels, a quarter of their waveforms); a source
+    that embeds its utterances once pays that for nothing. `_finetune_item`
+    fills it with clean unnormalized features in its first epoch (9 MB for
+    the 144 desk training utterances).
     """
 
     manifest: CorpusManifest
@@ -110,7 +103,6 @@ class CorpusSource:
     speakers: tuple[int, ...] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _features: dict = field(default_factory=dict, repr=False)
-    _crop_features: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.speakers is None:
@@ -154,22 +146,27 @@ class CorpusSource:
         local_speaker: int,
         utt: int,
         feature_cfg: FeatureConfig,
-        bank: NoiseBank | None,
-        aug_seed: int,
+        bank: NoiseBank | None = None,
+        aug_seed: int = 0,
+        min_samples: int = 0,
     ) -> np.ndarray:
         """Read-only log-mel features of one whole utterance, computed once.
 
-        With a bank, the utterance is first corrupted by the one noise/reverb
-        condition drawn for it from (aug_seed, "eval-aug", its key). Misses
-        follow the waveform cache's rule: equal values, and one store wins.
+        An utterance shorter than `min_samples` is first wrap-padded to
+        exactly that length. With a bank, the utterance is first corrupted by
+        the one noise/reverb condition drawn for it from (aug_seed,
+        "eval-aug", its key). No caller passes both. Misses follow the
+        waveform cache's rule: equal values, and one store wins.
         """
         key = (
             self.speakers[local_speaker], utt, feature_cfg, bank,
-            None if bank is None else aug_seed,
+            None if bank is None else aug_seed, min_samples,
         )
         feats = self._features.get(key)
         if feats is None:
             wave = self.waveform(local_speaker, utt)
+            if len(wave) < min_samples:
+                wave = Waveform(np.resize(wave.samples, min_samples))
             if bank is not None:
                 rng = derive_rng(aug_seed, "eval-aug", self.utterance_key(local_speaker, utt))
                 spec = sample_spec(rng, bank, len(wave), EVAL_SNR_RANGE)
@@ -177,28 +174,6 @@ class CorpusSource:
             feats = logmel(wave, feature_cfg).values
             feats.setflags(write=False)
             self._features[key] = feats
-        return feats
-
-    def crop_features(
-        self, local_speaker: int, utt: int, feature_cfg: FeatureConfig, frames: int
-    ) -> np.ndarray:
-        """Read-only unnormalized log-mel of one whole clean utterance, computed once.
-
-        An utterance shorter than one crop of `frames` frames is first
-        wrap-padded to exactly one crop. Misses follow the waveform cache's
-        rule: equal values, and one store wins.
-        """
-        raw_cfg = feature_cfg.without_normalization()
-        key = (self.speakers[local_speaker], utt, raw_cfg, frames)
-        feats = self._crop_features.get(key)
-        if feats is None:
-            wave = self.waveform(local_speaker, utt)
-            need = crop_samples(frames, raw_cfg.win_length, raw_cfg.hop_length)
-            if len(wave) < need:
-                wave = Waveform(np.resize(wave.samples, need))
-            feats = logmel(wave, raw_cfg).values
-            feats.setflags(write=False)
-            self._crop_features[key] = feats
         return feats
 
 
@@ -331,12 +306,15 @@ def _finetune_item(
 ) -> tuple[np.ndarray]:
     """Log-mel features of one clean fixed-length segment, its one view.
 
-    The segment is `cfg.frames` columns of the utterance's cached log-mel
-    (`CorpusSource.crop_features`) from an offset drawn in hops from the
-    item's own crop stream, then mean-normalized if the config says so:
-    the log-mel of the waveform crop at that offset, to the bit.
+    The segment is `cfg.frames` columns of the utterance's cached
+    unnormalized log-mel (`CorpusSource.features`, wrap-padded to at least
+    one crop) from an offset drawn in hops from the item's own crop stream,
+    then mean-normalized if the config says so: the log-mel of the waveform
+    crop at that offset, to the bit.
     """
-    feats = source.crop_features(local_speaker, utt, feature_cfg, cfg.frames)
+    raw_cfg = feature_cfg.without_normalization()
+    need = crop_samples(cfg.frames, raw_cfg.win_length, raw_cfg.hop_length)
+    feats = source.features(local_speaker, utt, raw_cfg, min_samples=need)
     rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
     offset = int(rng.integers(0, feats.shape[1] - cfg.frames + 1))
     crop = feats[:, offset : offset + cfg.frames]
@@ -646,8 +624,14 @@ def _train(
     `item(epoch, speaker, utt)` builds one utterance's encoder inputs, one
     feature matrix per view;
     batches hold `batch_shape` = (speakers, utterances per speaker); the
-    objective `OBJECTIVES[phase][objective_name]` scores them.
+    objective `OBJECTIVES[phase][objective_name]` scores them. A corpus
+    smaller than one batch is refused before any item is built.
     """
+    sizes = zip(batch_shape, (source.speaker_count, source.utterances_per_speaker),
+                ("speakers", "utterances per speaker"))
+    for need, have, what in sizes:
+        if have < need:
+            raise CorpusTooSmallError(f"batches need {need} {what}, corpus has {have}")
     enc = Encoder(encoder_cfg)
     objective = OBJECTIVES[phase][objective_name](
         objective_name, cfg, source.speaker_count, encoder_cfg.embedding_dim
@@ -660,6 +644,11 @@ def _train(
         step = int(_meta_value(meta, "adam_step", resume_from))
         opt = OptimizerState(m=m, v=v, step=step)
         start_epoch = int(_meta_value(meta, "epochs_done", resume_from))
+        if cfg.epochs <= start_epoch:
+            raise CheckpointMismatchError(
+                f"{resume_from}: checkpoint has {start_epoch} epochs done; a run of "
+                f"{cfg.epochs} epochs has none left to train"
+            )
         objective.resume(meta, resume_from)
     else:
         if init_checkpoint is not None:
@@ -733,11 +722,6 @@ def pretrain(
     resume_from: str | Path | None = None,
 ) -> TrainResult:
     """Unsupervised pre-training; returns final parameters and the metric log."""
-    if source.speaker_count < cfg.k:
-        raise CorpusTooSmallError(
-            f"pre-training with k={cfg.k} needs that many speakers, "
-            f"corpus has {source.speaker_count}"
-        )
     bank = bank or synth_bank(cfg.seed)
     return _train(
         "pretrain", cfg.similarity_kind, source, cfg, encoder_cfg,
@@ -758,21 +742,10 @@ def finetune(
     resume_from: str | Path | None = None,
 ) -> TrainResult:
     """Supervised fine-tuning on unaugmented fixed-length segments."""
-    s_per = cfg.speakers_per_batch
-    u_per = cfg.utterances_per_speaker
-    if source.speaker_count < s_per:
-        raise CorpusTooSmallError(
-            f"batches need {s_per} speakers, corpus has {source.speaker_count}"
-        )
-    if source.utterances_per_speaker < u_per:
-        raise CorpusTooSmallError(
-            f"batches need {u_per} utterances per speaker, corpus has "
-            f"{source.utterances_per_speaker}"
-        )
     return _train(
         "finetune", cfg.objective, source, cfg, encoder_cfg,
         item=partial(_finetune_item, source, cfg, feature_cfg),
-        batch_shape=(s_per, u_per),
+        batch_shape=(cfg.speakers_per_batch, cfg.utterances_per_speaker),
         init_checkpoint=cfg.init_checkpoint,
         out_dir=out_dir,
         resume_from=resume_from,

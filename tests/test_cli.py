@@ -264,6 +264,26 @@ class TestFinetune:
         assert run.finetune.init_checkpoint == str(pretrained)
 
 
+class TestResume:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_nothing_left_to_train_is_refused_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command
+    ):
+        out = tmp_path / "run"
+        argv = [command, "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(out)]
+        assert main([*argv, "--epochs", "2"]) == 0
+        ckpt = out / "checkpoint.ckpt"
+        files = ("checkpoint.ckpt", "metrics.tsv", "config.json")
+        before = {name: (out / name).read_bytes() for name in files}
+        for epochs in (2, 1):
+            capsys.readouterr()
+            assert main([*argv, "--resume", str(ckpt), "--epochs", str(epochs)]) == 1
+            assert (f"error [{command}]: {ckpt}: checkpoint has 2 epochs done; a run of "
+                    f"{epochs} epochs has none left to train") in capsys.readouterr().err
+            assert {name: (out / name).read_bytes() for name in files} == before
+
+
 class TestEvaluate:
     def test_scores_and_reports(self, workspace, pretrained, capsys):
         trials = trial_file(workspace)
@@ -430,7 +450,7 @@ class TestHarness:
         assert f"error [{command}]: config key 'pretrain.k' must be int, got 'eight'" in err
 
     @pytest.mark.parametrize("command, flags, message", [
-        ("pretrain", ["--k", "5"], "k=5 needs that many speakers, corpus has 4"),
+        ("pretrain", ["--k", "5"], "batches need 5 speakers, corpus has 4"),
         ("finetune", [], "batches need 5 speakers, corpus has 4"),
     ])
     def test_refused_run_leaves_no_config_echo(

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,20 @@ FULLSCALE = ROOT / "configs" / "fullscale.json"
 
 # Valid values other than the default for the string-valued config fields.
 OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std"}
+
+# encoder.input_dim must equal features.n_mels: section -> (its field, the
+# other section, that section's field).
+PAIRED = {"encoder": ("input_dim", "features", "n_mels"),
+          "features": ("n_mels", "encoder", "input_dim")}
+
+
+def _float_keys(cls, prefix=""):
+    """(dotted key, is a tuple) of every field under `cls` that holds floats."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _float_keys(hint, f"{prefix}{name}.")
+        elif hint is float or float in typing.get_args(hint):
+            yield f"{prefix}{name}", hint is not float
 
 
 def _changed(name, value):
@@ -149,14 +165,41 @@ class TestSchema:
         with pytest.raises(CelError, match=re.escape(message)):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key, is_tuple",
+                             [pytest.param(*case, id=case[0]) for case in _float_keys(RunConfig)])
+    def test_non_finite_float_fails_at_load(self, tmp_path, key, is_tuple):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back;
+        # no float setting can use them.
+        path = tmp_path / "run.json"
+        for bad in (math.nan, math.inf, -math.inf):
+            doc = [0.0, bad] if is_tuple else bad
+            for part in reversed(key.split(".")):
+                doc = {part: doc}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match=f"'{re.escape(key)}' must be a finite float"):
+                load_config(path)
+
+    def test_encoder_input_must_match_the_mel_bands(self):
+        with pytest.raises(InvalidParamError,
+                           match=re.escape("encoder.input_dim (64) must equal features.n_mels (40)")):
+            config_from_dict({"encoder": {"input_dim": 64}})
+        run = config_from_dict({"encoder": {"input_dim": 64}, "features": {"n_mels": 64}})
+        assert run.encoder.input_dim == run.features.n_mels == 64
+
     @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
     def test_every_field_is_read_by_its_name(self, section):
         # Each field of the section set to a non-default value in a JSON
         # document keyed by the field names, so a new field needs no schema edit.
         default = getattr(RunConfig(), section)
         value = _changed(section, default)
-        run = dataclasses.replace(RunConfig(), **{section: value})
-        doc = {section: json.loads(json.dumps(run.to_dict()))[section]}
+        changes = {section: value}
+        if section in PAIRED:
+            own, other, theirs = PAIRED[section]
+            changes[other] = dataclasses.replace(
+                getattr(RunConfig(), other), **{theirs: getattr(value, own)}
+            )
+        run = dataclasses.replace(RunConfig(), **changes)
+        doc = {name: json.loads(json.dumps(run.to_dict()))[name] for name in changes}
         if dataclasses.is_dataclass(default):
             assert set(doc[section]) == {f.name for f in dataclasses.fields(default)}
             for f in dataclasses.fields(default):

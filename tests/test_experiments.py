@@ -39,21 +39,22 @@ class TestBuildTrials:
         assert build_trials(src, nontarget_per_target=2, seed=4) == trials
 
 
-def _untrained(source, cfg, *args, **kwargs) -> TrainResult:
-    return TrainResult({}, None, [], "")
-
-
 class TestHeldOutArm:
     def test_arms_of_one_run_score_one_source(self, monkeypatch, desk_run):
-        # Training and scoring are stubbed: only the held-out set each arm scores matters.
-        scored = []
+        # Training and scoring are stubbed: only the sources each arm trains
+        # on and scores matter.
+        trained, scored = [], []
+
+        def untrained(source, cfg, *args, **kwargs) -> TrainResult:
+            trained.append(source)
+            return TrainResult({}, None, [], "")
 
         def eer_of_params(source, params, trials, *args, bank, aug_seed):
             scored.append((source, trials, bank))
             return 0.0
 
-        monkeypatch.setattr(experiments, "pretrain", _untrained)
-        monkeypatch.setattr(experiments, "finetune", _untrained)
+        monkeypatch.setattr(experiments, "pretrain", untrained)
+        monkeypatch.setattr(experiments, "finetune", untrained)
         monkeypatch.setattr(experiments, "eer_of_params", eer_of_params)
         pretrain_arm(desk_run, 0)
         pretrain_arm(desk_run, 1, uniformity_weight=0.0)
@@ -61,9 +62,11 @@ class TestHeldOutArm:
         finetune_arm(desk_run.with_seed(5), 2, "ge2e", None)
         source, trials, bank = held_out_set(desk_run)
         assert isinstance(trials, tuple)
-        assert len(scored) == 4
+        assert len(scored) == len(trained) == 4
         for got in scored:
             assert got[0] is source and got[1] is trials and got[2] is bank
+        assert all(got is trained[0] for got in trained)
+        assert set(trained[0].speakers).isdisjoint(source.speakers)
 
     @pytest.mark.parametrize("section, change", [
         ("evaluation", {"eval_speakers": 6}),

@@ -197,7 +197,7 @@ class TestFinetuneCrops:
             hop = features.hop_length
             need = crop_samples(frames, features.win_length, hop)
             samples = source.waveform(s, u).samples
-            feats = fresh.crop_features(s, u, features, frames)
+            feats = fresh.features(s, u, features.without_normalization(), min_samples=need)
             last = feats.shape[1] - frames
             assert last == frame_count(len(samples), features.win_length, hop) - frames
             for o in (0, 1, 7, last // 2, last):
@@ -222,12 +222,6 @@ class TestFinetuneCrops:
             assert item.shape == (features.n_mels, frames)
             wrapped = np.resize(source.waveform(1, 0).samples, crop_samples(frames))
             assert item.tobytes() == logmel(Waveform(wrapped), features).values.tobytes()
-
-    def test_cached_crop_features_are_read_only(self, source):
-        feats = CorpusSource(source.manifest).crop_features(0, 1, FeatureConfig(), 60)
-        assert not feats.flags.writeable
-        with pytest.raises(ValueError):
-            feats[0, 0] = 0.0
 
 
 class TestPretrain:
@@ -612,8 +606,14 @@ class TestFeatureCache:
                 assert cold[key].tobytes() == want.tobytes()
                 assert warm[key].tobytes() == want.tobytes()
 
-    def test_cached_features_are_read_only(self, source, bank):
-        feats = CorpusSource(source.manifest).features(0, 1, FeatureConfig(), bank, 4)
+    @pytest.mark.parametrize("finetuning", [False, True], ids=["evaluation", "finetuning"])
+    def test_cached_features_are_read_only(self, source, bank, finetuning):
+        fresh = CorpusSource(source.manifest)
+        if finetuning:
+            feats = fresh.features(0, 1, FeatureConfig(mean_normalize=False),
+                                   min_samples=crop_samples(60))
+        else:
+            feats = fresh.features(0, 1, FeatureConfig(), bank, 4)
         assert not feats.flags.writeable
         with pytest.raises(ValueError):
             feats[0, 0] = 0.0
@@ -655,11 +655,13 @@ class TestFeatureCache:
         assert logmel_calls[0] == source.speaker_count * source.utterances_per_speaker
         assert again.log_text == first.log_text
 
-    def test_training_leaves_the_feature_cache_empty(self, source, bank):
+    def test_only_finetuning_fills_the_store_and_only_unnormalized(self, source, bank):
         fresh = CorpusSource(source.manifest)
         pretrain(fresh, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank)
-        finetune(fresh, tiny_finetune_cfg(epochs=1), TINY_ENC)
         assert fresh._cache and not fresh._features
+        finetune(fresh, tiny_finetune_cfg(epochs=1), TINY_ENC)
+        assert fresh._features
+        assert {key[2] for key in fresh._features} == {FeatureConfig(mean_normalize=False)}
 
 
 def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
@@ -693,7 +695,6 @@ class TestItemPool:
         def pipeline(out: Path, clear: bool) -> dict[str, np.ndarray]:
             if clear:
                 source._features.clear()
-                source._crop_features.clear()
             return _run_all(source, bank, out)
 
         # The reference maps the items in order on the calling thread, from
