@@ -13,13 +13,12 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, config_from_dict, load_config, save_config
 from .corpus import build_manifest, load_manifest, write_corpus
 from .encoder import load_encoder
-from .errors import CelError
+from .errors import CelError, CheckpointMismatchError
 from .evaluation import (
     DcfParams,
     det_points,
@@ -54,12 +53,21 @@ def _setup_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS[name], format="%(levelname)s %(message)s")
 
 
-def _base_config(config_path: str | None, seed: int | None = None) -> RunConfig:
-    """Config file merged over defaults, with `seed` threaded through training.
+def _base_config(args: argparse.Namespace) -> RunConfig:
+    """The config file over the defaults, then the given flags over both.
 
-    Flags other than --seed are applied by the caller.
+    A training flag's dest is its dotted config key, so its value is checked
+    exactly as the same value in the file would be. --seed goes through
+    `RunConfig.with_seed`.
     """
-    run = load_config(config_path) if config_path else config_from_dict({})
+    run = load_config(args.config) if args.config else RunConfig()
+    flags: dict[str, dict] = {}
+    for key, value in vars(args).items():
+        section, dot, name = key.partition(".")
+        if dot:
+            flags.setdefault(section, {})[name] = value
+    run = config_from_dict(flags, base=run)
+    seed = getattr(args, "seed", None)
     return run if seed is None else run.with_seed(seed)
 
 
@@ -70,7 +78,7 @@ def _echo(run: RunConfig, out_dir: str | Path) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    run = _base_config(args.config)
+    run = _base_config(args)
     c = run.corpus
     manifest = build_manifest(
         c.n_speakers, c.utterances_per_speaker, c.duration_s, c.seed
@@ -91,18 +99,8 @@ def _source_from_dir(corpus_dir: str | Path) -> CorpusSource:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    run = _base_config(args.config, args.seed)
+    run = _base_config(args)
     cfg = run.pretrain
-    if args.k is not None:
-        cfg = replace(cfg, k=args.k)
-    if args.lam is not None:
-        cfg = replace(cfg, uniformity_weight=args.lam)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if args.similarity is not None:
-        cfg = replace(cfg, similarity_kind=args.similarity)
-    run = replace(run, pretrain=cfg)
-
     source = _source_from_dir(args.corpus)
     log.info(
         "pretrain: %d speakers, k=%d, lambda=%g, t=%g, %d epochs",
@@ -123,20 +121,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    run = _base_config(args.config, args.seed)
+    run = _base_config(args)
     cfg = run.finetune
-    if args.objective is not None:
-        cfg = replace(cfg, objective=args.objective)
-    if args.margin is not None:
-        cfg = replace(cfg, margin=args.margin)
-    if args.scale is not None:
-        cfg = replace(cfg, margin_scale=args.scale)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if args.init is not None:
-        cfg = replace(cfg, init_checkpoint=None if args.init == "random" else args.init)
-    run = replace(run, finetune=cfg)
-
     source = _source_from_dir(args.corpus)
     log.info(
         "finetune: objective=%s init=%s, %d epochs",
@@ -156,10 +142,15 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = _base_config(args.config)
+    run = _base_config(args)
     trials = read_trial_list(args.trials)
 
     encoder_cfg, params = load_encoder(args.checkpoint)
+    if encoder_cfg.input_dim != run.features.n_mels:
+        raise CheckpointMismatchError(
+            f"{args.checkpoint}: the encoder takes {encoder_cfg.input_dim} input rows, "
+            f"but features.n_mels is {run.features.n_mels}"
+        )
     source = _source_from_dir(args.corpus)
     ids = {key for t in trials for key in (t.enroll_id, t.test_id)}
     embeddings = embed_utterances(source, params, encoder_cfg, run.features, ids=ids)
@@ -199,6 +190,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 1
 
 
+def _init_checkpoint(text: str) -> str | None:
+    """--init's value: a checkpoint path, or None for 'random'."""
+    return None if text == "random" else text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cel",
@@ -214,6 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        help="training seed: sets pretrain.seed and finetune.seed")
 
+    def setting(p: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+        """A flag that sets the config key `key`; absent, it sets nothing."""
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
+
     p = sub.add_parser("gen-data", help="synthesize a labeled corpus")
     config(p)
     p.add_argument("--out", required=True, help="corpus output directory")
@@ -224,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed(p)
     p.add_argument("--corpus", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--k", type=int, help="speakers (utterances) per batch")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="uniformity loss weight (0 disables the term)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--similarity", choices=SIMILARITY_KINDS,
-                   help="similarity loss flavor")
+    setting(p, "--k", "pretrain.k", type=int, help="speakers (utterances) per batch")
+    setting(p, "--lambda", "pretrain.uniformity_weight", type=float,
+            help="uniformity loss weight (0 disables the term)")
+    setting(p, "--epochs", "pretrain.epochs", type=int)
+    setting(p, "--similarity", "pretrain.similarity_kind", choices=SIMILARITY_KINDS,
+            help="similarity loss flavor")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_pretrain)
 
@@ -238,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed(p)
     p.add_argument("--corpus", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--objective", choices=FINETUNE_OBJECTIVES)
-    p.add_argument("--margin", type=float, help="additive margin m")
-    p.add_argument("--scale", type=float, help="logit scale s")
-    p.add_argument("--init", help="'random' or a pretraining checkpoint path")
-    p.add_argument("--epochs", type=int)
+    setting(p, "--objective", "finetune.objective", choices=FINETUNE_OBJECTIVES)
+    setting(p, "--margin", "finetune.margin", type=float, help="additive margin m")
+    setting(p, "--scale", "finetune.margin_scale", type=float, help="logit scale s")
+    setting(p, "--init", "finetune.init_checkpoint", type=_init_checkpoint,
+            help="'random' or a pretraining checkpoint path")
+    setting(p, "--epochs", "finetune.epochs", type=int)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_finetune)
 

@@ -10,7 +10,7 @@ classes, not to model speech.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -18,9 +18,10 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import pool
-from .errors import CorpusTooSmallError, SchemaError, TooShortError
+from .errors import CelError, CorpusTooSmallError, SchemaError, TooShortError
 from .features import SAMPLE_RATE, FeatureConfig, Waveform, logmel, read_wav, write_wav
 from .rng import derive_rng
+from .schema import plain, read_record
 
 # Room for two non-overlapping default 180-frame crops (10 ms hop, 25 ms
 # window); pretraining refuses an utterance shorter than one crop.
@@ -137,6 +138,16 @@ def gen_utterance(
 
 
 @dataclass(frozen=True)
+class CorpusConfig:
+    """The corpus a run generates, and the header of its manifest."""
+
+    n_speakers: int = 32
+    utterances_per_speaker: int = 6
+    duration_s: float = 4.0
+    seed: int = 100
+
+
+@dataclass(frozen=True)
 class ManifestEntry:
     speaker_id: str
     utterance_id: str
@@ -209,12 +220,7 @@ def write_corpus(manifest: CorpusManifest, root: str | Path) -> Path:
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    header = {
-        "n_speakers": manifest.n_speakers,
-        "utterances_per_speaker": manifest.utterances_per_speaker,
-        "duration_s": manifest.duration_s,
-        "seed": manifest.seed,
-    }
+    header = {f.name: getattr(manifest, f.name) for f in fields(CorpusConfig)}
     lines = [f"# {json.dumps(header, sort_keys=True)}"]
     lines += [
         f"{e.speaker_id}\t{e.utterance_id}\t{e.relative_path}" for e in manifest.entries
@@ -230,21 +236,15 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     if not text or not text[0].startswith("# "):
         raise SchemaError(f"{path}: missing manifest header line")
     try:
-        header = json.loads(text[0][2:])
+        header = read_record(json.loads(text[0][2:]), CorpusConfig, "corpus")
         entries = []
         for line in text[1:]:
             if not line.strip():
                 continue
             sid, uid, rel = line.split("\t")
             entries.append(ManifestEntry(sid, uid, rel))
-        manifest = CorpusManifest(
-            n_speakers=int(header["n_speakers"]),
-            utterances_per_speaker=int(header["utterances_per_speaker"]),
-            duration_s=float(header["duration_s"]),
-            seed=int(header["seed"]),
-            entries=tuple(entries),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        manifest = CorpusManifest(**plain(header), entries=tuple(entries))
+    except (CelError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed manifest: {exc}") from exc
     want = manifest.n_speakers * manifest.utterances_per_speaker
     if len(entries) != want:

@@ -22,12 +22,14 @@ import numpy as np
 
 from .embedding import NORM_FLOOR
 from .errors import (
+    CelError,
     CheckpointMismatchError,
     InvalidParamError,
     NormalizationDegenerateError,
     ShapeMismatchError,
     StaleCacheError,
 )
+from .schema import plain, read_record
 
 VAR_EPS = 1e-10
 
@@ -42,7 +44,6 @@ class EncoderConfig:
     pooling: str = "mean"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.input_dim < 1:
             raise InvalidParamError(f"input_dim must be positive, got {self.input_dim}")
         if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
@@ -64,21 +65,11 @@ class EncoderConfig:
         return self.hidden_dims[-1] * factor
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "embedding_dim": self.embedding_dim,
-            "pooling": self.pooling,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EncoderConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            embedding_dim=int(d["embedding_dim"]),
-            pooling=str(d["pooling"]),
-        )
+        return read_record(d, cls, "encoder")
 
 
 def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -422,10 +413,8 @@ def load_encoder(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray]
     """
     config, blocks, _ = load_checkpoint(path)
     try:
-        encoder_cfg = EncoderConfig.from_dict(config["encoder"])
-    except (
-        LookupError, TypeError, ValueError, ArithmeticError, InvalidParamError
-    ) as exc:
+        encoder_cfg = EncoderConfig.from_dict(config.get("encoder"))
+    except CelError as exc:
         raise CheckpointMismatchError(
             f"{path}: no valid encoder config ({type(exc).__name__}: {exc})"
         ) from exc

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .augment import NoiseBank, synth_bank
-from .config import CorpusConfig, EvalConfig, RunConfig
-from .corpus import CorpusManifest, build_manifest
+from .config import EvalConfig, RunConfig
+from .corpus import CorpusConfig, CorpusManifest, build_manifest
 from .embedding import normalize
 from .encoder import Encoder, EncoderConfig
 from .errors import CorpusTooSmallError

@@ -72,10 +72,12 @@ from .errors import (
     CorpusTooSmallError,
     InvalidParamError,
     NonFiniteError,
+    SchemaError,
 )
 from .features import FeatureConfig, Waveform, logmel
 from .losses import CelWeights, KernelParam, LossOutput, combine_losses, similarity_loss, uniformity_loss
 from .rng import derive_rng
+from .schema import check
 
 # SNR range (dB) of the noise condition `embed_utterances` draws for each
 # utterance when it is given a bank.
@@ -492,8 +494,8 @@ class _AdaCos(_Margin):
     def resume(self, meta, path) -> None:
         super().resume(meta, path)
         self.state = ft.AdaCosState(
-            scale=float(_meta_value(meta, "adacos_scale", path)),
-            steps=int(_meta_value(meta, "adacos_steps", path)),
+            scale=_meta_value(meta, "adacos_scale", path, float),
+            steps=_meta_value(meta, "adacos_steps", path),
         )
 
 
@@ -587,11 +589,14 @@ def _unpack_checkpoint(
     return params, m, v
 
 
-def _meta_value(meta: Mapping, key: str, path: str | Path):
-    """`meta[key]`, or a CheckpointMismatchError naming the path and the key."""
+def _meta_value(meta: Mapping, key: str, path: str | Path, kind: type = int):
+    """`meta[key]`, a `kind`, or a CheckpointMismatchError naming the path and the key."""
     if key not in meta:
         raise CheckpointMismatchError(f"{path}: checkpoint meta has no {key!r}")
-    return meta[key]
+    try:
+        return check(meta[key], kind, key)
+    except SchemaError as exc:
+        raise CheckpointMismatchError(f"{path}: checkpoint meta: {exc}") from exc
 
 
 def _load_encoder_init(
@@ -641,9 +646,8 @@ def _train(
     if resume_from is not None:
         _, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
         params, m, v = _unpack_checkpoint(blocks)
-        step = int(_meta_value(meta, "adam_step", resume_from))
-        opt = OptimizerState(m=m, v=v, step=step)
-        start_epoch = int(_meta_value(meta, "epochs_done", resume_from))
+        opt = OptimizerState(m=m, v=v, step=_meta_value(meta, "adam_step", resume_from))
+        start_epoch = _meta_value(meta, "epochs_done", resume_from)
         if cfg.epochs <= start_epoch:
             raise CheckpointMismatchError(
                 f"{resume_from}: checkpoint has {start_epoch} epochs done; a run of "

@@ -3,17 +3,21 @@
 import argparse
 import dataclasses
 import json
+import math
 import shutil
+import typing
 
 import numpy as np
 import pytest
 
 from cel.cli import build_parser, main
-from cel import gradcheck, trainer
+from cel import cli, gradcheck, trainer
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
-from cel.config import load_config
+from cel.config import RunConfig, load_config
 from cel.corpus import load_manifest, save_manifest, write_corpus
+from cel.encoder import load_checkpoint, save_checkpoint
+from cel.schema import check
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 
 SMALL_DOC = {
@@ -27,6 +31,12 @@ SMALL_DOC = {
         "epochs": 1,
         "frames": 60,
     },
+}
+
+# The type of every config field, by section and name.
+FIELD_HINTS = {
+    f.name: typing.get_type_hints(type(getattr(RunConfig(), f.name)))
+    for f in dataclasses.fields(RunConfig)
 }
 
 
@@ -335,6 +345,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "error [evaluate]:" in err and "p_target" in err and "nonexistent" not in err
 
+    def test_checkpoint_that_does_not_fit_the_features_fails_before_any_audio(
+        self, workspace, pretrained, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "embed_utterances", lambda *a, **k: pytest.fail("audio read"))
+        config = tmp_path / "20-mels.json"
+        config.write_text(json.dumps({"features": {"n_mels": 20}, "encoder": {"input_dim": 20}}))
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--config", str(config), "--checkpoint", str(pretrained),
+                   "--corpus", str(workspace / "corpus"),
+                   "--trials", str(trial_file(workspace)), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [evaluate]: {pretrained}: the encoder takes 40 input rows, "
+            f"but features.n_mels is 20\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_corrupt_checkpoint_fails_cleanly(
         self, workspace, pretrained, tmp_path, capsys, damage
@@ -358,6 +385,70 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error [evaluate]:" in err and str(corrupt) in err
+
+
+# One wrong value of each kind for an int field; MISSING removes the field.
+MISSING = object()
+WRONG_VALUES = {"float": 1.5, "string": "1", "bool": True, "infinity": math.inf,
+                "missing": MISSING}
+
+
+def _set(doc: dict, key: str, value) -> None:
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+def _files(root) -> dict:
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestTypedRecords:
+    """Checkpoints and manifests are read with the config schema: a wrong-typed
+    or missing field stops the command, naming the file and the key."""
+
+    @pytest.mark.parametrize("value", list(WRONG_VALUES.values()), ids=list(WRONG_VALUES))
+    @pytest.mark.parametrize("record", ["encoder", "manifest", "meta"])
+    def test_wrong_or_missing_field_fails_naming_the_file_and_the_key(
+        self, workspace, pretrained, tmp_path, capsys, record, value
+    ):
+        config, corpus = str(workspace / "small.json"), workspace / "corpus"
+        if record == "encoder":
+            bad = tmp_path / "checkpoint.ckpt"
+            header, blocks, meta = load_checkpoint(pretrained)
+            _set(header["encoder"], "input_dim", value)
+            save_checkpoint(bad, header, blocks, meta)
+            argv = ["evaluate", "--checkpoint", str(bad), "--corpus", str(corpus),
+                    "--trials", str(trial_file(workspace)), "--out", str(tmp_path / "out")]
+            key = "encoder.input_dim"
+        elif record == "manifest":
+            corpus = tmp_path / "corpus"
+            corpus.mkdir()
+            bad = corpus / "manifest.tsv"
+            first, *body = (workspace / "corpus" / "manifest.tsv").read_text().splitlines(True)
+            header = json.loads(first[2:])
+            _set(header, "n_speakers", value)
+            bad.write_text(f"# {json.dumps(header)}\n" + "".join(body))
+            argv = ["pretrain", "--config", config, "--corpus", str(corpus),
+                    "--out", str(tmp_path / "out")]
+            key = "corpus.n_speakers"
+        else:
+            out = tmp_path / "run"
+            shutil.copytree(pretrained.parent, out)
+            bad = out / "checkpoint.ckpt"
+            header, blocks, meta = load_checkpoint(bad)
+            _set(meta, "epochs_done", value)
+            save_checkpoint(bad, header, blocks, meta)
+            argv = ["pretrain", "--config", config, "--corpus", str(corpus), "--out", str(out),
+                    "--resume", str(bad), "--epochs", "2"]
+            key = "epochs_done"
+        before = _files(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{argv[0]}]: {bad}: ") and f"'{key}'" in err
+        assert len(err.splitlines()) == 1
+        assert _files(tmp_path) == before
 
 
 class TestCorruptFiles:
@@ -422,21 +513,64 @@ class TestGradcheck:
         assert "unif" in printed
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 class TestHarness:
     def test_choices_come_from_the_registries(self):
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-
         def choices(command, dest):
-            actions = sub.choices[command]._actions
+            actions = subcommands()[command]._actions
             return tuple(next(a for a in actions if a.dest == dest).choices)
 
         assert SIMILARITY_KINDS == ("aprot", "acont")
         assert FINETUNE_OBJECTIVES == ("aprot", "acont", "ge2e", "cosface", "arcface", "adacos")
-        assert choices("pretrain", "similarity") == SIMILARITY_KINDS
-        assert choices("finetune", "objective") == FINETUNE_OBJECTIVES
+        assert choices("pretrain", "pretrain.similarity_kind") == SIMILARITY_KINDS
+        assert choices("finetune", "finetune.objective") == FINETUNE_OBJECTIVES
         assert choices("gradcheck", "scope") == tuple(ALL_SCOPES)
+
+    def test_every_setting_flag_is_a_config_field_of_its_type(self):
+        seen = []
+        for command, parser in subcommands().items():
+            for action in parser._actions:
+                section, dot, name = action.dest.partition(".")
+                if not dot:
+                    continue
+                seen.append((command, action.option_strings[0]))
+                assert section in FIELD_HINTS and name in FIELD_HINTS[section], action.dest
+                hint = FIELD_HINTS[section][name]
+                assert action.default is argparse.SUPPRESS
+                if action.choices is not None:
+                    for choice in action.choices:
+                        check(choice, hint, action.dest)
+                elif isinstance(action.type, type):
+                    assert action.type is hint, action.dest
+                else:
+                    assert typing.get_type_hints(action.type)["return"] == hint, action.dest
+        assert sorted(seen) == [
+            ("finetune", "--epochs"), ("finetune", "--init"), ("finetune", "--margin"),
+            ("finetune", "--objective"), ("finetune", "--scale"),
+            ("pretrain", "--epochs"), ("pretrain", "--k"), ("pretrain", "--lambda"),
+            ("pretrain", "--similarity"),
+        ]
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("finetune", "--scale", "nan", "finetune.margin_scale"),
+        ("pretrain", "--lambda", "inf", "pretrain.uniformity_weight"),
+    ])
+    def test_flag_is_checked_like_the_same_value_in_a_file(
+        self, workspace, tmp_path, capsys, command, flag, value, key
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(out), flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [{command}]: config key '{key}' must be a finite float, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "pretrain"])
     def test_wrong_typed_config_fails_cleanly(self, workspace, tmp_path, capsys, command):

@@ -2,9 +2,12 @@
 
 Each case starts from a valid file of one kind, then truncates it, flips
 one byte or inserts a few bytes. No traceback other than a CelError may
-escape, whatever the damage.
+escape, whatever the damage. Where the checkpoint or manifest reader
+accepts a damaged file, what it returns is the record the file holds, with
+no value coerced to another type.
 """
 
+import json
 import re
 import struct
 
@@ -14,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from cel.config import RunConfig, load_config, save_config
 from cel.corpus import build_manifest, load_manifest, save_manifest
-from cel.encoder import Encoder, EncoderConfig, load_encoder, save_checkpoint
+from cel.encoder import Encoder, EncoderConfig, load_checkpoint, load_encoder, save_checkpoint
 from cel.errors import CelError
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 from cel.features import Waveform, read_wav, write_wav
 from cel.rng import derive_rng
+from cel.schema import plain
 
 READERS = {
     "config": load_config,
@@ -27,6 +31,42 @@ READERS = {
     "wav": read_wav,
     "checkpoint": load_encoder,
 }
+
+
+# What a reader returned as JSON data, and the JSON object it was read from.
+RECORDS = {
+    "manifest": lambda got, path: (
+        {k: v for k, v in plain(got).items() if k != "entries"},
+        json.loads(path.read_text().splitlines()[0][2:]),
+    ),
+    "checkpoint": lambda got, path: (plain(got[0]), load_checkpoint(path)[0]["encoder"]),
+}
+
+
+def same(read, written) -> bool:
+    """`read` equals `written` and has its JSON types, except that an int may
+    have been read as a float."""
+    if isinstance(written, dict):
+        return isinstance(read, dict) and read.keys() == written.keys() and all(
+            same(read[k], written[k]) for k in written
+        )
+    if isinstance(written, list):
+        return isinstance(read, list) and len(read) == len(written) and all(
+            map(same, read, written)
+        )
+    kinds = (type(read), type(written))
+    return read == written and (kinds[0] is kinds[1] or kinds == (float, int))
+
+
+def read_or_refuse(kind: str, path) -> None:
+    """Read `path`; a refusal must be a CelError, and a record read as is."""
+    try:
+        got = READERS[kind](path)
+    except CelError:
+        return
+    if kind in RECORDS:
+        read, written = RECORDS[kind](got, path)
+        assert same(read, written), f"read {read!r} from {written!r}"
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +115,7 @@ def damaged(draw, blob: bytes) -> bytes:
 def test_damaged_file_reads_or_raises_a_cel_error(valid, tmp_path_factory, kind, data):
     path = tmp_path_factory.getbasetemp() / f"damaged-{kind}"
     path.write_bytes(data.draw(damaged(valid[kind]), label="file"))
-    try:
-        READERS[kind](path)
-    except CelError:
-        pass
+    read_or_refuse(kind, path)
 
 
 def _deep_checkpoint(blob: bytes) -> bytes:
@@ -98,3 +135,26 @@ def test_damage_beyond_the_fuzz_is_a_cel_error(valid, tmp_path, kind, damage):
     path.write_bytes(damage(valid[kind]))
     with pytest.raises(CelError, match=re.escape(str(path))):
         READERS[kind](path)
+
+
+def _checkpoint_header(old: bytes, new: bytes):
+    """A damage that replaces `old` by `new` in a checkpoint's JSON header."""
+    def edit(blob: bytes) -> bytes:
+        (size,) = struct.unpack("<I", blob[8:12])
+        head = blob[12 : 12 + size].replace(old, new)
+        return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]
+    return edit
+
+
+@pytest.mark.parametrize("kind, damage", [
+    ("manifest", lambda b: b.replace(b'"seed": 5', b'"seed": 5.0')),
+    ("manifest", lambda b: b.replace(b'"seed": 5', b'"seed": true')),
+    ("checkpoint", _checkpoint_header(b'"input_dim":4', b'"input_dim":4.0')),
+    ("checkpoint", _checkpoint_header(b'"hidden_dims":[3]', b'"hidden_dims":["3"]')),
+], ids=["manifest-float", "manifest-bool", "checkpoint-float", "checkpoint-string"])
+def test_what_a_reader_accepts_it_does_not_coerce(valid, tmp_path, kind, damage):
+    path = tmp_path / kind
+    damaged_blob = damage(valid[kind])
+    assert damaged_blob != valid[kind]
+    path.write_bytes(damaged_blob)
+    read_or_refuse(kind, path)
