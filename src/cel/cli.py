@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, config_from_dict, load_config, save_config
@@ -93,15 +94,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _source_from_dir(corpus_dir: str | Path) -> CorpusSource:
+def _source_from_dir(run: RunConfig, corpus_dir: str | Path) -> tuple[RunConfig, CorpusSource]:
+    """`run` with the corpus settings of the manifest in `corpus_dir`, and its source."""
     manifest = load_manifest(Path(corpus_dir) / "manifest.tsv")
-    return CorpusSource(manifest, root=corpus_dir)
+    return replace(run, corpus=manifest.config), CorpusSource(manifest, root=corpus_dir)
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     run = _base_config(args)
     cfg = run.pretrain
-    source = _source_from_dir(args.corpus)
+    run, source = _source_from_dir(run, args.corpus)
     log.info(
         "pretrain: %d speakers, k=%d, lambda=%g, t=%g, %d epochs",
         source.speaker_count, cfg.k, cfg.uniformity_weight, cfg.kernel_t, cfg.epochs,
@@ -123,7 +125,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 def cmd_finetune(args: argparse.Namespace) -> int:
     run = _base_config(args)
     cfg = run.finetune
-    source = _source_from_dir(args.corpus)
+    run, source = _source_from_dir(run, args.corpus)
     log.info(
         "finetune: objective=%s init=%s, %d epochs",
         cfg.objective, cfg.init_checkpoint or "random", cfg.epochs,
@@ -151,7 +153,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.checkpoint}: the encoder takes {encoder_cfg.input_dim} input rows, "
             f"but features.n_mels is {run.features.n_mels}"
         )
-    source = _source_from_dir(args.corpus)
+    run = replace(run, encoder=encoder_cfg)
+    run, source = _source_from_dir(run, args.corpus)
     ids = {key for t in trials for key in (t.enroll_id, t.test_id)}
     embeddings = embed_utterances(source, params, encoder_cfg, run.features, ids=ids)
     scored = score_trials(embeddings, trials)

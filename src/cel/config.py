@@ -16,9 +16,9 @@ from typing import Mapping
 
 from .corpus import CorpusConfig
 from .encoder import EncoderConfig
-from .errors import InvalidParamError, SchemaError
+from .errors import InvalidParamError, InvalidRangeError, SchemaError
 from .evaluation import DcfParams
-from .features import FeatureConfig
+from .features import FeatureConfig, _analysis_arrays
 from .schema import plain, read
 from .trainer import FinetuneConfig, PretrainConfig
 
@@ -53,6 +53,10 @@ class RunConfig:
                 f"encoder.input_dim ({self.encoder.input_dim}) must equal "
                 f"features.n_mels ({self.features.n_mels}), the encoder's input rows"
             )
+        try:  # builds the filterbank that the run's log-mels share, once per process
+            _analysis_arrays(self.features)
+        except InvalidRangeError as exc:
+            raise InvalidParamError(f"features.n_mels ({self.features.n_mels}): {exc}") from exc
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Thread one seed through both training stages.

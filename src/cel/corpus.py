@@ -164,6 +164,11 @@ class CorpusManifest:
     seed: int
     entries: tuple[ManifestEntry, ...]
 
+    @property
+    def config(self) -> CorpusConfig:
+        """The corpus settings the manifest header records."""
+        return CorpusConfig(**{f.name: getattr(self, f.name) for f in fields(CorpusConfig)})
+
 
 def speaker_id(index: int) -> str:
     return f"spk{index:03d}"
@@ -220,8 +225,7 @@ def write_corpus(manifest: CorpusManifest, root: str | Path) -> Path:
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    header = {f.name: getattr(manifest, f.name) for f in fields(CorpusConfig)}
-    lines = [f"# {json.dumps(header, sort_keys=True)}"]
+    lines = [f"# {json.dumps(plain(manifest.config), sort_keys=True)}"]
     lines += [
         f"{e.speaker_id}\t{e.utterance_id}\t{e.relative_path}" for e in manifest.entries
     ]

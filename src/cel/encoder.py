@@ -404,6 +404,23 @@ def load_checkpoint(
     return config, params, meta
 
 
+def checked_blocks(
+    path: str | Path, blocks: Mapping[str, np.ndarray], shapes: Mapping[str, tuple], prefix: str = ""
+) -> dict[str, np.ndarray]:
+    """`{name: blocks[prefix + name]}` for every name in `shapes`.
+
+    The one check of checkpoint blocks against the state they are read
+    into: raises one CheckpointMismatchError naming the path and every block
+    that is missing or whose shape is not `shapes[name]`; other blocks are
+    not read.
+    """
+    found = {n: np.shape(blocks[prefix + n]) if prefix + n in blocks else "missing" for n in shapes}
+    bad = [f"{prefix + n!r} is {found[n]}, want {s}" for n, s in shapes.items() if found[n] != s]
+    if bad:
+        raise CheckpointMismatchError(f"{path}: checkpoint blocks do not fit: {'; '.join(bad)}")
+    return {n: blocks[prefix + n] for n in shapes}
+
+
 def load_encoder(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
     """The encoder architecture a checkpoint records, and its encoder weights.
 
@@ -418,13 +435,4 @@ def load_encoder(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray]
         raise CheckpointMismatchError(
             f"{path}: no valid encoder config ({type(exc).__name__}: {exc})"
         ) from exc
-    shapes = Encoder(encoder_cfg).param_shapes()
-    bad = sorted(
-        n for n, shape in shapes.items() if n not in blocks or blocks[n].shape != shape
-    )
-    if bad:
-        raise CheckpointMismatchError(
-            f"{path}: encoder weights {bad} are missing or do not match the "
-            f"checkpoint's encoder config {encoder_cfg.to_dict()}"
-        )
-    return encoder_cfg, {n: a for n, a in blocks.items() if n in shapes}
+    return encoder_cfg, checked_blocks(path, blocks, Encoder(encoder_cfg).param_shapes())

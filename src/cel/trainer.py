@@ -27,6 +27,14 @@ thread per CPU. Metric logs carry only deterministic quantities, so two
 runs with the same seed write byte-identical logs and checkpoints. A step
 whose loss or gradient is not finite raises NonFiniteError before Adam
 applies it.
+
+Every run starts the same way: a fresh state of the encoder (from the init
+checkpoint, or at random), the objective's parameters and zeroed Adam
+moments. A resume then checks the checkpoint's config echo, its objective
+and its meta counts, and reads the parameters and both Adam moments
+(`STATE_PREFIXES`) through `checked_blocks` against the fresh state's
+shapes, so a block that is missing or mis-shaped, such as a classifier
+with another speaker count, is refused naming the file and the block.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .encoder import (
     LrSchedule,
     OptimizerState,
     adam_step,
+    checked_blocks,
     init_optimizer,
     load_checkpoint,
     load_encoder,
@@ -566,50 +575,23 @@ def _epoch_plan(
     return batches
 
 
-def _pack_optimizer(opt: OptimizerState) -> dict[str, np.ndarray]:
-    packed = {}
-    for name, arr in opt.m.items():
-        packed[f"opt_m.{name}"] = arr
-    for name, arr in opt.v.items():
-        packed[f"opt_v.{name}"] = arr
-    return packed
-
-
-def _unpack_checkpoint(
-    blocks: Mapping[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    params, m, v = {}, {}, {}
-    for name, arr in blocks.items():
-        if name.startswith("opt_m."):
-            m[name[len("opt_m.") :]] = arr
-        elif name.startswith("opt_v."):
-            v[name[len("opt_v.") :]] = arr
-        else:
-            params[name] = arr
-    return params, m, v
+# The checkpoint block name prefixes of the parameters, Adam's first moments
+# and its second moments, the three parts of the training state.
+STATE_PREFIXES = ("", "opt_m.", "opt_v.")
 
 
 def _meta_value(meta: Mapping, key: str, path: str | Path, kind: type = int):
-    """`meta[key]`, a `kind`, or a CheckpointMismatchError naming the path and the key."""
+    """`meta[key]` as a `kind` (an int must be at least 0), or a
+    CheckpointMismatchError naming the path and the key."""
     if key not in meta:
         raise CheckpointMismatchError(f"{path}: checkpoint meta has no {key!r}")
     try:
-        return check(meta[key], kind, key)
+        value = check(meta[key], kind, key)
     except SchemaError as exc:
         raise CheckpointMismatchError(f"{path}: checkpoint meta: {exc}") from exc
-
-
-def _load_encoder_init(
-    path: str | Path, encoder_cfg: EncoderConfig
-) -> dict[str, np.ndarray]:
-    """Encoder weights from any checkpoint with a matching architecture."""
-    stored, params = load_encoder(path)
-    if stored != encoder_cfg:
-        raise CheckpointMismatchError(
-            f"{path}: checkpoint encoder {stored.to_dict()} does not match configured "
-            f"{encoder_cfg.to_dict()}"
-        )
-    return params
+    if kind is int and value < 0:
+        raise CheckpointMismatchError(f"{path}: checkpoint meta {key!r} is negative: {value}")
+    return value
 
 
 def _train(
@@ -643,25 +625,31 @@ def _train(
     )
     config_echo = {"kind": phase, "encoder": encoder_cfg.to_dict()}
 
+    if init_checkpoint is not None and resume_from is None:
+        stored, params = load_encoder(init_checkpoint)
+        if stored != encoder_cfg:
+            raise CheckpointMismatchError(
+                f"{init_checkpoint}: checkpoint encoder {stored.to_dict()} does not match "
+                f"configured {encoder_cfg.to_dict()}"
+            )
+    else:
+        params = enc.init_params(derive_rng(cfg.seed, "init"))
+    params.update(objective.init_params())
+    opt = init_optimizer(params)
+    start_epoch = 0
     if resume_from is not None:
         _, blocks, meta = load_checkpoint(resume_from, expected_config=config_echo)
-        params, m, v = _unpack_checkpoint(blocks)
-        opt = OptimizerState(m=m, v=v, step=_meta_value(meta, "adam_step", resume_from))
+        objective.resume(meta, resume_from)
         start_epoch = _meta_value(meta, "epochs_done", resume_from)
         if cfg.epochs <= start_epoch:
             raise CheckpointMismatchError(
                 f"{resume_from}: checkpoint has {start_epoch} epochs done; a run of "
                 f"{cfg.epochs} epochs has none left to train"
             )
-        objective.resume(meta, resume_from)
-    else:
-        if init_checkpoint is not None:
-            params = _load_encoder_init(init_checkpoint, encoder_cfg)
-        else:
-            params = enc.init_params(derive_rng(cfg.seed, "init"))
-        params.update(objective.init_params())
-        opt = init_optimizer(params)
-        start_epoch = 0
+        step = _meta_value(meta, "adam_step", resume_from)
+        shapes = {name: np.shape(a) for name, a in params.items()}
+        params, m, v = (checked_blocks(resume_from, blocks, shapes, p) for p in STATE_PREFIXES)
+        opt = OptimizerState(m=m, v=v, step=step)
 
     records: list[EpochRecord] = []
     for epoch in range(start_epoch, cfg.epochs):
@@ -712,7 +700,9 @@ def _train(
         (out / "metrics.tsv").write_text(log_text)
         ckpt = out / "checkpoint.ckpt"
         meta = {"epochs_done": cfg.epochs, "adam_step": opt.step, **objective.meta()}
-        save_checkpoint(ckpt, config_echo, {**params, **_pack_optimizer(opt)}, meta)
+        state = {p + name: a for p, part in zip(STATE_PREFIXES, (params, opt.m, opt.v))
+                 for name, a in part.items()}
+        save_checkpoint(ckpt, config_echo, state, meta)
     return TrainResult(params, opt, records, log_text, ckpt)
 
 

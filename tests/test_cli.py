@@ -15,8 +15,8 @@ from cel import cli, gradcheck, trainer
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import RunConfig, load_config
-from cel.corpus import load_manifest, save_manifest, write_corpus
-from cel.encoder import load_checkpoint, save_checkpoint
+from cel.corpus import CorpusConfig, load_manifest, save_manifest, write_corpus
+from cel.encoder import load_checkpoint, load_encoder, save_checkpoint
 from cel.schema import check
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 
@@ -64,6 +64,15 @@ def pretrained(workspace):
     )
     assert rc == 0
     return out / "checkpoint.ckpt"
+
+
+@pytest.fixture(scope="module")
+def six_speaker_corpus(workspace):
+    """A corpus like the workspace's, with 6 speakers rather than 4."""
+    config = workspace / "six.json"
+    config.write_text(json.dumps({**SMALL_DOC, "corpus": {**SMALL_DOC["corpus"], "n_speakers": 6}}))
+    assert main(["gen-data", "--config", str(config), "--out", str(workspace / "six")]) == 0
+    return workspace / "six"
 
 
 def trial_file(workspace, path_name="trials.txt"):
@@ -134,6 +143,21 @@ class TestPretrain:
         row = (out / "metrics.tsv").read_text().splitlines()[1].split("\t")
         loss_total, loss_sim = float(row[2]), float(row[4])
         assert loss_total == pytest.approx(loss_sim)
+
+    def test_mel_bands_with_an_empty_filter_fail_before_the_corpus_is_read(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "128-mels.json"
+        config.write_text(json.dumps({"features": {"n_mels": 128}, "encoder": {"input_dim": 128}}))
+        out = tmp_path / "out"
+        rc = main(["pretrain", "--config", str(config), "--corpus", str(tmp_path / "no-corpus"),
+                   "--out", str(out)])
+        assert rc == 1
+        # The corpus directory does not exist: reading it would fail with another message.
+        assert capsys.readouterr().err.startswith(
+            "error [pretrain]: features.n_mels (128): 1 filters have empty support"
+        )
+        assert not out.exists()
 
     def test_missing_corpus_fails_cleanly(self, workspace, capsys):
         rc = main(
@@ -293,6 +317,82 @@ class TestResume:
                     f"{epochs} epochs has none left to train") in capsys.readouterr().err
             assert {name: (out / name).read_bytes() for name in files} == before
 
+    @pytest.mark.parametrize("case, block", [
+        ("cosface", "cls_w"), ("adacos", "cls_w"), ("mis-shaped", "w0"), ("missing", "opt_v.b0"),
+    ])
+    def test_checkpoint_blocks_that_do_not_fit_the_run_are_refused(
+        self, workspace, pretrained, six_speaker_corpus, tmp_path, capsys, case, block
+    ):
+        out = tmp_path / "run"
+        ckpt = out / "checkpoint.ckpt"
+        config, corpus = str(workspace / "small.json"), str(workspace / "corpus")
+        if block == "cls_w":
+            # The classifier has a row per speaker of the corpus it was trained on.
+            command = "finetune"
+            assert main([command, "--config", config, "--corpus", str(six_speaker_corpus),
+                         "--out", str(out), "--objective", case]) == 0
+        else:
+            command = "pretrain"
+            shutil.copytree(pretrained.parent, out)
+            header, blocks, meta = load_checkpoint(ckpt)
+            if case == "missing":
+                del blocks[block]
+            else:
+                blocks[block] = blocks[block][:, 1:]
+            save_checkpoint(ckpt, header, blocks, meta)
+        files = ("checkpoint.ckpt", "metrics.tsv", "config.json")
+        before = {name: (out / name).read_bytes() for name in files}
+        capsys.readouterr()
+        argv = [command, "--config", config, "--corpus", corpus, "--out", str(out),
+                "--resume", str(ckpt), "--epochs", "2"]
+        if command == "finetune":
+            argv += ["--objective", case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {ckpt}: checkpoint blocks do not fit: ")
+        assert f"'{block}' is " in err and len(err.splitlines()) == 1
+        assert {name: (out / name).read_bytes() for name in files} == before
+
+    @pytest.mark.parametrize("key", ["epochs_done", "adam_step"])
+    def test_negative_meta_count_is_refused(
+        self, workspace, pretrained, tmp_path, capsys, recwarn, key
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(pretrained.parent, out)
+        ckpt = out / "checkpoint.ckpt"
+        header, blocks, meta = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, header, blocks, {**meta, key: -1})
+        before = _files(tmp_path)
+        argv = ["pretrain", "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(out),
+                "--resume", str(ckpt), "--epochs", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error [pretrain]: {ckpt}: checkpoint meta '{key}' is negative: -1\n"
+        )
+        assert not recwarn.list
+        assert _files(tmp_path) == before
+
+
+class TestCorpusEcho:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
+    def test_config_echo_holds_the_corpus_that_was_read(
+        self, workspace, pretrained, tmp_path, command
+    ):
+        # The config leaves the corpus section at its defaults (32 speakers,
+        # seed 100); the corpus read has 4 speakers and seed 9.
+        config = tmp_path / "no-corpus.json"
+        config.write_text(json.dumps({k: v for k, v in SMALL_DOC.items() if k != "corpus"}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--corpus", str(workspace / "corpus"),
+                "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(pretrained), "--trials", str(trial_file(workspace))]
+        assert main(argv) == 0
+        read = CorpusConfig(**SMALL_DOC["corpus"])
+        assert read != RunConfig().corpus
+        assert load_config(out / "config.json").corpus == read
+
 
 class TestEvaluate:
     def test_scores_and_reports(self, workspace, pretrained, capsys):
@@ -319,6 +419,15 @@ class TestEvaluate:
         det = (out / "det.csv").read_text().splitlines()
         assert det[0] == "p_fa,p_miss"
         assert len(det) >= 3
+
+    def test_config_echo_holds_the_checkpoint_encoder(self, workspace, pretrained, tmp_path):
+        # Without --config the defaults give a 64-64 encoder; the checkpoint's has one
+        # hidden layer of 16.
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(pretrained),
+                     "--corpus", str(workspace / "corpus"),
+                     "--trials", str(trial_file(workspace)), "--out", str(out)]) == 0
+        assert load_config(out / "config.json").encoder == load_encoder(pretrained)[0]
 
     def test_empty_trial_file_fails_cleanly(self, workspace, pretrained, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -159,6 +159,9 @@ class TestSchema:
         ({"pretrain": {"uniformity_weight": -1.0}}, "uniformity weight must be nonnegative, got -1.0"),
         ({"pretrain": {"snr_range": [15, 0]}}, "empty SNR range (15.0, 0.0)"),
         ({"finetune": {"frames": 0}}, "frames must be at least 1, got 0"),
+        # 128 bands on the 512-point grid leave the lowest filter between two FFT bins.
+        ({"features": {"n_mels": 128}, "encoder": {"input_dim": 128}},
+         "features.n_mels (128): 1 filters have empty support"),
     ])
     def test_out_of_range_value_fails_at_load(self, doc, message):
         # Each would otherwise fail only once training or scoring reached it.

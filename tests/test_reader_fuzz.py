@@ -4,17 +4,22 @@ Each case starts from a valid file of one kind, then truncates it, flips
 one byte or inserts a few bytes. No traceback other than a CelError may
 escape, whatever the damage. Where the checkpoint or manifest reader
 accepts a damaged file, what it returns is the record the file holds, with
-no value coerced to another type.
+no value coerced to another type. A training resume from a damaged
+checkpoint either resumes or raises a CelError naming the file.
 """
 
 import json
 import re
 import struct
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cel import trainer
+from cel.augment import synth_bank
 from cel.config import RunConfig, load_config, save_config
 from cel.corpus import build_manifest, load_manifest, save_manifest
 from cel.encoder import Encoder, EncoderConfig, load_checkpoint, load_encoder, save_checkpoint
@@ -23,6 +28,7 @@ from cel.evaluation import Trial, read_trial_list, write_trial_list
 from cel.features import Waveform, read_wav, write_wav
 from cel.rng import derive_rng
 from cel.schema import plain
+from cel.trainer import CorpusSource, PretrainConfig, pretrain
 
 READERS = {
     "config": load_config,
@@ -158,3 +164,38 @@ def test_what_a_reader_accepts_it_does_not_coerce(valid, tmp_path, kind, damage)
     assert damaged_blob != valid[kind]
     path.write_bytes(damaged_blob)
     read_or_refuse(kind, path)
+
+
+@pytest.fixture(scope="module")
+def resumable(tmp_path_factory):
+    """The bytes of a one-epoch pretraining checkpoint, and a function that
+    resumes a two-epoch run from a checkpoint path."""
+    source = CorpusSource(build_manifest(2, 1, 4.0, seed=5))
+    bank = synth_bank(seed=6, n_each=1, noise_duration_s=4.5, rir_count=1)
+    enc = EncoderConfig(hidden_dims=(3,), embedding_dim=2)
+    cfg = PretrainConfig(k=2, epochs=1, frames=20, seed=7)
+    out = tmp_path_factory.mktemp("resumable")
+    blob = pretrain(source, cfg, enc, bank=bank, out_dir=out).checkpoint_path.read_bytes()
+
+    def resume(path):
+        # An epoch of no batches: what is under test is the reading and
+        # checking of the checkpoint, not the training it resumes.
+        with mock.patch.object(trainer, "_epoch_plan", lambda *args: []):
+            return pretrain(source, replace(cfg, epochs=2), enc, bank=bank, resume_from=path)
+
+    assert [r.epoch for r in resume(out / "checkpoint.ckpt").records] == [1]
+    return blob, resume
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_resume_from_a_damaged_checkpoint_raises_a_cel_error_naming_it(
+    resumable, tmp_path_factory, data
+):
+    blob, resume = resumable
+    path = tmp_path_factory.getbasetemp() / "damaged-resume"
+    path.write_bytes(data.draw(damaged(blob), label="file"))
+    try:
+        resume(path)
+    except CelError as exc:
+        assert str(path) in str(exc)
