@@ -1,0 +1,173 @@
+"""Pinned bytes: the sha256 of what fixed-seed runs write, against `golden.json`.
+
+Each case is deterministic for its seed, so any change to the bytes a run
+writes fails here, intended or not:
+
+- `pretrain`: `metrics.tsv` plus checkpoint of a 2-epoch desk pretraining run
+  on the desk split's training speakers;
+- `finetune-<objective>`: the same for a 2-epoch desk fine-tuning run from
+  that checkpoint, one per objective;
+- `scores`: the float64 held-out scores of that checkpoint, the trials
+  criterion 6 scores;
+- `gradcheck`: the table `cel gradcheck` prints.
+
+The file records the NumPy, SciPy and BLAS versions it was made with. Other
+versions may round differently, so a mismatch fails naming both sets rather
+than comparing hashes. A change that moves the bytes by design records the
+file again and says which hashes moved and why:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from cel.cli import main as cel_main
+from cel.config import load_config
+from cel.encoder import load_encoder
+from cel.evaluation import score_trials
+from cel.experiments import _split_sources
+from cel.trainer import FINETUNE_OBJECTIVES, embed_utterances, finetune, pretrain
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
+CASES = ("pretrain", *(f"finetune-{o}" for o in FINETUNE_OBJECTIVES), "scores", "gradcheck")
+EPOCHS = 2
+
+
+def library_versions() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+    }
+
+
+def _digest(*blobs: bytes) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def _run_digest(out_dir: Path) -> str:
+    return _digest(*((out_dir / n).read_bytes() for n in ("metrics.tsv", "checkpoint.ckpt")))
+
+
+def _desk():
+    run = load_config(ROOT / "configs" / "desk.json")
+    return (run, *_split_sources(run.corpus, run.evaluation))
+
+
+def _pretrained(workdir: Path) -> Path:
+    """The 2-epoch desk pretraining run's directory, trained on first use."""
+    out = workdir / "pretrain"
+    if not (out / "checkpoint.ckpt").is_file():
+        run, train_src, *_ = _desk()
+        pretrain(train_src, replace(run.pretrain, epochs=EPOCHS), run.encoder, run.features,
+                 out_dir=out)
+    return out
+
+
+def case_digest(case: str, workdir: Path) -> str:
+    """The sha256 of one case's bytes; runs write under `workdir`."""
+    if case == "gradcheck":
+        table = io.StringIO()
+        with contextlib.redirect_stdout(table):
+            cel_main(["gradcheck"])
+        return _digest(table.getvalue().encode())
+    ckpt = _pretrained(workdir) / "checkpoint.ckpt"
+    if case == "pretrain":
+        return _run_digest(ckpt.parent)
+    run, train_src, eval_src, trials, bank = _desk()
+    if case == "scores":
+        encoder_cfg, params = load_encoder(ckpt)
+        embeddings = embed_utterances(eval_src, params, encoder_cfg, run.features,
+                                      bank=bank, aug_seed=run.corpus.seed)
+        scores = np.array([t.score for t in score_trials(embeddings, trials)], dtype=np.float64)
+        return _digest(scores.tobytes())
+    objective = case.removeprefix("finetune-")
+    cfg = replace(run.finetune, objective=objective, epochs=EPOCHS, init_checkpoint=str(ckpt))
+    out = workdir / case
+    finetune(train_src, cfg, run.encoder, run.features, out_dir=out)
+    return _run_digest(out)
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _require_recorded_versions() -> None:
+    recorded, here = _golden()["versions"], library_versions()
+    if recorded != here:
+        pytest.fail(
+            f"{GOLDEN_PATH.name} was recorded under {recorded}, this run has {here}; "
+            f"record it again under these versions (see the module docstring)"
+        )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("golden")
+
+
+def test_recorded_for_every_case():
+    assert list(_golden()["sha256"]) == list(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bytes_match_the_golden_file(case, workdir):
+    _require_recorded_versions()
+    assert case_digest(case, workdir) == _golden()["sha256"][case], case
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # Two processes, so each BLAS reads its thread count at load; the item
+    # pool is sized from it as well (two item threads at 1, one at 2).
+    _require_recorded_versions()
+    procs = {}
+    for n in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n}
+        procs[n] = subprocess.Popen(
+            [sys.executable, __file__, "--case", "pretrain"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    digests = {}
+    for n, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        digests[n] = out.strip()
+    assert digests["1"] == digests["2"] == _golden()["sha256"]["pretrain"]
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--record", action="store_true", help=f"rewrite {GOLDEN_PATH.name}")
+    what.add_argument("--case", choices=CASES, help="print one case's sha256")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.case:
+            print(case_digest(args.case, Path(tmp)))
+        else:
+            golden = {"versions": library_versions(),
+                      "sha256": {case: case_digest(case, Path(tmp)) for case in CASES}}
+            GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
+            print(json.dumps(golden, indent=2))
