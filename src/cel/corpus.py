@@ -19,7 +19,7 @@ from scipy.signal import lfilter
 
 from . import pool
 from .errors import CelError, CorpusTooSmallError, SchemaError, TooShortError
-from .features import SAMPLE_RATE, FeatureConfig, Waveform, logmel, read_wav, write_wav
+from .features import SAMPLE_RATE, Waveform, read_wav, write_wav
 from .rng import derive_rng
 from .schema import plain, read_record
 
@@ -262,32 +262,3 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 def load_utterance(root: str | Path, entry: ManifestEntry) -> Waveform:
     return read_wav(Path(root) / entry.relative_path)
-
-
-def separability(
-    manifest: CorpusManifest, cfg: FeatureConfig = FeatureConfig()
-) -> tuple[float, float, float]:
-    """Mean same-speaker and cross-speaker distance between utterance spectra.
-
-    Each utterance is summarized by its time-averaged log-mel vector; returns
-    (same_mean, cross_mean, relative_margin) where the margin is
-    (cross - same) / cross. The corpus is considered informative when the
-    margin is at least 0.10. Mean normalization is forced off here: it zeroes
-    time-averaged features by construction.
-    """
-    cfg = cfg.without_normalization()
-    vecs: list[np.ndarray] = []
-    labels: list[int] = []
-    for i in range(manifest.n_speakers):
-        for j in range(manifest.utterances_per_speaker):
-            w = utterance_waveform(manifest, i, j)
-            vecs.append(logmel(w, cfg).values.mean(axis=1))
-            labels.append(i)
-    mat = np.stack(vecs)
-    lab = np.asarray(labels)
-    d = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
-    same_mask = (lab[:, None] == lab[None, :]) & ~np.eye(lab.size, dtype=bool)
-    cross_mask = lab[:, None] != lab[None, :]
-    same = float(d[same_mask].mean())
-    cross = float(d[cross_mask].mean())
-    return same, cross, (cross - same) / cross

@@ -26,10 +26,14 @@ SCALE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class SimilarityParams:
-    """Learnable affine map applied to cosine similarity: scale * cos + bias."""
+    """Learnable scale of the cosine-similarity logits, scale * cos.
+
+    The paper's affine form scale * cos + bias adds one constant to every
+    logit of a softmax, which no cross-entropy here can see, so there is no
+    bias.
+    """
 
     scale: float = 10.0
-    bias: float = -5.0
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

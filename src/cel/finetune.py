@@ -26,7 +26,7 @@ from .errors import (
     LabelOutOfRangeError,
     SingleClassError,
 )
-from .losses import LossOutput, _CosineMatrix, _log_softmax_rows
+from .losses import LossOutput, _CosineMatrix, _cross_entropy_rows
 
 # Keeps arccos differentiable at the clamp edge for the angular margin loss.
 COS_CLAMP = 1.0 - 1e-7
@@ -111,27 +111,11 @@ class AdaCosState:
         return cls(scale=s)
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE over rows and its gradient (softmax minus one-hot, / N)."""
-    n = logits.shape[0]
-    lse, probs = _log_softmax_rows(logits)
-    value = float(np.mean(lse - logits[np.arange(n), labels]))
-    g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
-    g /= n
-    return value, g
-
-
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / norms, norms
-
-
 def ge2e_loss(embeddings: np.ndarray, params: SimilarityParams) -> LossOutput:
     """Softmax-variant generalized end-to-end loss of a (speakers, utterances, dim) array.
 
     Every utterance is scored against every speaker centroid through the
-    affine cosine similarity; the own-speaker centroid excludes the scored
+    scaled cosine similarity; the own-speaker centroid excludes the scored
     utterance itself. Value is the mean negative log-softmax of the
     own-speaker score. The "embeddings" gradient has the input's shape.
     """
@@ -141,66 +125,35 @@ def ge2e_loss(embeddings: np.ndarray, params: SimilarityParams) -> LossOutput:
             f"need a (speakers, utterances, dim) array with >= 2 speakers and "
             f">= 2 utterances per speaker, got shape {emb.shape}"
         )
-    speakers, utterances = emb.shape[:2]
-    w, b = params.scale, params.bias
-
-    sums = emb.sum(axis=1)  # (S, m)
-    cent_incl = sums / utterances  # (S, m)
-    cent_excl = (sums[:, None, :] - emb) / (utterances - 1)  # (S, U, m)
-
-    # Cosines of every utterance against every centroid; the diagonal
-    # (own speaker) uses the exclusive centroid.
-    eu, e_norms = _unit_rows(emb.reshape(-1, emb.shape[-1]))
-    eu = eu.reshape(speakers, utterances, -1)
-    e_norms = e_norms.reshape(speakers, utterances, 1)
-    cu_incl, ci_norms = _unit_rows(cent_incl)
-    cu_excl, ce_norms = _unit_rows(cent_excl.reshape(-1, emb.shape[-1]))
-    cu_excl = cu_excl.reshape(speakers, utterances, -1)
-    ce_norms = ce_norms.reshape(speakers, utterances, 1)
-
-    cos = np.einsum("sum,km->suk", eu, cu_incl)
-    own = np.einsum("sum,sum->su", eu, cu_excl)
-    rows = np.arange(speakers)[:, None]
-    cols = np.arange(utterances)[None, :]
-    cos[rows, cols, rows] = own
-
-    logits = (w * cos + b).reshape(speakers * utterances, speakers)
+    speakers, utterances, dim = emb.shape
+    rows = emb.reshape(-1, dim)
+    sums = emb.sum(axis=1)
+    cent_excl = (sums[:, None, :] - emb) / (utterances - 1)
+    # Utterances against every inclusive centroid, and against their own
+    # exclusive centroid on the diagonal of the second matrix.
+    incl = _CosineMatrix(rows, sums / utterances)
+    excl = _CosineMatrix(rows, cent_excl.reshape(-1, dim))
+    idx = np.arange(rows.shape[0])
     labels = np.repeat(np.arange(speakers), utterances)
-    value, g_logits = _cross_entropy_rows(logits, labels)
+    cos = incl.cos.copy()
+    cos[idx, labels] = np.diag(excl.cos)
+    value, g_logits = _cross_entropy_rows(params.scale * cos, labels)
 
-    g_cos = (w * g_logits).reshape(speakers, utterances, speakers)
-    grad_scale = float(np.sum(g_logits.reshape(cos.shape) * cos))
-    grad_bias = float(np.sum(g_logits))
-
-    g_own = g_cos[rows, cols, rows].copy()
-    g_other = g_cos.copy()
-    g_other[rows, cols, rows] = 0.0
-
-    # d cos(a, b)/da = (b_hat - cos a_hat)/|a|, and symmetrically for b.
-    g_emb = np.zeros_like(emb)
-
-    # Utterance side, inclusive-centroid terms.
-    g_emb += (np.einsum("suk,km->sum", g_other, cu_incl)
-              - np.einsum("suk,suk->su", g_other, cos)[:, :, None] * eu) / e_norms
-    # Utterance side, own exclusive-centroid term.
-    g_emb += g_own[:, :, None] * (cu_excl - own[:, :, None] * eu) / e_norms
-
-    # Centroid side, inclusive: every utterance of speaker k gets 1/U.
-    g_ci = (np.einsum("suk,sum->km", g_other, eu)
-            - np.einsum("suk,suk->k", g_other, cos)[:, None] * cu_incl) / ci_norms
-    g_emb += g_ci[:, None, :] / utterances
-
-    # Centroid side, exclusive: speaker s's utterances u' != u get 1/(U-1).
-    g_ce = g_own[:, :, None] * (eu - own[:, :, None] * cu_excl) / ce_norms
-    g_emb += (g_ce.sum(axis=1, keepdims=True) - g_ce) / (utterances - 1)
-
+    g_other = params.scale * g_logits
+    g_own = g_other[idx, labels]
+    g_other[idx, labels] = 0.0
+    g_rows, g_incl = incl.backward(g_other)
+    g_rows_own, g_excl = excl.backward(np.diag(g_own))
+    # Chain rule through the centroids: an inclusive centroid is the mean of
+    # its speaker's U utterances; the exclusive one of utterance u, the mean
+    # of the other U - 1.
+    g_excl = g_excl.reshape(emb.shape)
+    g_emb = (g_rows + g_rows_own).reshape(emb.shape)
+    g_emb += g_incl[:, None, :] / utterances
+    g_emb += (g_excl.sum(axis=1, keepdims=True) - g_excl) / (utterances - 1)
     return LossOutput(
         value=value,
-        grads={
-            "embeddings": g_emb,
-            "scale": np.float64(grad_scale),
-            "bias": np.float64(grad_bias),
-        },
+        grads={"embeddings": g_emb, "scale": np.float64(np.sum(g_logits * cos))},
     )
 
 

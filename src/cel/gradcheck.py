@@ -118,14 +118,14 @@ def _random_unit_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
 
 
 def _sim_params(arrays: Mapping[str, np.ndarray]) -> SimilarityParams:
-    return SimilarityParams(float(arrays["scale"]), float(arrays["bias"]))
+    return SimilarityParams(float(arrays["scale"]))
 
 
 _KERNEL = losses.KernelParam(t=2.0)
 _MARGIN = MarginConfig(margin=0.2, scale=8.0)
 
-# Two-view losses of a batch and the checked arrays, which hold "scale" and
-# "bias" for every loss but "unif".
+# Two-view losses of a batch and the checked arrays, which hold "scale" for
+# every loss but "unif".
 _PAIR_LOSSES: dict[str, Callable[[EmbeddingBatch, Mapping], losses.LossOutput]] = {
     "unif": lambda batch, a: losses.uniformity_loss(batch, _KERNEL),
     "aprot": lambda batch, a: losses.aprot_loss(batch, _sim_params(a)),
@@ -181,7 +181,6 @@ def _pair_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int
                 }
                 if name != "unif":
                     arrays["scale"] = np.array(float(rng.uniform(0.5, 10.0)))
-                    arrays["bias"] = np.array(float(rng.uniform(-5.0, 1.0)))
                 yield _compare_loss(
                     lambda a: loss(EmbeddingBatch(view1=a["view1"], view2=a["view2"]), a),
                     arrays,
@@ -198,7 +197,6 @@ def _finetune_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str,
                 arrays = {
                     "embeddings": _random_unit_rows(rng, spk * utt, m).reshape(spk, utt, m),
                     "scale": np.array(float(rng.uniform(0.5, 10.0))),
-                    "bias": np.array(float(rng.uniform(-5.0, 1.0))),
                 }
 
                 def make_output(a):

@@ -49,8 +49,10 @@ class LossOutput:
     """Scalar loss plus named gradients.
 
     Keys present depend on the loss: two-view losses carry "view1"/"view2"
-    and always "scale"/"bias" (zero when the loss has no learnable
-    parameters), classifier losses carry "embeddings"/"weights".
+    and always "scale" (zero when the loss has no learnable parameter),
+    GE2E carries "embeddings"/"scale", classifier losses carry
+    "embeddings"/"weights". "scale" is the gradient of the cosine scale w
+    in the logits w * cos.
     """
 
     value: float
@@ -111,7 +113,7 @@ def uniformity_loss(batch: EmbeddingBatch, kernel: KernelParam) -> LossOutput:
 
     Each view contributes half the log of its mean within-view pair
     potential; cross-view pairs do not enter. No learnable parameters, so
-    the scale/bias gradients are identically zero.
+    the scale gradient is identically zero.
     """
     v1, g1 = pairwise_uniformity(batch.view1, kernel)
     v2, g2 = pairwise_uniformity(batch.view2, kernel)
@@ -121,7 +123,6 @@ def uniformity_loss(batch: EmbeddingBatch, kernel: KernelParam) -> LossOutput:
             "view1": 0.5 * g1,
             "view2": 0.5 * g2,
             "scale": np.float64(0.0),
-            "bias": np.float64(0.0),
         },
     )
 
@@ -162,29 +163,30 @@ def _log_softmax_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lse, z / denom
 
 
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean CE over rows and its gradient (softmax minus one-hot, / N)."""
+    n = logits.shape[0]
+    lse, probs = _log_softmax_rows(logits)
+    value = float(np.mean(lse - logits[np.arange(n), labels]))
+    g = probs.copy()
+    g[np.arange(n), labels] -= 1.0
+    g /= n
+    return value, g
+
+
 def aprot_loss(batch: EmbeddingBatch, params: SimilarityParams) -> LossOutput:
     """Angular prototypical loss.
 
     Each view-1 embedding is classified against all K view-2 embeddings
-    through the affine cosine similarity; the correct class is its own
+    through the scaled cosine similarity; the correct class is its own
     positive pair. Mean cross-entropy over the K anchors.
     """
-    k = batch.size
     cm = _CosineMatrix(batch.view1, batch.view2)
-    s = params.scale * cm.cos + params.bias
-    lse, p = _log_softmax_rows(s)
-    value = float(np.mean(lse - np.diag(s)))
-
-    g_s = (p - np.eye(k)) / k
+    value, g_s = _cross_entropy_rows(params.scale * cm.cos, np.arange(batch.size))
     g1, g2 = cm.backward(params.scale * g_s)
     return LossOutput(
         value=value,
-        grads={
-            "view1": g1,
-            "view2": g2,
-            "scale": np.float64(np.sum(g_s * cm.cos)),
-            "bias": np.float64(np.sum(g_s)),
-        },
+        grads={"view1": g1, "view2": g2, "scale": np.float64(np.sum(g_s * cm.cos))},
     )
 
 
@@ -198,7 +200,7 @@ def acont_loss(batch: EmbeddingBatch, params: SimilarityParams) -> LossOutput:
     """
     k = batch.size
     cm = _CosineMatrix(batch.view1, batch.view2)
-    s = params.scale * cm.cos + params.bias
+    s = params.scale * cm.cos
 
     lse_r, p_row = _log_softmax_rows(s)
     lse_c, p_col_t = _log_softmax_rows(s.T)
@@ -210,12 +212,7 @@ def acont_loss(batch: EmbeddingBatch, params: SimilarityParams) -> LossOutput:
     g1, g2 = cm.backward(params.scale * g_s)
     return LossOutput(
         value=value,
-        grads={
-            "view1": g1,
-            "view2": g2,
-            "scale": np.float64(np.sum(g_s * cm.cos)),
-            "bias": np.float64(np.sum(g_s)),
-        },
+        grads={"view1": g1, "view2": g2, "scale": np.float64(np.sum(g_s * cm.cos))},
     )
 
 
@@ -245,7 +242,6 @@ def combine_losses(unif: LossOutput, sim: LossOutput, weights: CelWeights) -> Lo
             "view1": w * unif.grads["view1"] + sim.grads["view1"],
             "view2": w * unif.grads["view2"] + sim.grads["view2"],
             "scale": sim.grads["scale"],
-            "bias": sim.grads["bias"],
         }
     return LossOutput(value=value, grads=grads)
 

@@ -10,7 +10,7 @@ log-mel (computed once per source) and mean-normalized per crop, scored
 by any of six supervised objectives. `OBJECTIVES` maps each phase's
 objective names to a class that says which parameters the objective adds
 to the encoder's, how a batch's embeddings become its loss and gradients,
-which w and b the metric log shows, and what it adds to the checkpoint
+which scale w the metric log shows, and what it adds to the checkpoint
 meta; config validation and the CLI's choices read their names from it.
 
 Every random draw comes from a stream derived from (run seed, purpose,
@@ -262,7 +262,6 @@ class EpochRecord:
     loss_unif: float
     loss_sim: float
     w: float
-    b: float
 
     def to_line(self) -> str:
         """The record's `metrics.tsv` row: the epoch, then each value's float repr."""
@@ -342,7 +341,7 @@ class _Objective:
     array per view, rows in item order, and returns the upstream gradients
     per view, the gradients of its own parameters and (loss_total,
     loss_unif, loss_sim), the first being the loss. `logged(params)` gives
-    the log's w and b. `meta()` is what it adds to the checkpoint meta and
+    the log's w. `meta()` is what it adds to the checkpoint meta and
     `resume` restores it from there: by default the objective's name, so a
     fine-tuning run cannot resume under another objective.
     """
@@ -367,21 +366,20 @@ class _Objective:
 
 
 class _Similarity(_Objective):
-    """Scores through the learned affine cosine w*cos + b (sim_scale, sim_bias)."""
+    """Scores through the learned scaled cosine w*cos (sim_scale)."""
 
     def init_params(self) -> dict[str, np.ndarray]:
-        init = SimilarityParams()
-        return {"sim_scale": np.float64(init.scale), "sim_bias": np.float64(init.bias)}
+        return {"sim_scale": np.float64(SimilarityParams().scale)}
 
-    def logged(self, params: Mapping[str, np.ndarray]) -> tuple[float, float]:
-        return float(params["sim_scale"]), float(params["sim_bias"])
+    def logged(self, params: Mapping[str, np.ndarray]) -> float:
+        return float(params["sim_scale"])
 
-    def affine(self, params: Mapping[str, np.ndarray]) -> SimilarityParams:
-        return SimilarityParams(*self.logged(params))
+    def similarity(self, params: Mapping[str, np.ndarray]) -> SimilarityParams:
+        return SimilarityParams(self.logged(params))
 
     @staticmethod
     def grads(out: LossOutput) -> dict[str, np.ndarray]:
-        return {"sim_scale": out.grads["scale"], "sim_bias": out.grads["bias"]}
+        return {"sim_scale": out.grads["scale"]}
 
 
 class _Cel(_Similarity):
@@ -400,7 +398,7 @@ class _Cel(_Similarity):
     def step(self, params, views, labels):
         batch = EmbeddingBatch(*views)
         unif = uniformity_loss(batch, self.kernel)
-        sim = similarity_loss(batch, self.affine(params), self.name)
+        sim = similarity_loss(batch, self.similarity(params), self.name)
         out = combine_losses(unif, sim, self.weights)
         terms = (out.value, unif.value, sim.value)
         return [out.grads["view1"], out.grads["view2"]], self.grads(out), terms
@@ -426,10 +424,8 @@ class _Pair(_Similarity):
     def step(self, params, views, labels):
         (emb,) = views
         batch = EmbeddingBatch(emb[0::2], emb[1::2])
-        out = similarity_loss(batch, self.affine(params), self.name)
-        upstream = np.zeros_like(emb)
-        upstream[0::2] = out.grads["view1"]
-        upstream[1::2] = out.grads["view2"]
+        out = similarity_loss(batch, self.similarity(params), self.name)
+        upstream = np.stack([out.grads["view1"], out.grads["view2"]], axis=1).reshape(emb.shape)
         return [upstream], self.grads(out), (out.value, 0.0, out.value)
 
 
@@ -447,7 +443,7 @@ class _Ge2e(_Similarity):
         (emb,) = views
         # Rows come speaker by speaker, so they reshape to (speakers, utterances, dim).
         out = ft.ge2e_loss(emb.reshape(-1, self.cfg.utterances_per_speaker, emb.shape[1]),
-                           self.affine(params))
+                           self.similarity(params))
         upstream = out.grads["embeddings"].reshape(emb.shape)
         return [upstream], self.grads(out), (out.value, 0.0, out.value)
 
@@ -477,8 +473,8 @@ class _Margin(_Objective):
         terms = (out.value, 0.0, out.value)
         return [out.grads["embeddings"]], {"cls_w": out.grads["weights"]}, terms
 
-    def logged(self, params) -> tuple[float, float]:
-        return self.cfg.margin_scale, 0.0
+    def logged(self, params) -> float:
+        return self.cfg.margin_scale
 
 
 class _AdaCos(_Margin):
@@ -493,8 +489,8 @@ class _AdaCos(_Margin):
     def loss(self, batch, weights):
         return ft.adacos_loss(batch, weights, self.state)
 
-    def logged(self, params) -> tuple[float, float]:
-        return self.state.scale, 0.0
+    def logged(self, params) -> float:
+        return self.state.scale
 
     def meta(self) -> dict:
         state = {"adacos_scale": self.state.scale, "adacos_steps": self.state.steps}
@@ -690,7 +686,7 @@ def _train(
             totals += terms
 
         mean = totals / max(len(plan), 1)
-        records.append(EpochRecord(epoch, lr, *map(float, mean), *objective.logged(params)))
+        records.append(EpochRecord(epoch, lr, *map(float, mean), objective.logged(params)))
 
     log_text = "\n".join([LOG_HEADER] + [r.to_line() for r in records]) + "\n"
     ckpt = None

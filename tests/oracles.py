@@ -2,6 +2,12 @@
 
 Everything here is written as plain loops straight from the defining
 formulas, with no code shared with the package. Deliberately O(slow).
+The one exception, `separability`, measures the package's own synthetic
+corpus, so it reads utterances and log-mels through the package.
+
+The similarity oracles keep the paper's affine score w * cos + b; the
+package scores w * cos, and a softmax cross-entropy does not change when
+one constant is added to every logit, so both must agree at any b.
 """
 
 from __future__ import annotations
@@ -234,3 +240,33 @@ def oracle_logmel_frame(samples, n_mels=40, n_fft=512, f_min=20.0, f_max=7600.0,
                 e += weight * power[k]
         out.append(math.log(e + floor))
     return out
+
+
+def separability(manifest, cfg=None):
+    """Mean same-speaker and cross-speaker distance between utterance spectra.
+
+    Each utterance is summarized by its time-averaged log-mel vector; returns
+    (same_mean, cross_mean, relative_margin) where the margin is
+    (cross - same) / cross. The corpus is considered informative when the
+    margin is at least 0.10. Mean normalization is forced off here: it zeroes
+    time-averaged features by construction.
+    """
+    from cel.corpus import utterance_waveform
+    from cel.features import FeatureConfig, logmel
+
+    cfg = (cfg or FeatureConfig()).without_normalization()
+    vecs = []
+    labels = []
+    for i in range(manifest.n_speakers):
+        for j in range(manifest.utterances_per_speaker):
+            w = utterance_waveform(manifest, i, j)
+            vecs.append(logmel(w, cfg).values.mean(axis=1))
+            labels.append(i)
+    mat = np.stack(vecs)
+    lab = np.asarray(labels)
+    d = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
+    same_mask = (lab[:, None] == lab[None, :]) & ~np.eye(lab.size, dtype=bool)
+    cross_mask = lab[:, None] != lab[None, :]
+    same = float(d[same_mask].mean())
+    cross = float(d[cross_mask].mean())
+    return same, cross, (cross - same) / cross

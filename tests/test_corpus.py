@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import oracles
 from cel import augment
 from cel.augment import synth_bank
 from cel.corpus import (
@@ -15,7 +16,6 @@ from cel.corpus import (
     load_manifest,
     load_utterance,
     save_manifest,
-    separability,
     speaker_id,
     speaker_profile,
     utterance_id,
@@ -225,11 +225,11 @@ class TestWrittenCorpus:
 
 class TestSeparability:
     def test_margin_at_least_ten_percent(self, tiny_manifest):
-        same, cross, margin = separability(tiny_manifest)
+        same, cross, margin = oracles.separability(tiny_manifest)
         assert cross > same
         assert margin >= 0.10
 
     def test_returns_positive_distances(self, tiny_manifest):
-        same, cross, _ = separability(tiny_manifest)
+        same, cross, _ = oracles.separability(tiny_manifest)
         assert same > 0.0
         assert cross > 0.0

@@ -74,9 +74,9 @@ def test_cosine_dim_mismatch():
 
 def test_similarity_params_validation():
     with pytest.raises(InvalidParamError):
-        SimilarityParams(scale=0.0, bias=0.0)
+        SimilarityParams(scale=0.0)
     with pytest.raises(InvalidParamError):
-        SimilarityParams(scale=-3.0, bias=0.0)
+        SimilarityParams(scale=-3.0)
 
 
 def test_normalize_idempotent_bitwise():

@@ -58,7 +58,7 @@ class TestGe2e:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         emb = np.stack([[e1, e1], [e2, e2]])
-        out = ge2e_loss(emb, SimilarityParams(1.0, 0.0))
+        out = ge2e_loss(emb, SimilarityParams(1.0))
         # Own score 1, other score 0: each row CE = log(1 + e^-1).
         assert out.value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
@@ -67,23 +67,22 @@ class TestGe2e:
     def test_matches_oracle(self, seed, speakers, utterances):
         rng = np.random.default_rng(seed)
         emb = grouped_rows(rng, speakers, utterances, 5)
-        out = ge2e_loss(emb, SimilarityParams(10.0, -5.0))
+        out = ge2e_loss(emb, SimilarityParams(10.0))
         groups = [list(speaker) for speaker in emb]
         assert out.value == pytest.approx(oracles.oracle_ge2e(groups), abs=1e-10)
 
     def test_gradient_matches_finite_difference(self, rng):
         emb = grouped_rows(rng, 3, 3, 4)
-        p = SimilarityParams(5.0, -1.0)
+        p = SimilarityParams(5.0)
         out = ge2e_loss(emb, p)
         assert out.grads["embeddings"].shape == emb.shape
         arrays = {
             "embeddings": emb,
             "scale": np.array(p.scale),
-            "bias": np.array(p.bias),
         }
 
         def f(a):
-            return ge2e_loss(a["embeddings"], SimilarityParams(float(a["scale"]), float(a["bias"]))).value
+            return ge2e_loss(a["embeddings"], SimilarityParams(float(a["scale"]))).value
 
         num = finite_difference(f, arrays)
         errs = relative_errors({k: out.grads[k] for k in arrays}, num)
@@ -93,7 +92,7 @@ class TestGe2e:
     def test_requires_speakers_by_utterances(self, rng, shape):
         emb = rng.standard_normal(shape)
         with pytest.raises(BatchShapeInvalidError):
-            ge2e_loss(emb, SimilarityParams(10.0, -5.0))
+            ge2e_loss(emb, SimilarityParams(10.0))
 
 
 def margin_case(rng, n=6, classes=3, dim=4):

@@ -131,32 +131,32 @@ class TestUniformity:
 class TestSimilarityLosses:
     def test_aprot_orthogonal_worked_example(self):
         batch = EmbeddingBatch(np.eye(2), np.eye(2))
-        out = aprot_loss(batch, SimilarityParams(1.0, 0.0))
+        out = aprot_loss(batch, SimilarityParams(1.0))
         assert out.value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-10)
 
     def test_acont_orthogonal_worked_example(self):
         batch = EmbeddingBatch(np.eye(2), np.eye(2))
-        out = acont_loss(batch, SimilarityParams(1.0, 0.0))
+        out = acont_loss(batch, SimilarityParams(1.0))
         assert out.value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-10)
 
     @given(batch_strategy())
     @settings(max_examples=40)
     def test_aprot_matches_oracle(self, batch):
-        out = aprot_loss(batch, SimilarityParams(10.0, -5.0))
+        out = aprot_loss(batch, SimilarityParams(10.0))
         want = oracles.oracle_aprot(batch.view1, batch.view2)
         assert out.value == pytest.approx(want, abs=1e-10)
 
     @given(batch_strategy())
     @settings(max_examples=40)
     def test_acont_matches_oracle(self, batch):
-        out = acont_loss(batch, SimilarityParams(10.0, -5.0))
+        out = acont_loss(batch, SimilarityParams(10.0))
         want = oracles.oracle_acont(batch.view1, batch.view2)
         assert out.value == pytest.approx(want, abs=1e-10)
 
     @given(batch_strategy())
     @settings(max_examples=40)
     def test_acont_view_swap_symmetry(self, batch):
-        p = SimilarityParams(7.0, -2.0)
+        p = SimilarityParams(7.0)
         a = acont_loss(batch, p).value
         swapped = EmbeddingBatch(batch.view2, batch.view1)
         b = acont_loss(swapped, p).value
@@ -168,7 +168,7 @@ class TestSimilarityLosses:
         rng = np.random.default_rng(0)
         perm = rng.permutation(batch.size)
         shuffled = EmbeddingBatch(batch.view1[perm], batch.view2[perm])
-        p = SimilarityParams(10.0, -5.0)
+        p = SimilarityParams(10.0)
         a = similarity_loss(batch, p, kind).value
         b = similarity_loss(shuffled, p, kind).value
         assert abs(a - b) < 1e-12
@@ -177,25 +177,24 @@ class TestSimilarityLosses:
         # One tight cluster per index, far apart: loss approaches 0.
         v = np.eye(3) * 1.0
         batch = EmbeddingBatch(v, v)
-        out = aprot_loss(batch, SimilarityParams(30.0, 0.0))
+        out = aprot_loss(batch, SimilarityParams(30.0))
         assert out.value < 1e-8
 
     def test_gradients_match_finite_difference(self, rng):
         batch = random_batch(rng, 3, 4)
-        p = SimilarityParams(8.0, -3.0)
+        p = SimilarityParams(8.0)
         for kind, fn in (("aprot", aprot_loss), ("acont", acont_loss)):
             out = fn(batch, p)
             arrays = {
                 "view1": batch.view1,
                 "view2": batch.view2,
                 "scale": np.array(p.scale),
-                "bias": np.array(p.bias),
             }
 
             def f(a):
                 return fn(
                     EmbeddingBatch(a["view1"], a["view2"]),
-                    SimilarityParams(float(a["scale"]), float(a["bias"])),
+                    SimilarityParams(float(a["scale"])),
                 ).value
 
             num = finite_difference(f, arrays)
@@ -210,7 +209,7 @@ class TestTotalLoss:
         out = total_loss(
             batch,
             KernelParam(2.0),
-            SimilarityParams(10.0, -5.0),
+            SimilarityParams(10.0),
             CelWeights(uniformity_weight=lam),
         )
         want = oracles.oracle_total(batch.view1, batch.view2, lam=lam)
@@ -218,7 +217,7 @@ class TestTotalLoss:
 
     def test_lambda_zero_drops_uniformity_exactly(self, rng):
         batch = random_batch(rng, 4, 3)
-        p = SimilarityParams(10.0, -5.0)
+        p = SimilarityParams(10.0)
         total = total_loss(batch, KernelParam(2.0), p, CelWeights(uniformity_weight=0.0))
         sim = aprot_loss(batch, p)
         assert total.value == sim.value
@@ -227,7 +226,7 @@ class TestTotalLoss:
 
     def test_combine_is_weighted_sum(self, rng):
         batch = random_batch(rng, 5, 4)
-        p = SimilarityParams(10.0, -5.0)
+        p = SimilarityParams(10.0)
         unif = uniformity_loss(batch, KernelParam(2.0))
         sim = aprot_loss(batch, p)
         out = combine_losses(unif, sim, CelWeights(uniformity_weight=0.7))

@@ -35,3 +35,25 @@ def test_equilibrium_runs_to_the_end():
     lines = done.stdout.splitlines()
     assert len([ln for ln in lines if ln.strip()[:1].isdigit()]) == 6  # steps 0-4 and 5
     assert lines[-1].startswith("gap")
+
+
+def test_src_lines_counts_every_module():
+    done = run_script("src_lines.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    modules = sorted(p.name for p in (ROOT / "src" / "cel").glob("*.py"))
+    assert [r[0] for r in rows] == [*modules, "total"]
+    totals = [sum(int(r[i]) for r in rows[:-1]) for i in (1, 2)]
+    assert [int(v) for v in rows[-1][1:]] == totals
+    assert 0 < totals[1] < totals[0]
+
+
+def test_src_lines_leaves_out_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\n'
+        'def f(x):  # trailing comment\n    """Doc."""\n    s = """not a\n    docstring"""\n'
+        '    return x\n'
+    )
+    done = run_script("src_lines.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["total", "10", "4"]

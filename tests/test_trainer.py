@@ -19,6 +19,7 @@ from cel.encoder import (
     EncoderConfig,
     LrSchedule,
     load_checkpoint,
+    load_encoder,
     save_checkpoint,
 )
 from cel.errors import (
@@ -35,6 +36,7 @@ from cel.pool import ItemPool, map_items
 from cel.rng import derive_rng
 from cel.trainer import (
     LOG_HEADER,
+    STATE_PREFIXES,
     CorpusSource,
     EpochRecord,
     FinetuneConfig,
@@ -226,9 +228,9 @@ class TestFinetuneCrops:
 
 class TestPretrain:
     def test_log_columns_are_the_record_fields(self):
-        assert LOG_HEADER == "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw\tb"
-        record = EpochRecord(3, 0.001, 1.5, -2.0, 3.5, np.float64(10.0), -5)
-        assert record.to_line() == "3\t0.001\t1.5\t-2.0\t3.5\t10.0\t-5.0"
+        assert LOG_HEADER == "epoch\tlr\tloss_total\tloss_unif\tloss_sim\tw"
+        record = EpochRecord(3, 0.001, 1.5, -2.0, 3.5, np.float64(10.0))
+        assert record.to_line() == "3\t0.001\t1.5\t-2.0\t3.5\t10.0"
 
     def test_smoke_and_log_shape(self, source, bank, tmp_path):
         cfg = tiny_pretrain_cfg()
@@ -292,6 +294,32 @@ class TestPretrain:
         with pytest.raises(CheckpointMismatchError, match=f"{re.escape(str(path))}.*'{key}'"):
             pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank, resume_from=path)
 
+    def test_similarity_bias_blocks_of_older_checkpoints_are_ignored(
+        self, source, bank, tmp_path
+    ):
+        # Checkpoints written while the similarity had a bias hold sim_bias and
+        # its two Adam moments. A resume, a fine-tuning init and an evaluation
+        # read past them to the same bytes as without them.
+        new = tmp_path / "new.ckpt"
+        pretrain(source, tiny_pretrain_cfg(epochs=1), TINY_ENC, bank=bank, out_dir=tmp_path)
+        (tmp_path / "checkpoint.ckpt").rename(new)
+        config, blocks, meta = load_checkpoint(new)
+        old = tmp_path / "old.ckpt"
+        bias = {f"{p}sim_bias": np.float64(v) for p, v in zip(STATE_PREFIXES, (-5.0, 1e-9, 1e-20))}
+        save_checkpoint(old, config, {**blocks, **bias}, meta)
+        for name, ckpt in (("new", new), ("old", old)):
+            pretrain(source, tiny_pretrain_cfg(), TINY_ENC, bank=bank,
+                     out_dir=tmp_path / f"resumed-{name}", resume_from=ckpt)
+            finetune(source, tiny_finetune_cfg(epochs=1, init_checkpoint=str(ckpt)), TINY_ENC,
+                     out_dir=tmp_path / f"init-{name}")
+        for run, file in itertools.product(("resumed", "init"), ("metrics.tsv", "checkpoint.ckpt")):
+            got = (tmp_path / f"{run}-old" / file).read_bytes()
+            assert got == (tmp_path / f"{run}-new" / file).read_bytes(), (run, file)
+        (old_cfg, old_params), (new_cfg, new_params) = load_encoder(old), load_encoder(new)
+        assert old_cfg == new_cfg and list(old_params) == list(new_params)
+        for name, weights in new_params.items():
+            assert old_params[name].tobytes() == weights.tobytes()
+
     def test_backward_passes_summed_view_by_view(self, source, bank, monkeypatch):
         # Every item's first view, then every item's second: the order the
         # pre-training gradients have always been summed in.
@@ -333,7 +361,7 @@ class TestPretrain:
     def test_parameters_and_meta(self, source, bank, tmp_path):
         cfg = tiny_pretrain_cfg(epochs=1)
         result = pretrain(source, cfg, TINY_ENC, bank=bank, out_dir=tmp_path)
-        params = list(Encoder(TINY_ENC).param_shapes()) + ["sim_scale", "sim_bias"]
+        params = list(Encoder(TINY_ENC).param_shapes()) + ["sim_scale"]
         assert list(result.params) == params
         _, blocks, meta = load_checkpoint(tmp_path / "checkpoint.ckpt")
         assert set(blocks) == {f"{p}{n}" for p in ("", "opt_m.", "opt_v.") for n in params}
@@ -422,8 +450,8 @@ class TestFinetune:
     @pytest.mark.parametrize(
         "objective,extra,head,meta",
         [
-            ("aprot", {}, ["sim_scale", "sim_bias"], []),
-            ("ge2e", {}, ["sim_scale", "sim_bias"], []),
+            ("aprot", {}, ["sim_scale"], []),
+            ("ge2e", {}, ["sim_scale"], []),
             ("cosface", {"utterances_per_speaker": 1}, ["cls_w"], []),
             ("adacos", {"utterances_per_speaker": 1}, ["cls_w"],
              ["adacos_scale", "adacos_steps"]),
