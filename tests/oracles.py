@@ -242,7 +242,7 @@ def oracle_logmel_frame(samples, n_mels=40, n_fft=512, f_min=20.0, f_max=7600.0,
     return out
 
 
-def separability(manifest, cfg=None):
+def separability(manifest):
     """Mean same-speaker and cross-speaker distance between utterance spectra.
 
     Each utterance is summarized by its time-averaged log-mel vector; returns
@@ -254,7 +254,7 @@ def separability(manifest, cfg=None):
     from cel.corpus import utterance_waveform
     from cel.features import FeatureConfig, logmel
 
-    cfg = (cfg or FeatureConfig()).without_normalization()
+    cfg = FeatureConfig().without_normalization()
     vecs = []
     labels = []
     for i in range(manifest.n_speakers):

@@ -157,7 +157,7 @@ def test_c03_loss_invariants_hold_on_random_batches(capsys):
         v1, v2 = unit_rows(rng, k, m), unit_rows(rng, k, m)
         batch = EmbeddingBatch(view1=v1, view2=v2)
         sim = SimilarityParams(float(rng.uniform(0.5, 10.0)))
-        rng.uniform(-5.0, 1.0)  # the draw the removed bias took, so every later batch stays
+        rng.uniform(-5.0, 1.0)  # an unused draw that keeps every later batch of this test fixed
         weights = CelWeights(uniformity_weight=float(rng.uniform(0.0, 2.0)))
 
         # Bounds: the batch uniformity value lives in [-4t, 0].
