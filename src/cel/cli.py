@@ -275,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         return args.func(args)
-    except CelError as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CelError, OSError) as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return 1
 

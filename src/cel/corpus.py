@@ -214,11 +214,11 @@ def utterance_waveform(
 def write_corpus(manifest: CorpusManifest, root: str | Path) -> Path:
     """Write all WAVs plus the manifest file; returns the manifest path."""
     root = Path(root)
-    for i in range(manifest.n_speakers):
-        for j in range(manifest.utterances_per_speaker):
-            path = root / speaker_id(i) / f"{utterance_id(j)}.wav"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_wav(path, utterance_waveform(manifest, i, j))
+    for k, entry in enumerate(manifest.entries):
+        path = root / entry.relative_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        i, j = divmod(k, manifest.utterances_per_speaker)
+        write_wav(path, utterance_waveform(manifest, i, j))
     manifest_path = root / "manifest.tsv"
     save_manifest(manifest, manifest_path)
     return manifest_path

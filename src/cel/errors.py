@@ -46,7 +46,7 @@ class UtteranceTooShortError(CelError):
 
 
 class EmptyImpulseError(CelError):
-    """Impulse response is empty or non-finite."""
+    """Impulse response is empty."""
 
 
 class InvalidParamError(CelError):

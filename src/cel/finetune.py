@@ -5,6 +5,11 @@ loss scored against speaker centroids, additive cosine margin, additive
 angular margin, and an adaptively scaled cosine loss whose scale parameter
 is non-differentiable state updated from batch statistics.
 
+The three classifier losses share one margin-softmax core,
+`_margin_softmax`: each states only its own-class logit as a function of
+the own-class cosine, and the core does the rest (weight check, cosine
+matrix, cross-entropy, backpropagation).
+
 All gradients are analytic, taken with respect to the raw (pre-normalization)
 embedding and weight matrices; cosines normalize their arguments internally,
 so the losses stay well defined off the unit sphere.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,69 +163,66 @@ def ge2e_loss(embeddings: np.ndarray, params: SimilarityParams) -> LossOutput:
     )
 
 
-def _checked_weights(weights: np.ndarray, dim: int) -> np.ndarray:
-    """Classifier weights as float64, after checking their (classes, dim) shape."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != dim:
-        raise BatchShapeInvalidError(
-            f"classifier weights must be (num_classes, {dim}), got {w.shape}"
-        )
-    return w
-
-
-def _margin_core(
+def _margin_softmax(
     batch: LabeledBatch,
-    target_logit: np.ndarray,
-    other_scale: float,
-    d_target_d_cos: np.ndarray,
-    cm: _CosineMatrix,
-) -> LossOutput:
-    """Shared CE-and-backprop tail for the margin-softmax family."""
-    n = batch.size
-    idx = np.arange(n)
-    logits = other_scale * cm.cos
-    logits[idx, batch.labels] = target_logit
+    weights: np.ndarray,
+    scale: float,
+    target: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | float]],
+) -> tuple[LossOutput, np.ndarray]:
+    """Cross-entropy over classifier logits scale*cos, own class replaced.
+
+    `target` maps each row's own-class cosine to its own-class logit and
+    that logit's derivative. Returns the loss and the (batch, classes)
+    cosine matrix.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != batch.embeddings.shape[1]:
+        raise BatchShapeInvalidError(
+            f"classifier weights must be (num_classes, {batch.embeddings.shape[1]}), "
+            f"got {w.shape}"
+        )
+    cm = _CosineMatrix(batch.embeddings, w)
+    own = (np.arange(batch.size), batch.labels)
+    own_logit, d_own = target(cm.cos[own])
+    logits = scale * cm.cos
+    logits[own] = own_logit
     value, g_logits = _cross_entropy_rows(logits, batch.labels)
 
-    g_cos = other_scale * g_logits
-    g_cos[idx, batch.labels] = g_logits[idx, batch.labels] * d_target_d_cos
+    g_cos = scale * g_logits
+    g_cos[own] = g_logits[own] * d_own
     g_emb, g_w = cm.backward(g_cos)
-    return LossOutput(
-        value=value, grads={"embeddings": g_emb, "weights": g_w}
-    )
+    return LossOutput(value=value, grads={"embeddings": g_emb, "weights": g_w}), cm.cos
+
+
+def _cosine_margin(scale: float, margin: float):
+    """Own-class logit s*(cos - m) and its derivative s."""
+    return lambda cos: (scale * (cos - margin), scale)
 
 
 def cosface_loss(
     batch: LabeledBatch, weights: np.ndarray, cfg: MarginConfig
 ) -> LossOutput:
     """Additive cosine margin: target logit s*(cos - m), others s*cos."""
-    w = _checked_weights(weights, batch.embeddings.shape[1])
-    cm = _CosineMatrix(batch.embeddings, w)
-    idx = np.arange(batch.size)
-    target_cos = cm.cos[idx, batch.labels]
-    target_logit = cfg.scale * (target_cos - cfg.margin)
-    d_target = np.full(batch.size, cfg.scale)
-    return _margin_core(batch, target_logit, cfg.scale, d_target, cm)
+    return _margin_softmax(batch, weights, cfg.scale, _cosine_margin(cfg.scale, cfg.margin))[0]
 
 
 def arcface_loss(
     batch: LabeledBatch, weights: np.ndarray, cfg: MarginConfig
 ) -> LossOutput:
     """Additive angular margin: target logit s*cos(theta + m), others s*cos."""
-    w = _checked_weights(weights, batch.embeddings.shape[1])
-    cm = _CosineMatrix(batch.embeddings, w)
-    idx = np.arange(batch.size)
-    target_cos = np.clip(cm.cos[idx, batch.labels], -COS_CLAMP, COS_CLAMP)
-    inside = np.abs(cm.cos[idx, batch.labels]) < COS_CLAMP
-    theta = np.arccos(target_cos)
-    target_logit = cfg.scale * np.cos(theta + cfg.margin)
-    # d/dcos s*cos(acos(c)+m) = s*sin(theta+m)/sqrt(1-c^2); zero when clamped.
-    d_target = np.where(
-        inside,
-        cfg.scale * np.sin(theta + cfg.margin) / np.sqrt(1.0 - target_cos**2),
-        0.0,
-    )
-    return _margin_core(batch, target_logit, cfg.scale, d_target, cm)
+
+    def target(cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        clamped = np.clip(cos, -COS_CLAMP, COS_CLAMP)
+        theta = np.arccos(clamped)
+        # d/dcos s*cos(acos(c)+m) = s*sin(theta+m)/sqrt(1-c^2); zero when clamped.
+        d_logit = np.where(
+            np.abs(cos) < COS_CLAMP,
+            cfg.scale * np.sin(theta + cfg.margin) / np.sqrt(1.0 - clamped**2),
+            0.0,
+        )
+        return cfg.scale * np.cos(theta + cfg.margin), d_logit
+
+    return _margin_softmax(batch, weights, cfg.scale, target)[0]
 
 
 def adacos_loss(
@@ -238,20 +241,16 @@ def adacos_loss(
         raise SingleClassError(
             f"adaptive scale needs at least 2 classes, got {batch.num_classes}"
         )
-    w = _checked_weights(weights, batch.embeddings.shape[1])
-    cm = _CosineMatrix(batch.embeddings, w)
     s = state.scale
-    idx = np.arange(batch.size)
-    target_cos = cm.cos[idx, batch.labels]
-    target_logit = s * target_cos
-    d_target = np.full(batch.size, s)
-    out = _margin_core(batch, target_logit, s, d_target, cm)
+    # Fixed-scale AdaCos is the CosFace logit at m = 0.
+    out, cos = _margin_softmax(batch, weights, s, _cosine_margin(s, 0.0))
 
     if update_scale:
-        mass = np.exp(s * cm.cos)
-        mass[idx, batch.labels] = 0.0
+        own = (np.arange(batch.size), batch.labels)
+        mass = np.exp(s * cos)
+        mass[own] = 0.0
         b_avg = float(mass.sum() / batch.size)
-        theta_med = float(np.median(np.arccos(np.clip(target_cos, -1.0, 1.0))))
+        theta_med = float(np.median(np.arccos(np.clip(cos[own], -1.0, 1.0))))
         new_scale = math.log(b_avg) / math.cos(min(math.pi / 4.0, theta_med))
         state.scale = max(new_scale, SCALE_FLOOR)
         state.steps += 1

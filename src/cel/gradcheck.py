@@ -28,7 +28,7 @@ from .finetune import (
 )
 from .rng import derive_rng
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 # Relative-error denominator floor: keeps coordinates whose true gradient
 # is ~0 from amplifying central-difference noise into spurious failures,
@@ -39,7 +39,6 @@ REL_FLOOR = 1e-4
 def finite_difference(
     f: Callable[[Mapping[str, np.ndarray]], float],
     arrays: Mapping[str, np.ndarray],
-    step: float = DEFAULT_STEP,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of f with respect to every array entry."""
     work = {k: np.array(v, dtype=np.float64) for k, v in arrays.items()}
@@ -50,12 +49,12 @@ def finite_difference(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             f_plus = f(work)
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             f_minus = f(work)
             flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * step)
+            gflat[i] = (f_plus - f_minus) / (2.0 * STEP)
         out[name] = g
     return out
 
@@ -92,26 +91,6 @@ class CheckResult:
         )
 
 
-def compare(
-    f: Callable[[Mapping[str, np.ndarray]], float],
-    arrays: Mapping[str, np.ndarray],
-    analytic: Mapping[str, np.ndarray],
-    step: float = DEFAULT_STEP,
-) -> tuple[float, str, int]:
-    """Max relative error over all checked coordinates, with its location."""
-    numeric = finite_difference(f, arrays, step)
-    errs = relative_errors(analytic, numeric)
-    worst = (0.0, "", -1)
-    for name, e in errs.items():
-        if e.size == 0:
-            continue
-        i = int(np.argmax(e.reshape(-1)))
-        m = float(e.reshape(-1)[i])
-        if m >= worst[0]:
-            worst = (m, name, i)
-    return worst
-
-
 def _random_unit_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     x = rng.standard_normal((n, m))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -146,30 +125,32 @@ _CLASSIFIER_LOSSES: dict[str, Callable[[LabeledBatch, np.ndarray], losses.LossOu
 }
 
 
-def _compare_loss(
+def _loss_errors(
     make_output: Callable[[Mapping[str, np.ndarray]], losses.LossOutput],
     arrays: Mapping[str, np.ndarray],
-) -> tuple[float, str, int]:
-    """`compare` of a loss's value against the gradients it reports for `arrays`."""
-    out = make_output(arrays)
-    analytic = {name: out.grads[name] for name in arrays}
-    return compare(lambda a: make_output(a).value, arrays, analytic)
+) -> dict[str, np.ndarray]:
+    """Relative errors of the gradients a loss reports, one per array it depends on."""
+    analytic = make_output(arrays).grads
+    return relative_errors(analytic, finite_difference(lambda a: make_output(a).value, arrays))
 
 
 def _check(
-    instances: Callable[[str, int], Iterator[tuple[float, str, int]]], name: str, seed: int
+    instances: Callable[[str, int], Iterator[Mapping[str, np.ndarray]]], name: str, seed: int
 ) -> CheckResult:
-    """One row for every instance's comparison: the largest error, the last of ties."""
+    """One row over every coordinate of every instance: the largest error, the last of ties."""
     worst = (0.0, "", -1)
     count = 0
-    for res in instances(name, seed):
+    for errs in instances(name, seed):
         count += 1
-        if res[0] >= worst[0]:
-            worst = res
+        for param, e in errs.items():
+            i = int(np.argmax(e.reshape(-1)))
+            m = float(e.reshape(-1)[i])
+            if m >= worst[0]:
+                worst = (m, param, i)
     return CheckResult(name, count, *worst)
 
 
-def _pair_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
+def _pair_loss_instances(name: str, seed: int) -> Iterator[Mapping[str, np.ndarray]]:
     loss = _PAIR_LOSSES[name]
     rng = derive_rng(seed, "gradcheck", name)
     for k in (2, 3, 5, 8):
@@ -181,13 +162,13 @@ def _pair_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int
                 }
                 if name != "unif":
                     arrays["scale"] = np.array(float(rng.uniform(0.5, 10.0)))
-                yield _compare_loss(
+                yield _loss_errors(
                     lambda a: loss(EmbeddingBatch(view1=a["view1"], view2=a["view2"]), a),
                     arrays,
                 )
 
 
-def _finetune_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
+def _finetune_loss_instances(name: str, seed: int) -> Iterator[Mapping[str, np.ndarray]]:
     rng = derive_rng(seed, "gradcheck", name)
     shapes = [(2, 2, 3), (4, 3, 8), (6, 4, 16), (12, 6, 8), (8, 5, 3)]
     for n, c, m in shapes:
@@ -212,10 +193,10 @@ def _finetune_loss_instances(name: str, seed: int) -> Iterator[tuple[float, str,
                 def make_output(a, labels=labels, c=c, loss=_CLASSIFIER_LOSSES[name]):
                     return loss(LabeledBatch(a["embeddings"], labels, c), a["weights"])
 
-            yield _compare_loss(make_output, arrays)
+            yield _loss_errors(make_output, arrays)
 
 
-def _encoder_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]:
+def _encoder_instances(name: str, seed: int) -> Iterator[Mapping[str, np.ndarray]]:
     for rep in range(3):
         rng = derive_rng(seed, "gradcheck", name, rep)
         cfg = EncoderConfig(input_dim=6, hidden_dims=(5, 4), embedding_dim=4,
@@ -235,7 +216,7 @@ def _encoder_instances(name: str, seed: int) -> Iterator[tuple[float, str, int]]
             return float(np.dot(upstream, enc.forward(dict(arrays), feats).embedding))
 
         grads = enc.backward(params, enc.forward(params, feats), upstream)
-        yield compare(run, params, grads)
+        yield relative_errors(grads, finite_difference(run, params))
 
 
 _CHECKS: dict[str, Callable[[int], CheckResult]] = {

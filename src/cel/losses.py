@@ -48,11 +48,11 @@ class CelWeights:
 class LossOutput:
     """Scalar loss plus named gradients.
 
-    Keys present depend on the loss: two-view losses carry "view1"/"view2"
-    and always "scale" (zero when the loss has no learnable parameter),
-    GE2E carries "embeddings"/"scale", classifier losses carry
-    "embeddings"/"weights". "scale" is the gradient of the cosine scale w
-    in the logits w * cos.
+    The keys are exactly the arrays the loss depends on: "view1"/"view2"
+    for uniformity, plus "scale" for the two-view similarity losses and
+    their combination, "embeddings"/"scale" for GE2E and
+    "embeddings"/"weights" for the classifier losses. "scale" is the
+    gradient of the cosine scale w in the logits w * cos.
     """
 
     value: float
@@ -112,18 +112,13 @@ def uniformity_loss(batch: EmbeddingBatch, kernel: KernelParam) -> LossOutput:
     """Batch uniformity loss, half per view.
 
     Each view contributes half the log of its mean within-view pair
-    potential; cross-view pairs do not enter. No learnable parameters, so
-    the scale gradient is identically zero.
+    potential; cross-view pairs do not enter.
     """
     v1, g1 = pairwise_uniformity(batch.view1, kernel)
     v2, g2 = pairwise_uniformity(batch.view2, kernel)
     return LossOutput(
         value=0.5 * v1 + 0.5 * v2,
-        grads={
-            "view1": 0.5 * g1,
-            "view2": 0.5 * g2,
-            "scale": np.float64(0.0),
-        },
+        grads={"view1": 0.5 * g1, "view2": 0.5 * g2},
     )
 
 
@@ -147,9 +142,10 @@ class _CosineMatrix:
     def backward(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of sum(g * cos) with respect to the raw inputs."""
         g = g * self.mask
-        ga = (g @ self.ub - (g * self.cos).sum(axis=1)[:, None] * self.ua)
+        g_cos = g * self.cos
+        ga = (g @ self.ub - g_cos.sum(axis=1)[:, None] * self.ua)
         ga /= self.na[:, None]
-        gb = (g.T @ self.ua - (g * self.cos).sum(axis=0)[:, None] * self.ub)
+        gb = (g.T @ self.ua - g_cos.sum(axis=0)[:, None] * self.ub)
         gb /= self.nb[:, None]
         return ga, gb
 
@@ -234,16 +230,12 @@ def combine_losses(unif: LossOutput, sim: LossOutput, weights: CelWeights) -> Lo
     similarity-only run.
     """
     w = weights.uniformity_weight
-    value = w * unif.value + sim.value if w != 0.0 else sim.value
+    grads = dict(sim.grads)
     if w == 0.0:
-        grads = dict(sim.grads)
-    else:
-        grads = {
-            "view1": w * unif.grads["view1"] + sim.grads["view1"],
-            "view2": w * unif.grads["view2"] + sim.grads["view2"],
-            "scale": sim.grads["scale"],
-        }
-    return LossOutput(value=value, grads=grads)
+        return LossOutput(value=sim.value, grads=grads)
+    for name, g in unif.grads.items():
+        grads[name] = w * g + grads[name]
+    return LossOutput(value=w * unif.value + sim.value, grads=grads)
 
 
 def total_loss(

@@ -24,6 +24,18 @@ PAIRED = {"encoder": ("input_dim", "features", "n_mels"),
           "features": ("n_mels", "encoder", "input_dim")}
 
 
+# Settable config values. A change that adds or removes one edits this pin.
+SETTABLE_VALUES = 44
+
+
+def _settable(value):
+    """Settable values under `value`: a nested dataclass contributes its
+    fields, any other field counts once."""
+    if dataclasses.is_dataclass(value):
+        return sum(_settable(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return 1
+
+
 def _float_keys(cls, prefix=""):
     """(dotted key, is a tuple) of every field under `cls` that holds floats."""
     for name, hint in typing.get_type_hints(cls).items():
@@ -55,6 +67,9 @@ def _changed(name, value):
 
 
 class TestSchema:
+    def test_settable_value_count_is_pinned(self):
+        assert _settable(RunConfig()) == SETTABLE_VALUES
+
     def test_empty_document_gives_defaults(self):
         cfg = config_from_dict({})
         assert cfg == RunConfig()

@@ -6,6 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cel.embedding import EmbeddingBatch, SimilarityParams
+from cel.finetune import (
+    AdaCosState,
+    LabeledBatch,
+    MarginConfig,
+    adacos_loss,
+    arcface_loss,
+    cosface_loss,
+    ge2e_loss,
+)
 from cel.gradcheck import finite_difference, relative_errors
 from cel.losses import (
     CelWeights,
@@ -234,3 +243,41 @@ class TestTotalLoss:
         np.testing.assert_allclose(
             out.grads["view1"], 0.7 * unif.grads["view1"] + sim.grads["view1"], atol=1e-12
         )
+
+
+def _two_view(loss):
+    return lambda rng: loss(random_batch(rng, 4, 3))
+
+
+def _classifier(loss):
+    def run(rng):
+        batch = LabeledBatch(random_batch(rng, 6, 3).view1, np.array([0, 1, 2, 0, 1, 2]), 3)
+        return loss(batch, rng.standard_normal((3, 3)))
+
+    return run
+
+
+SIM, KERNEL = SimilarityParams(10.0), KernelParam(2.0)
+TWO_VIEW_SIM = {"view1", "view2", "scale"}
+CLASSIFIER = {"embeddings", "weights"}
+
+# Each loss and the arrays it depends on.
+GRADIENT_KEYS = {
+    "uniformity": (_two_view(lambda b: uniformity_loss(b, KERNEL)), {"view1", "view2"}),
+    "aprot": (_two_view(lambda b: aprot_loss(b, SIM)), TWO_VIEW_SIM),
+    "acont": (_two_view(lambda b: acont_loss(b, SIM)), TWO_VIEW_SIM),
+    "total": (_two_view(lambda b: total_loss(b, KERNEL, SIM, CelWeights(1.0))), TWO_VIEW_SIM),
+    "total-unweighted": (
+        _two_view(lambda b: total_loss(b, KERNEL, SIM, CelWeights(0.0))), TWO_VIEW_SIM
+    ),
+    "ge2e": (lambda rng: ge2e_loss(rng.standard_normal((3, 2, 4)), SIM), {"embeddings", "scale"}),
+    "cosface": (_classifier(lambda b, w: cosface_loss(b, w, MarginConfig())), CLASSIFIER),
+    "arcface": (_classifier(lambda b, w: arcface_loss(b, w, MarginConfig())), CLASSIFIER),
+    "adacos": (_classifier(lambda b, w: adacos_loss(b, w, AdaCosState(scale=8.0))), CLASSIFIER),
+}
+
+
+@pytest.mark.parametrize("name", GRADIENT_KEYS)
+def test_gradient_keys_are_the_arrays_the_loss_depends_on(rng, name):
+    run, keys = GRADIENT_KEYS[name]
+    assert set(run(rng).grads) == keys
