@@ -5,6 +5,13 @@ standard deviation), a final affine projection, and L2 normalization onto
 the unit hypersphere. Gradients are exact reverse-mode, including the
 normalization Jacobian. Optimization is bias-corrected Adam with a stepwise
 multiplicative learning-rate decay, all in plain numpy for verifiability.
+
+The frame layers and the pooling compute in the dtype of the weights they
+are given; the projection, the normalization and the embedding are always
+float64. Training and embedding pass a float32 copy of the float64 master
+weights (`Encoder.float32_weights`), following "Mixed Precision Training"
+(Micikevicius et al., ICLR 2018): the optimizer, its moments and the
+checkpoints stay float64. Given float64 weights, every output is float64.
 """
 
 from __future__ import annotations
@@ -117,11 +124,20 @@ class Encoder:
                 params[name] = np.zeros(shape)
         return params
 
+    def float32_weights(self, params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """A float32 copy of the encoder's blocks of `params`: the weights its
+        frame layers compute in during training and embedding."""
+        return {name: params[name].astype(np.float32) for name in self.param_shapes()}
+
     def forward(
         self, params: Mapping[str, np.ndarray], features: np.ndarray
     ) -> ForwardCache:
-        """The unit embedding of (input_dim, T) features, in a cache for `backward`."""
-        feats = np.asarray(features, dtype=np.float64)
+        """The unit embedding of (input_dim, T) features, in a cache for `backward`.
+
+        The frame layers and the pooling compute in the dtype of `params["w0"]`;
+        the projection and the normalization in float64.
+        """
+        feats = np.asarray(features, dtype=params["w0"].dtype)
         if feats.ndim != 2 or feats.shape[0] != self.config.input_dim:
             raise ShapeMismatchError(
                 f"features must be ({self.config.input_dim}, T), got {feats.shape}"
@@ -131,9 +147,10 @@ class Encoder:
         relu_masks = []
         for i in range(len(self.config.hidden_dims)):
             layer_inputs.append(h)
-            z = h @ params[f"w{i}"].T + params[f"b{i}"]
-            mask = z > 0
-            h = z * mask
+            h = h @ params[f"w{i}"].T
+            h += params[f"b{i}"]
+            mask = h > 0
+            h *= mask
             relu_masks.append(mask)
 
         mean = h.mean(axis=0)
@@ -144,7 +161,7 @@ class Encoder:
             std = None
             pooled = mean
 
-        v = params["w_out"] @ pooled + params["b_out"]
+        v = np.asarray(params["w_out"], dtype=np.float64) @ pooled + params["b_out"]
         norm = float(np.linalg.norm(v))
         if norm <= NORM_FLOOR:
             raise NormalizationDegenerateError(
@@ -169,7 +186,11 @@ class Encoder:
         cache: ForwardCache,
         upstream: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """Parameter gradients of `upstream . embedding` at the cached forward pass."""
+        """Parameter gradients of `upstream . embedding` at the cached forward pass.
+
+        The output-layer gradients are float64; the frame layers' are in the
+        dtype their forward pass computed in.
+        """
         if cache.params is not params:
             raise StaleCacheError(
                 "cache was produced by a different parameter set; "
@@ -188,11 +209,12 @@ class Encoder:
         grads: dict[str, np.ndarray] = {}
         grads["w_out"] = np.outer(g_v, cache.pooled)
         grads["b_out"] = g_v
-        g_pooled = params["w_out"].T @ g_v
-
         h = cache.last_hidden
+        g_pooled = (params["w_out"].T @ g_v).astype(h.dtype, copy=False)
+
         t = h.shape[0]
         d = h.shape[1]
+        mask = cache.relu_masks[-1]
         if self.config.pooling == "mean_std":
             g_mean_direct = g_pooled[:d]
             g_std = g_pooled[d:]
@@ -200,16 +222,17 @@ class Encoder:
             # std_j = sqrt(mean_t centered^2 + eps):
             # d std_j / d h_tj = centered_tj / (T std_j); the mean shift
             # contributes zero because sum_t centered_tj = 0.
-            g_h = g_mean_direct / t + g_std * centered / (t * cache.std)
+            g_z = g_mean_direct / t + g_std * centered / (t * cache.std)
+            g_z *= mask
         else:
-            g_h = np.broadcast_to(g_pooled / t, h.shape).copy()
+            g_z = (g_pooled / t) * mask
 
         for i in reversed(range(len(self.config.hidden_dims))):
-            g_z = g_h * cache.relu_masks[i]
             grads[f"w{i}"] = g_z.T @ cache.layer_inputs[i]
             grads[f"b{i}"] = g_z.sum(axis=0)
             if i > 0:
-                g_h = g_z @ params[f"w{i}"]
+                g_z = g_z @ params[f"w{i}"]
+                g_z *= cache.relu_masks[i - 1]
 
         return grads
 

@@ -6,8 +6,7 @@ real FFT power spectrum, 40 triangular mel filters on the HTK scale between
 per-utterance mean normalization. Output orientation is bands x frames.
 
 Samples and features are float32 from the WAV reader to the log-mel output:
-16-bit PCM carries no information that float32 loses. The encoder casts its
-input to float64.
+16-bit PCM carries no information that float32 loses.
 """
 
 from __future__ import annotations

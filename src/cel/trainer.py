@@ -14,13 +14,18 @@ which scale w the metric log shows, and what it adds to the checkpoint
 meta; config validation and the CLI's choices read their names from it.
 
 Every random draw comes from a stream derived from (run seed, purpose,
-epoch, item), so runs are bit-reproducible and resumable mid-run. Each
-item's data pipeline (waveform fetch, crop, augmentation, log-mel) runs on
-the shared thread pool of `cel.pool`, sized by the process's CPU affinity,
-and NumPy's FFTs release the interpreter lock, so items overlap on separate
-cores. The calling thread encodes the features in item order as they
-arrive, then runs the losses, the backward passes (summed view by view,
-each in item order) and Adam, so outputs do not depend on the pool size.
+epoch, item or batch), so runs are bit-reproducible and resumable mid-run:
+pre-training items draw their crops and augmentations from their own
+streams, and a fine-tuning batch draws its items' crop positions from one
+stream on the calling thread. Each item's data pipeline (waveform fetch,
+crop, augmentation, log-mel) runs on the shared thread pool of `cel.pool`,
+sized by the process's CPU affinity, and NumPy's FFTs release the
+interpreter lock, so items overlap on separate cores. The calling thread
+encodes the features in item order as they arrive, then runs the losses,
+the backward passes (summed view by view, each in item order) and Adam, so
+outputs do not depend on the pool size. The encoder passes compute their
+frame layers in float32 on a per-step copy of the weights; parameters,
+losses, summed gradients, Adam and checkpoints are float64.
 The pool leaves room for BLAS's own threads: with BLAS on every CPU (its
 default) it has one thread, so set OPENBLAS_NUM_THREADS=1 to get one item
 thread per CPU. Metric logs carry only deterministic quantities, so two
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -306,31 +311,53 @@ def _pretrain_item(
     return logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values
 
 
+def _pretrain_batch(
+    source: CorpusSource, bank: NoiseBank, cfg: PretrainConfig, feature_cfg: FeatureConfig,
+    epoch: int, batch_index: int, speakers: Sequence[int], utts: Sequence[int],
+) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """A pre-training batch's items, built on the pool in item order."""
+    item = partial(_pretrain_item, source, bank, cfg, feature_cfg, epoch)
+    return pool.map_items(item, speakers, utts)
+
+
 def _finetune_item(
     source: CorpusSource,
     cfg: FinetuneConfig,
     feature_cfg: FeatureConfig,
-    epoch: int,
     local_speaker: int,
     utt: int,
+    position: float,
 ) -> tuple[np.ndarray]:
     """Log-mel features of one clean fixed-length segment, its one view.
 
     The segment is `cfg.frames` columns of the utterance's cached
     unnormalized log-mel (`CorpusSource.features`, wrap-padded to at least
-    one crop) from an offset drawn in hops from the item's own crop stream,
-    then mean-normalized if the config says so: the log-mel of the waveform
-    crop at that offset, to the bit.
+    one crop) from the hop offset `int(position * (offsets available))`, for
+    a `position` in [0, 1), then mean-normalized if the config says so: the
+    log-mel of the waveform crop at that offset, to the bit.
     """
     raw_cfg = feature_cfg.without_normalization()
     need = crop_samples(cfg.frames, raw_cfg.win_length, raw_cfg.hop_length)
     feats = source.features(local_speaker, utt, raw_cfg, min_samples=need)
-    rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
-    offset = int(rng.integers(0, feats.shape[1] - cfg.frames + 1))
+    offset = int(position * (feats.shape[1] - cfg.frames + 1))
     crop = feats[:, offset : offset + cfg.frames]
     if feature_cfg.mean_normalize:
         crop = crop - crop.mean(axis=1, keepdims=True)
     return (crop,)
+
+
+def _finetune_batch(
+    source: CorpusSource, cfg: FinetuneConfig, feature_cfg: FeatureConfig,
+    epoch: int, batch_index: int, speakers: Sequence[int], utts: Sequence[int],
+) -> Iterable[tuple[np.ndarray]]:
+    """A fine-tuning batch's items, built on the pool in item order.
+
+    The crop positions come from the batch's one crop stream, drawn on the
+    calling thread in item order, so they do not depend on the pool size.
+    """
+    positions = derive_rng(cfg.seed, "crop", epoch, batch_index).random(len(speakers))
+    item = partial(_finetune_item, source, cfg, feature_cfg)
+    return pool.map_items(item, speakers, utts, positions)
 
 
 class _Objective:
@@ -522,14 +549,14 @@ def _summed_grads(
     forwards: Sequence[ForwardCache],
     upstream: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Encoder parameter gradients of a batch, summed in the order given.
+    """Encoder parameter gradients of a batch, summed in float64 in the order given.
 
     The encoder passes stay on the calling thread: they are small matrix
     products whose Python overhead holds the interpreter lock, and on the
     pool they measured slower. Non-finite upstream gradients raise no numpy
     warning here; the caller's finiteness check reports them.
     """
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    grads = {name: np.zeros(np.shape(p)) for name, p in params.items()}
     with np.errstate(invalid="ignore", over="ignore"):
         for fw, up in zip(forwards, upstream):
             for name, g in enc.backward(params, fw, up).items():
@@ -596,7 +623,7 @@ def _train(
     source: CorpusSource,
     cfg: PretrainConfig | FinetuneConfig,
     encoder_cfg: EncoderConfig,
-    item: Callable[..., tuple[np.ndarray, ...]],
+    batch_items: Callable[..., Iterable[tuple[np.ndarray, ...]]],
     batch_shape: tuple[int, int],
     init_checkpoint: str | Path | None,
     out_dir: str | Path | None,
@@ -604,11 +631,13 @@ def _train(
 ) -> TrainResult:
     """The epoch loop of both phases.
 
-    `item(epoch, speaker, utt)` builds one utterance's encoder inputs, one
-    feature matrix per view;
-    batches hold `batch_shape` = (speakers, utterances per speaker); the
-    objective `OBJECTIVES[phase][objective_name]` scores them. A corpus
-    smaller than one batch is refused before any item is built.
+    `batch_items(epoch, batch_index, speakers, utts)` yields each item's
+    encoder inputs in item order, one feature matrix per view; batches hold
+    `batch_shape` = (speakers, utterances per speaker); the objective
+    `OBJECTIVES[phase][objective_name]` scores them. A corpus smaller than
+    one batch is refused before any item is built. Each step's encoder
+    passes run on one float32 copy of the encoder's weights; the
+    parameters, their summed gradients and Adam stay float64.
     """
     sizes = zip(batch_shape, (source.speaker_count, source.utterances_per_speaker),
                 ("speakers", "utterances per speaker"))
@@ -659,18 +688,19 @@ def _train(
         totals = np.zeros(3)
         for batch_index, batch_plan in enumerate(plan):
             labels = [s for s, utts in batch_plan for _ in utts]
-            items = pool.map_items(
-                partial(item, epoch), labels, [u for _, utts in batch_plan for u in utts]
+            items = batch_items(
+                epoch, batch_index, labels, [u for _, utts in batch_plan for u in utts]
             )
+            weights = enc.float32_weights(params)
             # Encoded as each item arrives, then grouped by view: backward
             # passes are summed view by view, each in item order.
-            forwards = [[enc.forward(params, v) for v in views] for views in items]
+            forwards = [[enc.forward(weights, v) for v in views] for views in items]
             by_view = list(zip(*forwards))
             upstream, own_grads, terms = objective.step(
                 params, [np.stack([f.embedding for f in fw]) for fw in by_view], labels
             )
             grads = _summed_grads(
-                enc, params, [f for fw in by_view for f in fw],
+                enc, weights, [f for fw in by_view for f in fw],
                 [g for up in upstream for g in up],
             )
             grads.update(own_grads)
@@ -715,7 +745,7 @@ def pretrain(
     bank = bank or synth_bank(cfg.seed)
     return _train(
         "pretrain", cfg.similarity_kind, source, cfg, encoder_cfg,
-        item=partial(_pretrain_item, source, bank, cfg, feature_cfg),
+        batch_items=partial(_pretrain_batch, source, bank, cfg, feature_cfg),
         batch_shape=(cfg.k, 1),
         init_checkpoint=None,
         out_dir=out_dir,
@@ -734,7 +764,7 @@ def finetune(
     """Supervised fine-tuning on unaugmented fixed-length segments."""
     return _train(
         "finetune", cfg.objective, source, cfg, encoder_cfg,
-        item=partial(_finetune_item, source, cfg, feature_cfg),
+        batch_items=partial(_finetune_batch, source, cfg, feature_cfg),
         batch_shape=(cfg.speakers_per_batch, cfg.utterances_per_speaker),
         init_checkpoint=cfg.init_checkpoint,
         out_dir=out_dir,
@@ -775,4 +805,5 @@ def embed_utterances(
         ids = set(ids)
         utterances = [item for item in utterances if item[2] in ids]
     items = pool.map_items(features, *zip(*utterances))
-    return {key: enc.forward(params, feats).embedding for key, feats in items}
+    weights = enc.float32_weights(params)
+    return {key: enc.forward(weights, feats).embedding for key, feats in items}

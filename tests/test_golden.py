@@ -14,7 +14,8 @@ writes fails here, intended or not:
 The file records the NumPy, SciPy and BLAS versions it was made with. Other
 versions may round differently, so a mismatch fails naming both sets rather
 than comparing hashes. A change that moves the bytes by design records the
-file again and says which hashes moved and why:
+file again, which prints each hash that moved as old -> new, and says which
+hashes moved and why:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -137,37 +138,51 @@ def test_bytes_match_the_golden_file(case, workdir):
     assert case_digest(case, workdir) == _golden()["sha256"][case], case
 
 
+# The cases run under 1 and 2 BLAS threads: float32 and float64 products
+# take different BLAS kernels, and these cover both through pretraining,
+# fine-tuning and embedding.
+THREAD_CASES = ("pretrain", "finetune-cosface", "scores")
+
+
 def test_bytes_do_not_depend_on_blas_threads():
     # Two processes, so each BLAS reads its thread count at load; the item
-    # pool is sized from it as well (two item threads at 1, one at 2).
+    # pool is sized from it as well (two item threads at 1, one at 2). Each
+    # process runs every case on one pretraining run.
     _require_recorded_versions()
     procs = {}
     for n in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
                "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n}
         procs[n] = subprocess.Popen(
-            [sys.executable, __file__, "--case", "pretrain"],
+            [sys.executable, __file__, "--case", *THREAD_CASES],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
     digests = {}
     for n, proc in procs.items():
-        out, err = proc.communicate(timeout=120)
+        out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
-        digests[n] = out.strip()
-    assert digests["1"] == digests["2"] == _golden()["sha256"]["pretrain"]
+        digests[n] = dict(zip(THREAD_CASES, out.split()))
+    want = {case: _golden()["sha256"][case] for case in THREAD_CASES}
+    assert digests["1"] == digests["2"] == want
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--record", action="store_true", help=f"rewrite {GOLDEN_PATH.name}")
-    what.add_argument("--case", choices=CASES, help="print one case's sha256")
+    what.add_argument("--case", choices=CASES, nargs="+",
+                      help="print these cases' sha256, one a line")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         if args.case:
-            print(case_digest(args.case, Path(tmp)))
+            for case in args.case:
+                print(case_digest(case, Path(tmp)))
         else:
+            old = _golden()["sha256"] if GOLDEN_PATH.is_file() else {}
             golden = {"versions": library_versions(),
                       "sha256": {case: case_digest(case, Path(tmp)) for case in CASES}}
             GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
             print(json.dumps(golden, indent=2))
+            for case, new in golden["sha256"].items():
+                if old.get(case) != new:
+                    print(f"moved {case}: {old.get(case)} -> {new}")

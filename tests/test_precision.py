@@ -1,15 +1,22 @@
-"""The precision contract: float32 from waveform to log-mel, float64 in the model.
+"""The precision contract: float32 from waveform to log-mel and in the encoder's
+frame layers, float64 in the projection, the embeddings and the optimizer.
 
 Samples come from 16-bit PCM, so float32 loses none of their information. The
-encoder casts its input to float64, and its embeddings and gradients, the
-losses and Adam stay float64.
+encoder computes its frame layers and pooling in the dtype of the weights it
+is given: training and embedding give it a float32 copy of the float64 master
+weights. Its projection and embeddings, the losses, the summed gradients,
+Adam and the checkpoints stay float64. Given float64 weights, as `cel
+gradcheck` gives it, every output is float64.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cel.augment import AugmentKind, AugmentSpec, apply_rir, apply_spec, crop_two
 from cel.corpus import utterance_waveform
+from cel import trainer
 from cel.encoder import Encoder, EncoderConfig
 from cel.features import (
     FeatureConfig,
@@ -21,6 +28,7 @@ from cel.features import (
     write_wav,
 )
 from cel.rng import derive_rng
+from cel.trainer import CorpusSource, FinetuneConfig, PretrainConfig, finetune, pretrain
 
 
 def float64_logmel(samples: np.ndarray, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -59,20 +67,113 @@ class TestDataPathIsFloat32:
             assert logmel(out).values.dtype == np.float32, kind
 
 
-class TestModelIsFloat64:
-    def test_embeddings_and_gradients(self, tiny_manifest):
-        cfg = EncoderConfig(input_dim=40, hidden_dims=(16, 16), embedding_dim=8)
-        enc = Encoder(cfg)
-        params = enc.init_params(derive_rng("precision-init"))
-        feats = logmel(utterance_waveform(tiny_manifest, 1, 0)).values
-        assert feats.dtype == np.float32
+# (encoder, frames): the desk encoder at its fine-tuning crop length, and the
+# full-scale encoder at its pre-training crop length.
+SHAPES = {
+    "desk": (EncoderConfig(hidden_dims=(48, 48), embedding_dim=32), 300),
+    "fullscale": (EncoderConfig(hidden_dims=(64, 64), embedding_dim=64), 180),
+}
+
+
+class TestEncoderPrecision:
+    @staticmethod
+    def _case(tiny_manifest, shape: str, pooling: str):
+        """(encoder, float64 weights, float32 features, upstream gradient)."""
+        config, frames = SHAPES[shape]
+        enc = Encoder(replace(config, pooling=pooling))
+        rng = derive_rng("precision", shape, pooling)
+        params = enc.init_params(rng)
+        for name, p in params.items():
+            if name.startswith("b"):
+                params[name] = 0.1 * rng.standard_normal(p.shape)
+        feats = logmel(utterance_waveform(tiny_manifest, 1, 0)).values[:, :frames]
+        assert feats.dtype == np.float32 and feats.shape[1] == frames
+        return enc, params, feats, rng.standard_normal(config.embedding_dim)
+
+    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_float64_weights_give_float64_outputs(self, tiny_manifest, shape, pooling):
+        enc, params, feats, upstream = self._case(tiny_manifest, shape, pooling)
         fwd = enc.forward(params, feats)
-        assert fwd.embedding.dtype == np.float64
-        upstream = derive_rng("precision-upstream").standard_normal(cfg.embedding_dim)
+        cached = [*fwd.layer_inputs, fwd.pooled, fwd.last_hidden, fwd.mean]
+        if pooling == "mean_std":
+            cached.append(fwd.std)
+        for a in (*cached, fwd.embedding):
+            assert a.dtype == np.float64
         grads = enc.backward(params, fwd, upstream)
         assert set(grads) == set(params)
         for name, g in grads.items():
             assert g.dtype == np.float64, name
+
+    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_float32_weights_stay_close_to_float64(self, tiny_manifest, shape, pooling):
+        enc, params, feats, upstream = self._case(tiny_manifest, shape, pooling)
+        weights = enc.float32_weights(params)
+        assert set(weights) == set(params)
+        assert all(w.dtype == np.float32 for w in weights.values())
+        fwd = enc.forward(weights, feats)
+        hidden = [*fwd.layer_inputs, fwd.last_hidden, fwd.mean, fwd.pooled]
+        if pooling == "mean_std":
+            hidden.append(fwd.std)
+        for a in hidden:
+            assert a.dtype == np.float32
+        assert fwd.embedding.dtype == np.float64
+        assert abs(np.linalg.norm(fwd.embedding) - 1.0) <= 1e-12
+        exact = enc.forward(params, feats)
+        assert np.max(np.abs(fwd.embedding - exact.embedding)) <= 1e-5
+        grads = enc.backward(weights, fwd, upstream)
+        want = enc.backward(params, exact, upstream)
+        assert set(grads) == set(want)
+        for name, g in grads.items():
+            err = np.max(np.abs(g - want[name])) / np.max(np.abs(want[name]))
+            assert err <= 1e-5, (name, err)
+
+
+class TestTrainingPrecision:
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_encoder_gets_float32_weights_and_adam_float64(
+        self, tiny_manifest, tiny_bank, monkeypatch, phase
+    ):
+        source = CorpusSource(tiny_manifest)
+        enc_cfg = EncoderConfig(hidden_dims=(16,), embedding_dim=8)
+        handed, updated = [], []
+        forward, backward, adam_step = Encoder.forward, Encoder.backward, trainer.adam_step
+
+        def recorded_forward(self, params, features):
+            handed.append(params)
+            return forward(self, params, features)
+
+        def recorded_backward(self, params, cache, upstream):
+            handed.append(params)
+            return backward(self, params, cache, upstream)
+
+        def recorded_adam(state, params, grads, lr):
+            new, state = adam_step(state, params, grads, lr)
+            updated.extend([params, grads, new, state.m, state.v])
+            return new, state
+
+        monkeypatch.setattr(Encoder, "forward", recorded_forward)
+        monkeypatch.setattr(Encoder, "backward", recorded_backward)
+        monkeypatch.setattr(trainer, "adam_step", recorded_adam)
+        if phase == "pretrain":
+            cfg = PretrainConfig(k=3, epochs=1, frames=60)
+            pretrain(source, cfg, enc_cfg, bank=tiny_bank)
+            own = "sim_scale"
+        else:
+            cfg = FinetuneConfig(objective="cosface", speakers_per_batch=3, frames=60, epochs=1)
+            finetune(source, cfg, enc_cfg)
+            own = "cls_w"
+        # One copy per step, handed to every forward and backward pass of it.
+        assert handed and len({id(w) for w in handed}) == len(updated) // 5
+        encoder_blocks = set(Encoder(enc_cfg).param_shapes())
+        for weights in handed:
+            assert set(weights) == encoder_blocks
+            assert all(w.dtype == np.float32 for w in weights.values())
+        for blocks in updated:
+            assert set(blocks) == encoder_blocks | {own}
+            for name, a in blocks.items():
+                assert np.asarray(a).dtype == np.float64, name
 
 
 class TestFloat32LogmelAccuracy:

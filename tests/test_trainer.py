@@ -42,6 +42,7 @@ from cel.trainer import (
     FinetuneConfig,
     PretrainConfig,
     _epoch_plan,
+    _finetune_batch,
     _finetune_item,
     _pretrain_item,
     embed_utterances,
@@ -174,7 +175,7 @@ class TestBatchAssembly:
         features = FeatureConfig(hop_length=80)
         pre_cfg, fine_cfg = tiny_pretrain_cfg(), tiny_finetune_cfg()
         pre = _pretrain_item(source, bank, pre_cfg, features, 0, 0, 0)
-        fine = _finetune_item(source, fine_cfg, features, 0, 0, 0)
+        fine = _finetune_item(source, fine_cfg, features, 0, 0, 0.5)
         assert [v.shape for v in pre] == [(40, pre_cfg.frames)] * 2
         assert [v.shape for v in fine] == [(40, fine_cfg.frames)]
 
@@ -208,10 +209,12 @@ class TestFinetuneCrops:
                     crop = crop - crop.mean(axis=1, keepdims=True)
                 want = logmel(Waveform(samples[o * hop : o * hop + need]), features).values
                 assert crop.tobytes() == want.tobytes()
-            # The item cuts at the hop offset its own crop stream draws.
+            # The second item of batch 4 in epoch 1 cuts at the hop offset of
+            # the second position that batch's crop stream draws.
             cfg = tiny_finetune_cfg(frames=frames)
-            o = int(derive_rng(cfg.seed, "crop", 1, s, u).integers(0, last + 1))
-            (item,) = _finetune_item(fresh, cfg, features, 1, s, u)
+            position = derive_rng(cfg.seed, "crop", 1, 4).random(2)[1]
+            o = int(position * (last + 1))
+            _, (item,) = _finetune_batch(fresh, cfg, features, 1, 4, [0, s], [0, u])
             want = logmel(Waveform(samples[o * hop : o * hop + need]), features).values
             assert item.tobytes() == want.tobytes()
 
@@ -220,7 +223,7 @@ class TestFinetuneCrops:
         # utterances have 64,000. One source serves both crop lengths.
         fresh, features = CorpusSource(source.manifest), FeatureConfig()
         for frames in (500, 600):
-            (item,) = _finetune_item(fresh, tiny_finetune_cfg(frames=frames), features, 0, 1, 0)
+            (item,) = _finetune_item(fresh, tiny_finetune_cfg(frames=frames), features, 1, 0, 0.5)
             assert item.shape == (features.n_mels, frames)
             wrapped = np.resize(source.waveform(1, 0).samples, crop_samples(frames))
             assert item.tobytes() == logmel(Waveform(wrapped), features).values.tobytes()
@@ -630,7 +633,8 @@ class TestFeatureCache:
                     rng = derive_rng(4, "eval-aug", key)
                     spec = sample_spec(rng, bank, len(wave), trainer.EVAL_SNR_RANGE)
                     wave = apply_spec(wave, spec, bank)
-                want = enc.forward(params, logmel(wave, FeatureConfig()).values).embedding
+                feats = logmel(wave, FeatureConfig()).values
+                want = enc.forward(enc.float32_weights(params), feats).embedding
                 assert cold[key].tobytes() == want.tobytes()
                 assert warm[key].tobytes() == want.tobytes()
 
