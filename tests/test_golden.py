@@ -9,6 +9,8 @@ writes fails here, intended or not:
   that checkpoint, one per objective;
 - `scores`: the float64 held-out scores of that checkpoint, the trials
   criterion 6 scores;
+- `metrics`: `eer`, `min_dcf` (the desk `DcfParams`) and `det_points` of
+  those scores, as float64;
 - `gradcheck`: the table `cel gradcheck` prints.
 
 The file records the NumPy, SciPy and BLAS versions it was made with. Other
@@ -41,13 +43,14 @@ import scipy
 from cel.cli import main as cel_main
 from cel.config import load_config
 from cel.encoder import load_encoder
-from cel.evaluation import score_trials
+from cel.evaluation import DcfParams, det_points, eer, min_dcf, score_trials
 from cel.experiments import _split_sources
 from cel.trainer import FINETUNE_OBJECTIVES, embed_utterances, finetune, pretrain
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
-CASES = ("pretrain", *(f"finetune-{o}" for o in FINETUNE_OBJECTIVES), "scores", "gradcheck")
+CASES = ("pretrain", *(f"finetune-{o}" for o in FINETUNE_OBJECTIVES), "scores", "metrics",
+         "gradcheck")
 EPOCHS = 2
 
 
@@ -97,12 +100,17 @@ def case_digest(case: str, workdir: Path) -> str:
     if case == "pretrain":
         return _run_digest(ckpt.parent)
     run, train_src, eval_src, trials, bank = _desk()
-    if case == "scores":
+    if case in ("scores", "metrics"):
         encoder_cfg, params = load_encoder(ckpt)
         embeddings = embed_utterances(eval_src, params, encoder_cfg, run.features,
                                       bank=bank, aug_seed=run.corpus.seed)
-        scores = np.array([t.score for t in score_trials(embeddings, trials)], dtype=np.float64)
-        return _digest(scores.tobytes())
+        scored = score_trials(embeddings, trials)
+        if case == "scores":
+            return _digest(np.array([t.score for t in scored], dtype=np.float64).tobytes())
+        e = run.evaluation
+        dcf = DcfParams(c_miss=e.c_miss, c_fa=e.c_fa, p_target=e.p_target)
+        summary = [*eer(scored), *min_dcf(scored, dcf), *np.ravel(det_points(scored))]
+        return _digest(np.array(summary, dtype=np.float64).tobytes())
     objective = case.removeprefix("finetune-")
     cfg = replace(run.finetune, objective=objective, epochs=EPOCHS, init_checkpoint=str(ckpt))
     out = workdir / case
