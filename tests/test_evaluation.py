@@ -15,8 +15,8 @@ from cel.errors import (
 )
 from cel.evaluation import (
     DcfParams,
+    ScoredTrials,
     Trial,
-    _split_scores,
     det_points,
     eer,
     min_dcf,
@@ -49,6 +49,18 @@ def random_trials(rng, max_n=50):
         t = rng.uniform(-1, 1, n_t)
         n = rng.uniform(-1, 1, n_n)
     return make_trials(t, n)
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of a metric's output, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def metric_bits(trials) -> bytes:
+    return bits([*eer(trials), *min_dcf(trials), *np.ravel(det_points(trials))])
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class TestWorkedExample:
@@ -133,6 +145,15 @@ class TestMinDcf:
             DcfParams(c_miss=0.0)
         with pytest.raises(DegenerateTrialsError):
             DcfParams(p_target=1.0)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [{"c_miss": float("nan")}, {"c_fa": float("inf")}, {"c_miss": float("inf")}],
+        ids=["c_miss-nan", "c_fa-inf", "c_miss-inf"],
+    )
+    def test_non_finite_costs_rejected(self, costs):
+        with pytest.raises(DegenerateTrialsError, match="costs must be finite"):
+            DcfParams(**costs)
 
 
 class TestDetCurve:
@@ -234,7 +255,9 @@ class TestScoring:
             score_trials(emb, [Trial("a", "c", True), Trial("c", "b", False)])
 
     def test_empty_trial_list_scores_to_empty(self):
-        assert score_trials({"a": np.ones(2)}, []) == []
+        scored = score_trials({"a": np.ones(2)}, [])
+        assert isinstance(scored, ScoredTrials)
+        assert list(scored) == []
 
     def test_unscored_trials_rejected_by_metrics(self):
         with pytest.raises(DegenerateTrialsError):
@@ -251,18 +274,96 @@ class TestScoring:
             with pytest.raises(DegenerateTrialsError, match="got 0 target and 2 nontarget"):
                 metric([Trial("a", "b", False, 0.5), Trial("a", "c", False, 0.1)])
 
-    def test_split_scores_bit_equal_to_two_pass_reference(self):
+    def test_of_reads_scores_and_mask_in_trial_order(self):
         rng = derive_rng("split-scores")
         for _ in range(20):
             trials = random_trials(rng)
             trials = [trials[i] for i in rng.permutation(len(trials))]
             trials.append(Trial("a", "b", False, -0.0))
-            trials.append(Trial("a", "c", True, float("nan")))
             tgt = [t.score for t in trials if t.is_target]
             non = [t.score for t in trials if not t.is_target]
-            got = _split_scores(trials)
-            assert got[0].tobytes() == np.sort(np.asarray(tgt, dtype=np.float64)).tobytes()
-            assert got[1].tobytes() == np.sort(np.asarray(non, dtype=np.float64)).tobytes()
+            got = ScoredTrials.of(trials)
+            assert got.scores.tobytes() == bits([t.score for t in trials])
+            assert got.is_target.tolist() == [t.is_target for t in trials]
+            assert bits(np.sort(got.scores[got.is_target])) == bits(np.sort(tgt))
+            assert bits(np.sort(got.scores[~got.is_target])) == bits(np.sort(non))
+            # Thresholds: the distinct scores of sorted targets then sorted
+            # nontargets, which fixes whether 0.0 or -0.0 is kept.
+            reference = np.unique(np.concatenate([np.sort(tgt), np.sort(non)]))
+            assert bits(got.sweep[0][:-1]) == bits(reference)
+
+    def test_of_returns_a_scored_set_unchanged(self):
+        scored = ScoredTrials.of(make_trials([0.5], [0.1]))
+        assert ScoredTrials.of(scored) is scored
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, bad):
+        trials = [Trial("a", "b", True, 0.5), Trial("a", "c", False, bad)]
+        for metric in (ScoredTrials.of, eer, min_dcf, det_points):
+            with pytest.raises(DegenerateTrialsError, match="finite.*trial a c"):
+                metric(trials)
+        with pytest.raises(DegenerateTrialsError, match="finite"):
+            ScoredTrials(trials, np.array([0.5, bad]), np.array([True, False]))
+
+
+class TestScoredTrials:
+    def scored(self, seed):
+        """Scores of vectors over {-1, 0, 1}^2: they tie often, and some are 0."""
+        rng = derive_rng("scored-trials", seed)
+        emb = {f"u{i}": rng.integers(-1, 2, size=2).astype(float) for i in range(10)}
+        ids = rng.integers(0, 10, size=(60, 2))
+        trials = [Trial(f"u{a}", f"u{b}", bool(rng.integers(0, 2))) for a, b in ids]
+        trials += [Trial("u0", "u1", True), Trial("u0", "u1", False)]  # both classes
+        with np.errstate(invalid="ignore"):
+            return score_trials(emb, trials)
+
+    def test_metrics_bit_equal_to_the_list_path(self):
+        signs = set()
+        for seed in range(40):
+            scored = self.scored(seed)
+            assert metric_bits(scored) == metric_bits(list(scored))
+            # Cosines of orthogonal pairs score +0.0; flip the sign of some,
+            # since which zero becomes the threshold depends on score order.
+            flip = derive_rng("signed-zeros", seed).integers(0, 2, len(scored)) == 1
+            zeros = np.where((scored.scores == 0.0) & flip, -0.0, scored.scores)
+            signed = ScoredTrials(list(scored), zeros, scored.is_target.copy())
+            signs.update(bits(s) for s in signed.scores if s == 0.0)
+            assert metric_bits(signed) == metric_bits(list(signed))
+        assert signs == {bits(0.0), bits(-0.0)}
+
+    def test_one_sort_serves_every_metric(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        scored = self.scored(0)
+        eer(scored)
+        min_dcf(scored)
+        det_points(scored)
+        assert len(calls) == 1
+        eer(list(scored))
+        assert len(calls) == 2
+
+    def test_arrays_are_read_only(self):
+        scored = self.scored(0)
+        with pytest.raises(ValueError):
+            scored.scores[0] = 0.5
+        with pytest.raises(ValueError):
+            scored.is_target[0] = not scored.is_target[0]
+
+    def test_indexing_matches_the_list(self):
+        scored = self.scored(1)
+        trials = list(scored)
+        assert len(scored) == len(trials)
+        assert scored[0] == trials[0]
+        assert scored[-1] == trials[-1]
+        assert scored[3:9:2] == trials[3:9:2]
+        assert all(type(t.score) is float for t in trials)
+
+    def test_written_file_equals_the_lists(self, tmp_path):
+        scored = self.scored(2)
+        write_trial_list(tmp_path / "set.txt", scored)
+        write_trial_list(tmp_path / "list.txt", list(scored))
+        assert (tmp_path / "set.txt").read_bytes() == (tmp_path / "list.txt").read_bytes()
 
 
 class TestTrialFiles:
@@ -303,6 +404,13 @@ class TestTrialFiles:
         path = tmp_path / "bad.txt"
         path.write_text("1 a b notafloat\n")
         with pytest.raises(TrialParseError):
+            read_trial_list(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_score_rejected(self, tmp_path, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 a b 0.5\n0 a c {field}\n")
+        with pytest.raises(TrialParseError, match=f"bad.txt:2: bad score field '{field}'"):
             read_trial_list(path)
 
     def test_empty_file_rejected(self, tmp_path):
