@@ -60,9 +60,6 @@ def metric_bits(trials) -> bytes:
     return bits([*eer(trials), *min_dcf(trials), *np.ravel(det_points(trials))])
 
 
-NON_FINITE = (float("nan"), float("inf"), float("-inf"))
-
-
 class TestWorkedExample:
     def test_three_targets_three_nontargets(self):
         # Targets 0.9, 0.6, 0.2; nontargets 0.7, 0.3, 0.1. Any threshold
@@ -296,7 +293,8 @@ class TestScoring:
         scored = ScoredTrials.of(make_trials([0.5], [0.1]))
         assert ScoredTrials.of(scored) is scored
 
-    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
     def test_non_finite_score_rejected(self, bad):
         trials = [Trial("a", "b", True, 0.5), Trial("a", "c", False, bad)]
         for metric in (ScoredTrials.of, eer, min_dcf, det_points):
