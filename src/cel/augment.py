@@ -24,7 +24,7 @@ from .errors import (
     TooShortError,
     UtteranceTooShortError,
 )
-from .features import SAMPLE_RATE, FeatureConfig, Waveform
+from .features import SAMPLE_RATE, FeatureConfig, Waveform, crop_samples
 from .rng import derive_rng
 
 # 60 dB of decay at t = rt60 means an amplitude factor of exactly 1e-3.
@@ -47,13 +47,6 @@ _RIR_SPECTRA_PER_RESPONSE = 8
 BABBLE_VOICES = 6
 # Redraws of the second corruption before a pair is refused as undrawable.
 PAIR_DRAW_TRIES = 1000
-
-
-def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> int:
-    """Samples consumed by exactly `frames` analysis frames."""
-    if frames < 1:
-        raise InvalidParamError(f"need at least one frame, got {frames}")
-    return (frames - 1) * hop_length + win_length
 
 
 def random_crop(u: Waveform, need: int, rng: np.random.Generator) -> Waveform:

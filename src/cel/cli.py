@@ -21,7 +21,6 @@ from .corpus import build_manifest, load_manifest, write_corpus
 from .encoder import load_encoder
 from .errors import CelError, CheckpointMismatchError
 from .evaluation import (
-    DcfParams,
     det_points,
     eer,
     min_dcf,
@@ -100,44 +99,33 @@ def _source_from_dir(run: RunConfig, corpus_dir: str | Path) -> tuple[RunConfig,
     return replace(run, corpus=manifest.config), CorpusSource(manifest, root=corpus_dir)
 
 
-def cmd_pretrain(args: argparse.Namespace) -> int:
+# Per training subcommand: its trainer, the config field naming its
+# objective, and the verb of its summary line.
+_TRAINERS = {
+    "pretrain": (run_pretrain, "similarity_kind", "pretrained"),
+    "finetune": (run_finetune, "objective", "finetuned"),
+}
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    train, objective_field, done = _TRAINERS[args.command]
     run = _base_config(args)
-    cfg = run.pretrain
+    cfg = getattr(run, args.command)
+    objective = getattr(cfg, objective_field)
     run, source = _source_from_dir(run, args.corpus)
     log.info(
-        "pretrain: %d speakers, k=%d, lambda=%g, t=%g, %d epochs",
-        source.speaker_count, cfg.k, cfg.uniformity_weight, cfg.kernel_t, cfg.epochs,
+        "%s (%s): %d speakers, %d epochs",
+        args.command, objective, source.speaker_count, cfg.epochs,
     )
-    result = run_pretrain(
+    result = train(
         source, cfg, run.encoder, run.features, out_dir=args.out,
         resume_from=args.resume,
     )
     _echo(run, args.out)
     last = result.records[-1]
     print(
-        f"pretrained {cfg.epochs} epochs: loss {last.loss_total:.4f} "
+        f"{done} {cfg.epochs} epochs ({objective}): loss {last.loss_total:.4f} "
         f"(unif {last.loss_unif:.4f}, sim {last.loss_sim:.4f}); "
-        f"checkpoint {result.checkpoint_path}"
-    )
-    return 0
-
-
-def cmd_finetune(args: argparse.Namespace) -> int:
-    run = _base_config(args)
-    cfg = run.finetune
-    run, source = _source_from_dir(run, args.corpus)
-    log.info(
-        "finetune: objective=%s init=%s, %d epochs",
-        cfg.objective, cfg.init_checkpoint or "random", cfg.epochs,
-    )
-    result = run_finetune(
-        source, cfg, run.encoder, run.features, out_dir=args.out,
-        resume_from=args.resume,
-    )
-    _echo(run, args.out)
-    last = result.records[-1]
-    print(
-        f"finetuned {cfg.epochs} epochs ({cfg.objective}): loss {last.loss_total:.4f}; "
         f"checkpoint {result.checkpoint_path}"
     )
     return 0
@@ -161,9 +149,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     e = run.evaluation
     eer_value, threshold = eer(scored)
-    dcf_value, dcf_threshold = min_dcf(
-        scored, DcfParams(c_miss=e.c_miss, c_fa=e.c_fa, p_target=e.p_target)
-    )
+    dcf_value, dcf_threshold = min_dcf(scored, e)
     out = Path(args.out)
     _echo(run, out)
     write_trial_list(out / "trials_scored.txt", scored)
@@ -209,46 +195,42 @@ def build_parser() -> argparse.ArgumentParser:
     def config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file (flags override it)")
 
-    def seed(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int,
-                       help="training seed: sets pretrain.seed and finetune.seed")
-
     def setting(p: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
         """A flag that sets the config key `key`; absent, it sets nothing."""
         p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
+
+    def training(name: str, summary: str) -> argparse.ArgumentParser:
+        """A training subcommand with the options both training stages take."""
+        p = sub.add_parser(name, help=summary)
+        config(p)
+        p.add_argument("--seed", type=int,
+                       help="training seed: sets pretrain.seed and finetune.seed")
+        p.add_argument("--corpus", required=True, help="directory from gen-data")
+        p.add_argument("--out", required=True, help="run output directory")
+        p.add_argument("--resume", help="checkpoint to continue from")
+        p.set_defaults(func=cmd_train)
+        return p
 
     p = sub.add_parser("gen-data", help="synthesize a labeled corpus")
     config(p)
     p.add_argument("--out", required=True, help="corpus output directory")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("pretrain", help="self-supervised pretraining")
-    config(p)
-    seed(p)
-    p.add_argument("--corpus", required=True, help="directory from gen-data")
-    p.add_argument("--out", required=True, help="run output directory")
+    p = training("pretrain", "self-supervised pretraining")
     setting(p, "--k", "pretrain.k", type=int, help="speakers (utterances) per batch")
     setting(p, "--lambda", "pretrain.uniformity_weight", type=float,
             help="uniformity loss weight (0 disables the term)")
     setting(p, "--epochs", "pretrain.epochs", type=int)
     setting(p, "--similarity", "pretrain.similarity_kind", choices=SIMILARITY_KINDS,
             help="similarity loss flavor")
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="supervised fine-tuning")
-    config(p)
-    seed(p)
-    p.add_argument("--corpus", required=True, help="directory from gen-data")
-    p.add_argument("--out", required=True, help="run output directory")
+    p = training("finetune", "supervised fine-tuning")
     setting(p, "--objective", "finetune.objective", choices=FINETUNE_OBJECTIVES)
     setting(p, "--margin", "finetune.margin", type=float, help="additive margin m")
     setting(p, "--scale", "finetune.margin_scale", type=float, help="logit scale s")
     setting(p, "--init", "finetune.init_checkpoint", type=_init_checkpoint,
             help="'random' or a pretraining checkpoint path")
     setting(p, "--epochs", "finetune.epochs", type=int)
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="score a trial list with a checkpoint")
     config(p)

@@ -19,23 +19,20 @@ from .encoder import EncoderConfig
 from .errors import InvalidParamError, InvalidRangeError, SchemaError
 from .evaluation import DcfParams
 from .features import FeatureConfig, _analysis_arrays
-from .schema import plain, read
+from .schema import at_least, plain, read
 from .trainer import FinetuneConfig, PretrainConfig
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(DcfParams):
+    """The detection cost settings, plus the held-out trial set's shape."""
+
     eval_speakers: int = 8
     nontarget_per_target: int = 3
-    c_miss: float = 1.0
-    c_fa: float = 1.0
-    p_target: float = 0.05
 
     def __post_init__(self) -> None:
-        DcfParams(c_miss=self.c_miss, c_fa=self.c_fa, p_target=self.p_target)
-        for name in ("eval_speakers", "nontarget_per_target"):
-            if getattr(self, name) < 1:
-                raise InvalidParamError(f"{name} must be at least 1, got {getattr(self, name)}")
+        super().__post_init__()
+        at_least(self, 1, "eval_speakers", "nontarget_per_target")
 
 
 @dataclass(frozen=True)

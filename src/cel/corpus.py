@@ -19,13 +19,13 @@ from scipy.signal import lfilter
 
 from . import pool
 from .errors import CelError, CorpusTooSmallError, SchemaError, TooShortError
-from .features import SAMPLE_RATE, Waveform, read_wav, write_wav
+from .features import SAMPLE_RATE, Waveform, crop_samples, read_wav, write_wav
 from .rng import derive_rng
 from .schema import plain, read_record
 
 # Room for two non-overlapping default 180-frame crops (10 ms hop, 25 ms
 # window); pretraining refuses an utterance shorter than one crop.
-MIN_UTTERANCE_SAMPLES = 2 * ((180 - 1) * 160 + 400)
+MIN_UTTERANCE_SAMPLES = 2 * crop_samples(180)
 
 N_HARMONICS = 16
 

@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatchError,
     StaleCacheError,
 )
-from .schema import plain, read_record
+from .schema import at_least, plain, read_record
 
 VAR_EPS = 1e-10
 
@@ -51,16 +51,12 @@ class EncoderConfig:
     pooling: str = "mean"
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise InvalidParamError(f"input_dim must be positive, got {self.input_dim}")
+        at_least(self, 1, "input_dim")
         if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
             raise InvalidParamError(
                 f"need at least one positive hidden width, got {self.hidden_dims}"
             )
-        if self.embedding_dim < 2:
-            raise InvalidParamError(
-                f"embedding_dim must be at least 2, got {self.embedding_dim}"
-            )
+        at_least(self, 2, "embedding_dim")
         if self.pooling not in ("mean", "mean_std"):
             raise InvalidParamError(
                 f"pooling must be 'mean' or 'mean_std', got {self.pooling!r}"
@@ -135,12 +131,13 @@ class Encoder:
         """The unit embedding of (input_dim, T) features, in a cache for `backward`.
 
         The frame layers and the pooling compute in the dtype of `params["w0"]`;
-        the projection and the normalization in float64.
+        the projection and the normalization in float64. Zero frames, and an
+        output whose norm is not finite and above `NORM_FLOOR`, are refused.
         """
         feats = np.asarray(features, dtype=params["w0"].dtype)
-        if feats.ndim != 2 or feats.shape[0] != self.config.input_dim:
+        if feats.ndim != 2 or feats.shape[0] != self.config.input_dim or not feats.shape[1]:
             raise ShapeMismatchError(
-                f"features must be ({self.config.input_dim}, T), got {feats.shape}"
+                f"features must be ({self.config.input_dim}, T) with T >= 1, got {feats.shape}"
             )
         h = feats.T  # (T, input_dim)
         layer_inputs = []
@@ -163,7 +160,7 @@ class Encoder:
 
         v = np.asarray(params["w_out"], dtype=np.float64) @ pooled + params["b_out"]
         norm = float(np.linalg.norm(v))
-        if norm <= NORM_FLOOR:
+        if not NORM_FLOOR < norm < math.inf:  # a NaN norm fails both
             raise NormalizationDegenerateError(
                 f"pre-normalization output has norm {norm:.3e}; "
                 f"cannot project onto the unit sphere"
@@ -252,10 +249,7 @@ class LrSchedule:
             raise InvalidParamError(
                 f"decay fraction must be in (0, 1), got {self.decay_fraction}"
             )
-        if self.period_epochs < 1:
-            raise InvalidParamError(
-                f"decay period must be at least 1 epoch, got {self.period_epochs}"
-            )
+        at_least(self, 1, "period_epochs")
 
 
 PRETRAIN_SCHEDULE = LrSchedule(initial_lr=0.001, decay_fraction=0.05, period_epochs=10)

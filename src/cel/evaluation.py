@@ -74,14 +74,20 @@ _IS_TARGET = attrgetter("is_target")
 class ScoredTrials(Sequence[Trial]):
     """Scored trials held as arrays: a read-only sequence of `Trial`.
 
-    Holds the trials it was built from, their float64 `scores` and the
-    `is_target` mask, both read-only, and every score is finite. Indexing
-    and iteration build each `Trial` only when asked, with the score as a
-    Python float. `sweep` is computed once, on first use, so `eer`,
-    `min_dcf` and `det_points` on one scored set sort its scores once.
+    Holds the trials it was built from, a float64 copy of their `scores`,
+    one per trial, and the `is_target` mask read from the trials, both
+    read-only, and every score is finite. Indexing and iteration build each
+    `Trial` only when asked, with the score as a Python float. `sweep` is
+    computed once, on first use, so `eer`, `min_dcf` and `det_points` on
+    one scored set sort its scores once.
     """
 
-    def __init__(self, trials: Sequence[Trial], scores: np.ndarray, is_target: np.ndarray):
+    def __init__(self, trials: Sequence[Trial], scores: Sequence[float] | np.ndarray):
+        scores = np.array(scores, dtype=np.float64)
+        if scores.shape != (len(trials),):
+            raise DimensionMismatchError(
+                f"need one score per trial: {len(trials)} trials, scores of shape {scores.shape}"
+            )
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             t = trials[bad[0]]
@@ -89,6 +95,7 @@ class ScoredTrials(Sequence[Trial]):
                 f"scores must be finite; {bad.size} are not, the first is "
                 f"{scores[bad[0]]!r} for trial {t.enroll_id} {t.test_id}"
             )
+        is_target = np.fromiter(map(_IS_TARGET, trials), dtype=bool, count=len(trials))
         scores.setflags(write=False)
         is_target.setflags(write=False)
         self._trials = tuple(trials)
@@ -103,8 +110,7 @@ class ScoredTrials(Sequence[Trial]):
         scores = [t.score for t in trials]
         if None in scores:
             raise DegenerateTrialsError("trials must be scored before metric computation")
-        is_target = np.fromiter(map(_IS_TARGET, trials), dtype=bool, count=len(trials))
-        return cls(trials, np.asarray(scores, dtype=np.float64), is_target)
+        return cls(trials, scores)
 
     def __len__(self) -> int:
         return len(self._trials)
@@ -155,9 +161,8 @@ def score_trials(
     bits), and a NaN score clamps to -1.0 as `max(-1.0, nan)` does. Pairs
     are gathered in chunks of `_SCORE_CHUNK` trials to bound memory.
     """
-    is_target = np.fromiter(map(_IS_TARGET, trials), dtype=bool, count=len(trials))
     if not trials:
-        return ScoredTrials(trials, np.empty(0), is_target)
+        return ScoredTrials(trials, np.empty(0))
     keys = [key for t in trials for key in (t.enroll_id, t.test_id)]
     rows = dict.fromkeys(keys)  # distinct ids in order of first use
     vectors = []
@@ -184,7 +189,7 @@ def score_trials(
         scores[start : start + _SCORE_CHUNK] = np.vecdot(emb[a], emb[b]) / (
             norms[a] * norms[b]
         )
-    return ScoredTrials(trials, np.minimum(np.fmax(scores, -1.0), 1.0), is_target)
+    return ScoredTrials(trials, np.minimum(np.fmax(scores, -1.0), 1.0))
 
 
 def eer(trials: Sequence[Trial]) -> tuple[float, float]:

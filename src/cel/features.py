@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import InvalidRangeError, TooShortError, UnsupportedWavError
+from .errors import InvalidParamError, InvalidRangeError, TooShortError, UnsupportedWavError
 
 SAMPLE_RATE = 16000
 
@@ -102,6 +102,13 @@ def frame_count(n_samples: int, win_length: int, hop_length: int) -> int:
     if n_samples < win_length:
         return 0
     return (n_samples - win_length) // hop_length + 1
+
+
+def crop_samples(frames: int, win_length: int = 400, hop_length: int = 160) -> int:
+    """Samples consumed by exactly `frames` analysis frames: `frame_count`'s inverse."""
+    if frames < 1:
+        raise InvalidParamError(f"need at least one frame, got {frames}")
+    return (frames - 1) * hop_length + win_length
 
 
 def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:

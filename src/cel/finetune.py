@@ -144,6 +144,7 @@ def ge2e_loss(embeddings: np.ndarray, params: SimilarityParams) -> LossOutput:
     cos = incl.cos.copy()
     cos[idx, labels] = np.diag(excl.cos)
     value, g_logits = _cross_entropy_rows(params.scale * cos, labels)
+    g_logits /= rows.shape[0]
 
     g_other = params.scale * g_logits
     g_own = g_other[idx, labels]
@@ -187,6 +188,7 @@ def _margin_softmax(
     logits = scale * cm.cos
     logits[own] = own_logit
     value, g_logits = _cross_entropy_rows(logits, batch.labels)
+    g_logits /= batch.size
 
     g_cos = scale * g_logits
     g_cos[own] = g_logits[own] * d_own

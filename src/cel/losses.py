@@ -1,7 +1,9 @@
 """Self-supervised objectives over two-view embedding batches.
 
 All losses return a ``LossOutput`` carrying the scalar value and analytic
-gradients with respect to every input, in ambient coordinates. The
+gradients with respect to every input, in ambient coordinates. Every
+similarity loss, here and in `cel.finetune`, is a softmax cross-entropy
+over scaled cosines and goes through `_cross_entropy_rows`. The
 gradients are exact derivatives of the implemented forward expressions,
 including the defensive norm divisions, so central finite differences on
 the raw inputs must agree with them.
@@ -150,23 +152,16 @@ class _CosineMatrix:
         return ga, gb
 
 
-def _log_softmax_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log-normalizer, softmax), computed with max subtraction."""
-    peak = s.max(axis=1, keepdims=True)
-    z = np.exp(s - peak)
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean CE over rows, and softmax minus one-hot: the caller divides it by its row count."""
+    peak = logits.max(axis=1, keepdims=True)
+    z = np.exp(logits - peak)
     denom = z.sum(axis=1, keepdims=True)
     lse = (peak + np.log(denom)).ravel()
-    return lse, z / denom
-
-
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE over rows and its gradient (softmax minus one-hot, / N)."""
-    n = logits.shape[0]
-    lse, probs = _log_softmax_rows(logits)
-    value = float(np.mean(lse - logits[np.arange(n), labels]))
-    g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
-    g /= n
+    rows = np.arange(logits.shape[0])
+    value = float(np.mean(lse - logits[rows, labels]))
+    g = z / denom
+    g[rows, labels] -= 1.0
     return value, g
 
 
@@ -179,6 +174,7 @@ def aprot_loss(batch: EmbeddingBatch, params: SimilarityParams) -> LossOutput:
     """
     cm = _CosineMatrix(batch.view1, batch.view2)
     value, g_s = _cross_entropy_rows(params.scale * cm.cos, np.arange(batch.size))
+    g_s /= batch.size
     g1, g2 = cm.backward(params.scale * g_s)
     return LossOutput(
         value=value,
@@ -197,14 +193,10 @@ def acont_loss(batch: EmbeddingBatch, params: SimilarityParams) -> LossOutput:
     k = batch.size
     cm = _CosineMatrix(batch.view1, batch.view2)
     s = params.scale * cm.cos
-
-    lse_r, p_row = _log_softmax_rows(s)
-    lse_c, p_col_t = _log_softmax_rows(s.T)
-    diag = np.diag(s)
-    value = float(0.5 * np.mean(lse_r - diag) + 0.5 * np.mean(lse_c - diag))
-
-    eye = np.eye(k)
-    g_s = ((p_row - eye) + (p_col_t.T - eye)) / (2.0 * k)
+    value_r, g_r = _cross_entropy_rows(s, np.arange(k))
+    value_c, g_c = _cross_entropy_rows(s.T, np.arange(k))
+    value = 0.5 * value_r + 0.5 * value_c
+    g_s = (g_r + g_c.T) / (2.0 * k)
     g1, g2 = cm.backward(params.scale * g_s)
     return LossOutput(
         value=value,

@@ -5,7 +5,8 @@ Keys and value types come from dataclass fields. An unknown key, a missing
 one (where a record must be complete) or a wrong-typed value raises
 SchemaError naming its dotted path. Lists become tuples and ints floats;
 nothing else is coerced. A float field refuses the `NaN`, `Infinity` and
-`1e999` that `json.loads` reads, and a bool is not an int.
+`1e999` that `json.loads` reads, and a bool is not an int. A record's
+`__post_init__` checks its integer lower bounds with `at_least`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import types
 import typing
 from typing import Any, Mapping
 
-from .errors import SchemaError
+from .errors import InvalidParamError, SchemaError
 
 _hints = functools.cache(typing.get_type_hints)
 
@@ -83,3 +84,11 @@ def check(value: Any, hint: Any, key: str) -> Any:
         return value
     name = want.__name__ if typing.get_origin(want) is None else str(want)
     raise SchemaError(f"config key '{key}' must be {name}, got {value!r}")
+
+
+def at_least(record: Any, minimum: int, *names: str) -> None:
+    """Refuse `record` if one of its fields `names` is below `minimum`."""
+    for name in names:
+        value = getattr(record, name)
+        if value < minimum:
+            raise InvalidParamError(f"{name} must be at least {minimum}, got {value}")

@@ -56,7 +56,6 @@ from . import pool
 from .augment import (
     NoiseBank,
     apply_spec,
-    crop_samples,
     crop_two,
     sample_pair_specs,
     sample_spec,
@@ -88,10 +87,10 @@ from .errors import (
     NonFiniteError,
     SchemaError,
 )
-from .features import FeatureConfig, Waveform, logmel
+from .features import FeatureConfig, Waveform, crop_samples, logmel
 from .losses import CelWeights, KernelParam, LossOutput, combine_losses, similarity_loss, uniformity_loss
 from .rng import derive_rng
-from .schema import check
+from .schema import at_least, check
 
 # SNR range (dB) of the noise condition `embed_utterances` draws for each
 # utterance when it is given a bank.
@@ -208,17 +207,13 @@ class PretrainConfig:
     schedule: LrSchedule = PRETRAIN_SCHEDULE
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise InvalidParamError(f"batch size k must be at least 2, got {self.k}")
+        at_least(self, 2, "k")
         if self.similarity_kind not in SIMILARITY_KINDS:
             raise InvalidParamError(
                 f"similarity_kind must be one of {SIMILARITY_KINDS}, "
                 f"got {self.similarity_kind!r}"
             )
-        if self.epochs < 1:
-            raise InvalidParamError(f"epochs must be at least 1, got {self.epochs}")
-        if self.frames < 1:
-            raise InvalidParamError(f"frames must be at least 1, got {self.frames}")
+        at_least(self, 1, "epochs", "frames")
         if self.snr_range[0] > self.snr_range[1]:
             raise InvalidParamError(f"empty SNR range {self.snr_range}")
         OBJECTIVES["pretrain"][self.similarity_kind].validate(self)
@@ -244,19 +239,9 @@ class FinetuneConfig:
             raise InvalidParamError(
                 f"objective must be one of {FINETUNE_OBJECTIVES}, got {self.objective!r}"
             )
-        if self.speakers_per_batch < 2:
-            raise InvalidParamError(
-                f"need at least 2 speakers per batch, got {self.speakers_per_batch}"
-            )
-        if self.utterances_per_speaker < 1:
-            raise InvalidParamError(
-                f"need at least 1 utterance per speaker, got {self.utterances_per_speaker}"
-            )
+        at_least(self, 2, "speakers_per_batch")
+        at_least(self, 1, "utterances_per_speaker", "epochs", "frames")
         OBJECTIVES["finetune"][self.objective].validate(self)
-        if self.epochs < 1:
-            raise InvalidParamError(f"epochs must be at least 1, got {self.epochs}")
-        if self.frames < 1:
-            raise InvalidParamError(f"frames must be at least 1, got {self.frames}")
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,23 @@ class TestResume:
         assert _files(tmp_path) == before
 
 
+class TestTrainingSummary:
+    @pytest.mark.parametrize("command, verb, objective", [
+        ("pretrain", "pretrained", "aprot"),
+        ("finetune", "finetuned", "cosface"),
+    ])
+    def test_one_summary_line(self, workspace, tmp_path, capsys, command, verb, objective):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(workspace / "small.json"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(out)]) == 0
+        row = (out / "metrics.tsv").read_text().splitlines()[-1].split("\t")
+        total, unif, sim = map(float, row[2:5])
+        assert capsys.readouterr().out == (
+            f"{verb} 1 epochs ({objective}): loss {total:.4f} (unif {unif:.4f}, "
+            f"sim {sim:.4f}); checkpoint {out / 'checkpoint.ckpt'}\n"
+        )
+
+
 class TestCorpusEcho:
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
     def test_config_echo_holds_the_corpus_that_was_read(

@@ -174,6 +174,14 @@ class TestSchema:
         ({"pretrain": {"uniformity_weight": -1.0}}, "uniformity weight must be nonnegative, got -1.0"),
         ({"pretrain": {"snr_range": [15, 0]}}, "empty SNR range (15.0, 0.0)"),
         ({"finetune": {"frames": 0}}, "frames must be at least 1, got 0"),
+        ({"pretrain": {"k": 1}}, "k must be at least 2, got 1"),
+        ({"finetune": {"speakers_per_batch": 1}}, "speakers_per_batch must be at least 2, got 1"),
+        ({"finetune": {"utterances_per_speaker": 0}},
+         "utterances_per_speaker must be at least 1, got 0"),
+        ({"encoder": {"input_dim": 0}}, "input_dim must be at least 1, got 0"),
+        ({"encoder": {"embedding_dim": 1}}, "embedding_dim must be at least 2, got 1"),
+        ({"pretrain": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
+        ({"finetune": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
         # 128 bands on the 512-point grid leave the lowest filter between two FFT bins.
         ({"features": {"n_mels": 128}, "encoder": {"input_dim": 128}},
          "features.n_mels (128): 1 filters have empty support"),

@@ -24,6 +24,7 @@ from cel.errors import (
     CelError,
     CheckpointMismatchError,
     InvalidParamError,
+    NormalizationDegenerateError,
     ShapeMismatchError,
     StaleCacheError,
 )
@@ -123,6 +124,17 @@ class TestForward:
             enc.forward(params, np.zeros((7, 9)))
         with pytest.raises(ShapeMismatchError):
             enc.forward(params, np.zeros(6))
+        with pytest.raises(ShapeMismatchError, match=re.escape("got (6, 0)")):
+            enc.forward(params, np.zeros((6, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_output(self, bad):
+        enc, params, feats = random_setup()
+        feats[2, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NormalizationDegenerateError, match="norm nan"
+        ):
+            enc.forward(params, feats)
 
     def test_mean_pooling_collapses_time_order(self):
         enc, params, feats = random_setup(frames=12)

@@ -301,7 +301,7 @@ class TestScoring:
             with pytest.raises(DegenerateTrialsError, match="finite.*trial a c"):
                 metric(trials)
         with pytest.raises(DegenerateTrialsError, match="finite"):
-            ScoredTrials(trials, np.array([0.5, bad]), np.array([True, False]))
+            ScoredTrials(trials, np.array([0.5, bad]))
 
 
 class TestScoredTrials:
@@ -324,7 +324,7 @@ class TestScoredTrials:
             # since which zero becomes the threshold depends on score order.
             flip = derive_rng("signed-zeros", seed).integers(0, 2, len(scored)) == 1
             zeros = np.where((scored.scores == 0.0) & flip, -0.0, scored.scores)
-            signed = ScoredTrials(list(scored), zeros, scored.is_target.copy())
+            signed = ScoredTrials(list(scored), zeros)
             signs.update(bits(s) for s in signed.scores if s == 0.0)
             assert metric_bits(signed) == metric_bits(list(signed))
         assert signs == {bits(0.0), bits(-0.0)}
@@ -347,6 +347,27 @@ class TestScoredTrials:
             scored.scores[0] = 0.5
         with pytest.raises(ValueError):
             scored.is_target[0] = not scored.is_target[0]
+
+    def test_mask_is_read_from_the_trials(self):
+        # Integer labels still mark targets: an integer mask would index
+        # trials 1 and 0 instead, and score this separable pair at EER 0.5.
+        trials = [Trial("a", "b", 1), Trial("a", "c", 0)]
+        scored = ScoredTrials(trials, [0.9, 0.1])
+        assert scored.is_target.tolist() == [True, False]
+        assert eer(scored)[0] == 0.0
+
+    @pytest.mark.parametrize("scores", [[0.9, 0.1, 0.5], [0.9], [[0.9, 0.1]]],
+                             ids=["extra", "short", "2-d"])
+    def test_one_score_per_trial(self, scores):
+        trials = [Trial("a", "b", True), Trial("a", "c", False)]
+        with pytest.raises(DimensionMismatchError, match="one score per trial: 2 trials"):
+            ScoredTrials(trials, np.array(scores))
+
+    def test_caller_scores_are_copied(self):
+        scores = np.array([0.9, 0.1])
+        scored = ScoredTrials([Trial("a", "b", True), Trial("a", "c", False)], scores)
+        scores[0] = -0.5
+        assert scored.scores.tolist() == [0.9, 0.1]
 
     def test_indexing_matches_the_list(self):
         scored = self.scored(1)
