@@ -20,6 +20,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import InvalidParamError, InvalidRangeError, TooShortError, UnsupportedWavError
+from .schema import at_least
 
 SAMPLE_RATE = 16000
 
@@ -68,8 +69,7 @@ class FeatureConfig:
     mean_normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_mels < 1 or self.win_length < 1 or self.hop_length < 1:
-            raise InvalidRangeError("n_mels, win_length, hop_length must be positive")
+        at_least(self, 1, "n_mels", "win_length", "hop_length", error=InvalidRangeError)
         if self.n_fft < self.win_length:
             raise InvalidRangeError(
                 f"n_fft {self.n_fft} must cover the window length {self.win_length}"

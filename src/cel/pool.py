@@ -1,7 +1,10 @@
 """The process-wide thread pool that runs independent pieces of data work.
 
-Training and embedding map each item's data pipeline over it, and corpus
-synthesis maps contiguous sample ranges of one utterance over it. NumPy's
+Pretraining maps each item's data pipeline over it. Fine-tuning and
+embedding map only the utterances whose features the source has not cached
+yet (`CorpusSource.features_of`), and read cached ones on the calling
+thread, where a lookup costs less than a submit. Corpus synthesis maps
+contiguous sample ranges of one utterance over it. NumPy's
 FFTs and element-wise transcendental functions release the interpreter
 lock, so the pieces overlap on separate cores. `map_items` yields results
 in input order, so callers that combine them in that order get outputs that

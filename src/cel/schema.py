@@ -18,7 +18,7 @@ import types
 import typing
 from typing import Any, Mapping
 
-from .errors import InvalidParamError, SchemaError
+from .errors import CelError, InvalidParamError, SchemaError
 
 _hints = functools.cache(typing.get_type_hints)
 
@@ -86,9 +86,11 @@ def check(value: Any, hint: Any, key: str) -> Any:
     raise SchemaError(f"config key '{key}' must be {name}, got {value!r}")
 
 
-def at_least(record: Any, minimum: int, *names: str) -> None:
-    """Refuse `record` if one of its fields `names` is below `minimum`."""
+def at_least(
+    record: Any, minimum: int, *names: str, error: type[CelError] = InvalidParamError
+) -> None:
+    """Refuse `record` with `error` if one of its fields `names` is below `minimum`."""
     for name in names:
         value = getattr(record, name)
         if value < minimum:
-            raise InvalidParamError(f"{name} must be at least {minimum}, got {value}")
+            raise error(f"{name} must be at least {minimum}, got {value}")

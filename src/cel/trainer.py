@@ -17,10 +17,13 @@ Every random draw comes from a stream derived from (run seed, purpose,
 epoch, item or batch), so runs are bit-reproducible and resumable mid-run:
 pre-training items draw their crops and augmentations from their own
 streams, and a fine-tuning batch draws its items' crop positions from one
-stream on the calling thread. Each item's data pipeline (waveform fetch,
-crop, augmentation, log-mel) runs on the shared thread pool of `cel.pool`,
-sized by the process's CPU affinity, and NumPy's FFTs release the
-interpreter lock, so items overlap on separate cores. The calling thread
+stream on the calling thread. Each pre-training item's data pipeline
+(waveform fetch, crop, augmentation, log-mel) runs on the shared thread
+pool of `cel.pool`, sized by the process's CPU affinity, and NumPy's FFTs
+release the interpreter lock, so items overlap on separate cores. A
+fine-tuning item is a cut of its utterance's cached log-mel: only the
+utterances missing from the cache go to the pool, and cached ones are read
+on the calling thread, so a warm epoch submits nothing. The calling thread
 encodes the features in item order as they arrive, then runs the losses,
 the backward passes (summed view by view, each in item order) and Adam, so
 outputs do not depend on the pool size. The encoder passes compute their
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -108,9 +111,11 @@ class CorpusSource:
     corruption depends only on the key, never on the checkpoint, so every
     checkpoint scored on a source after the first reuses them (12 MB for the
     192 desk utterances at 40 mels, a quarter of their waveforms); a source
-    that embeds its utterances once pays that for nothing. `_finetune_item`
-    fills it with clean unnormalized features in its first epoch (9 MB for
-    the 144 desk training utterances).
+    that embeds its utterances once pays that for nothing. Fine-tuning
+    (`_finetune_items`) fills it with clean unnormalized features in its
+    first epoch (9 MB for the 144 desk training utterances). Both read it
+    through `features_of`: cache hits on the calling thread, misses on the
+    item pool.
     """
 
     manifest: CorpusManifest
@@ -156,6 +161,15 @@ class CorpusSource:
                 self._cache[key] = utterance_waveform(self.manifest, i, utt)
         return self._cache[key]
 
+    def _feature_key(
+        self, local_speaker: int, utt: int, feature_cfg: FeatureConfig,
+        bank: NoiseBank | None, aug_seed: int, min_samples: int,
+    ) -> tuple:
+        return (
+            self.speakers[local_speaker], utt, feature_cfg, bank,
+            None if bank is None else aug_seed, min_samples,
+        )
+
     def features(
         self,
         local_speaker: int,
@@ -170,13 +184,11 @@ class CorpusSource:
         An utterance shorter than `min_samples` is first wrap-padded to
         exactly that length. With a bank, the utterance is first corrupted by
         the one noise/reverb condition drawn for it from (aug_seed,
-        "eval-aug", its key). No caller passes both. Misses follow the
+        "eval-aug", its key). No caller passes both. A miss may be filled on
+        a pool thread (`features_of` sends it there) and follows the
         waveform cache's rule: equal values, and one store wins.
         """
-        key = (
-            self.speakers[local_speaker], utt, feature_cfg, bank,
-            None if bank is None else aug_seed, min_samples,
-        )
+        key = self._feature_key(local_speaker, utt, feature_cfg, bank, aug_seed, min_samples)
         feats = self._features.get(key)
         if feats is None:
             wave = self.waveform(local_speaker, utt)
@@ -190,6 +202,31 @@ class CorpusSource:
             feats.setflags(write=False)
             self._features[key] = feats
         return feats
+
+    def features_of(
+        self,
+        pairs: Iterable[tuple[int, int]],
+        feature_cfg: FeatureConfig,
+        bank: NoiseBank | None = None,
+        aug_seed: int = 0,
+        min_samples: int = 0,
+    ) -> Iterator[np.ndarray]:
+        """`features` of each (local speaker, utt) pair, yielded in pair order.
+
+        Only the pairs missing from the store go to the item pool, each
+        once, and they start at the call; every other pair is read on the
+        calling thread, so a call whose pairs are all cached submits
+        nothing. A missing pair is yielded as soon as its features arrive.
+        """
+        pairs = list(pairs)
+        args = (feature_cfg, bank, aug_seed, min_samples)
+        keys = [self._feature_key(s, u, *args) for s, u in pairs]
+        missing = {key: pair for key, pair in zip(keys, pairs) if key not in self._features}
+        if missing:
+            filled = pool.map_items(
+                lambda s, u: self.features(s, u, *args), *zip(*missing.values())
+            )
+        return (next(filled) if missing.pop(key, None) else self._features[key] for key in keys)
 
 
 @dataclass(frozen=True)
@@ -313,36 +350,45 @@ def _finetune_item(
     utt: int,
     position: float,
 ) -> tuple[np.ndarray]:
-    """Log-mel features of one clean fixed-length segment, its one view.
+    """The one item of `_finetune_items` for (local_speaker, utt) at `position`."""
+    return next(_finetune_items(source, cfg, feature_cfg, [local_speaker], [utt], [position]))
 
-    The segment is `cfg.frames` columns of the utterance's cached
-    unnormalized log-mel (`CorpusSource.features`, wrap-padded to at least
-    one crop) from the hop offset `int(position * (offsets available))`, for
-    a `position` in [0, 1), then mean-normalized if the config says so: the
-    log-mel of the waveform crop at that offset, to the bit.
+
+def _finetune_items(
+    source: CorpusSource, cfg: FinetuneConfig, feature_cfg: FeatureConfig,
+    speakers: Sequence[int], utts: Sequence[int], positions: Sequence[float],
+) -> Iterator[tuple[np.ndarray]]:
+    """Log-mel features of clean fixed-length segments, one view each, in item order.
+
+    Each segment is `cfg.frames` columns of its utterance's cached
+    unnormalized log-mel (`CorpusSource.features_of`, wrap-padded to at
+    least one crop) from the hop offset `int(position * (offsets
+    available))`, for a `position` in [0, 1), then mean-normalized if the
+    config says so: the log-mel of the waveform crop at that offset, to the
+    bit. Segments are cut on the calling thread.
     """
     raw_cfg = feature_cfg.without_normalization()
     need = crop_samples(cfg.frames, raw_cfg.win_length, raw_cfg.hop_length)
-    feats = source.features(local_speaker, utt, raw_cfg, min_samples=need)
-    offset = int(position * (feats.shape[1] - cfg.frames + 1))
-    crop = feats[:, offset : offset + cfg.frames]
-    if feature_cfg.mean_normalize:
-        crop = crop - crop.mean(axis=1, keepdims=True)
-    return (crop,)
+    all_feats = source.features_of(zip(speakers, utts), raw_cfg, min_samples=need)
+    for feats, position in zip(all_feats, positions):
+        offset = int(position * (feats.shape[1] - cfg.frames + 1))
+        crop = feats[:, offset : offset + cfg.frames]
+        if feature_cfg.mean_normalize:
+            crop = crop - crop.mean(axis=1, keepdims=True)
+        yield (crop,)
 
 
 def _finetune_batch(
     source: CorpusSource, cfg: FinetuneConfig, feature_cfg: FeatureConfig,
     epoch: int, batch_index: int, speakers: Sequence[int], utts: Sequence[int],
 ) -> Iterable[tuple[np.ndarray]]:
-    """A fine-tuning batch's items, built on the pool in item order.
+    """A fine-tuning batch's items, in item order.
 
     The crop positions come from the batch's one crop stream, drawn on the
     calling thread in item order, so they do not depend on the pool size.
     """
     positions = derive_rng(cfg.seed, "crop", epoch, batch_index).random(len(speakers))
-    item = partial(_finetune_item, source, cfg, feature_cfg)
-    return pool.map_items(item, speakers, utts, positions)
+    return _finetune_items(source, cfg, feature_cfg, speakers, utts, positions)
 
 
 class _Objective:
@@ -774,21 +820,18 @@ def embed_utterances(
     utterances whose keys it holds are read and embedded, each exactly as a
     whole-corpus call embeds it; ids outside the corpus are ignored. The
     features come from, and stay in, the source's feature cache
-    (`CorpusSource.features`).
+    (`CorpusSource.features_of`), so only a source's first call per
+    condition sends work to the item pool.
     """
     enc = Encoder(encoder_cfg)
-
-    def features(s: int, u: int, key: str) -> tuple[str, np.ndarray]:
-        return key, source.features(s, u, feature_cfg, bank, aug_seed)
-
-    utterances = [
-        (s, u, source.utterance_key(s, u))
+    pairs = {
+        source.utterance_key(s, u): (s, u)
         for s in range(source.speaker_count)
         for u in range(source.utterances_per_speaker)
-    ]
+    }
     if ids is not None:
         ids = set(ids)
-        utterances = [item for item in utterances if item[2] in ids]
-    items = pool.map_items(features, *zip(*utterances))
+        pairs = {key: pair for key, pair in pairs.items() if key in ids}
+    all_feats = source.features_of(pairs.values(), feature_cfg, bank, aug_seed)
     weights = enc.float32_weights(params)
-    return {key: enc.forward(weights, feats).embedding for key, feats in items}
+    return {key: enc.forward(weights, feats).embedding for key, feats in zip(pairs, all_feats)}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cel.config import RunConfig, config_from_dict, load_config, save_config
-from cel.errors import CelError, InvalidParamError, SchemaError
+from cel.errors import CelError, InvalidParamError, InvalidRangeError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
 FULLSCALE = ROOT / "configs" / "fullscale.json"
@@ -190,6 +190,13 @@ class TestSchema:
         # Each would otherwise fail only once training or scoring reached it.
         with pytest.raises(CelError, match=re.escape(message)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["n_mels", "win_length", "hop_length"])
+    def test_feature_size_below_one_is_named_with_its_value(self, name, value):
+        with pytest.raises(InvalidRangeError,
+                           match=re.escape(f"{name} must be at least 1, got {value}")):
+            config_from_dict({"features": {name: value}})
 
     @pytest.mark.parametrize("key, is_tuple",
                              [pytest.param(*case, id=case[0]) for case in _float_keys(RunConfig)])

@@ -695,6 +695,73 @@ class TestFeatureCache:
         assert fresh._features
         assert {key[2] for key in fresh._features} == {FeatureConfig(mean_normalize=False)}
 
+    @pytest.mark.parametrize("kind", ["clean", "noisy", "padded"])
+    def test_features_of_yields_each_pair_in_order(self, source, bank, on_pools, kind):
+        # A repeated pair, pairs out of corpus order, and 500 frames' worth
+        # of padding beyond the 4 s utterances.
+        pairs = [(3, 1), (0, 0), (3, 1), (4, 0), (1, 1)]
+        args = {
+            "clean": (FeatureConfig(),),
+            "noisy": (FeatureConfig(), bank, 4),
+            "padded": (FeatureConfig(mean_normalize=False), None, 0, crop_samples(500)),
+        }[kind]
+        reference = CorpusSource(source.manifest)
+        want = [reference.features(s, u, *args).tobytes() for s, u in pairs]
+
+        def run(n):
+            fresh = CorpusSource(source.manifest)
+            cold = [f.tobytes() for f in fresh.features_of(pairs, *args)]
+            warm = [f.tobytes() for f in fresh.features_of(pairs, *args)]
+            return cold, warm
+
+        for cold, warm in on_pools(run).values():
+            assert cold == want
+            assert warm == want
+
+
+class TestPoolTraffic:
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("items were sent to the pool")
+
+    def test_warm_finetuning_and_embedding_submit_nothing(self, source, bank, monkeypatch):
+        fresh = CorpusSource(source.manifest)
+        cfg = tiny_finetune_cfg(epochs=2)
+        params = Encoder(TINY_ENC).init_params(derive_rng("emb-init"))
+        first = finetune(fresh, cfg, TINY_ENC)
+        clean = embed_utterances(fresh, params, TINY_ENC)
+        noisy = embed_utterances(fresh, params, TINY_ENC, bank=bank, aug_seed=4)
+        monkeypatch.setattr(pool, "map_items", self._refuse)
+        assert finetune(fresh, cfg, TINY_ENC).log_text == first.log_text
+        _assert_same_embeddings(embed_utterances(fresh, params, TINY_ENC), clean)
+        _assert_same_embeddings(
+            embed_utterances(fresh, params, TINY_ENC, bank=bank, aug_seed=4), noisy
+        )
+
+    def test_a_cold_batch_sends_only_its_missing_pairs_once(self, source, monkeypatch):
+        fresh, features, cfg = CorpusSource(source.manifest), FeatureConfig(), tiny_finetune_cfg()
+        for s in range(source.speaker_count):
+            for u in range(source.utterances_per_speaker):
+                fresh.waveform(s, u)
+        need = crop_samples(cfg.frames)
+        for s, u in [(0, 0), (2, 1)]:
+            fresh.features(s, u, features.without_normalization(), min_samples=need)
+        sent = []
+        map_items = pool.map_items
+
+        def recorded(fn, *items):
+            items = [list(i) for i in items]
+            sent.append(list(zip(*items)))
+            return map_items(fn, *items)
+
+        monkeypatch.setattr(pool, "map_items", recorded)
+        speakers, utts = [0, 0, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1]
+        cold = list(_finetune_batch(fresh, cfg, features, 0, 0, speakers, utts))
+        assert sent == [[(0, 1), (2, 0), (3, 0), (3, 1)]]
+        monkeypatch.setattr(pool, "map_items", self._refuse)
+        warm = list(_finetune_batch(fresh, cfg, features, 0, 0, speakers, utts))
+        assert [v.tobytes() for v, in warm] == [v.tobytes() for v, in cold]
+
 
 def _run_all(source, bank, out: Path) -> dict[str, np.ndarray]:
     """A pretraining run, a fine-tuning run and noisy embeddings, written under out."""
