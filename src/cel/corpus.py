@@ -5,23 +5,29 @@ speaker-specific fundamental, shaped by two resonators standing in for
 formants, with per-utterance pitch-contour jitter and a little aspiration
 noise. The generator exists to exercise training dynamics with separable
 classes, not to model speech.
+
+The harmonic source is summed with Clenshaw's recurrence (C. W. Clenshaw,
+"A note on the summation of Chebyshev series", MTAC 1955): one `sin` and one
+`cos` per sample instead of one `sin` per harmonic. Synthesis runs on the
+calling thread; a cold corpus source still synthesizes in parallel because
+its waveforms are made inside the item pool's tasks. Against the direct
+sine sum, the float32 samples of three desk corpora differed by at most
+2**-25, half a float32 ulp at the 0.5 peak.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
-from . import pool
-from .errors import CelError, CorpusTooSmallError, SchemaError, TooShortError
+from .errors import CelError, CorpusTooSmallError, InvalidParamError, SchemaError, TooShortError
 from .features import SAMPLE_RATE, Waveform, crop_samples, read_wav, write_wav
 from .rng import derive_rng
-from .schema import plain, read_record
+from .schema import at_least, plain, read_record
 
 # Room for two non-overlapping default 180-frame crops (10 ms hop, 25 ms
 # window); pretraining refuses an utterance shorter than one crop.
@@ -72,26 +78,22 @@ def _resonator_coeffs(freq_hz: float, bw_hz: float) -> tuple[np.ndarray, np.ndar
     return b, a
 
 
-def _harmonics(phase: np.ndarray, gains: list[float], lo: int, hi: int) -> np.ndarray:
-    """The harmonic source over samples [lo, hi), summed in harmonic order.
-
-    Each sample goes through the same float operations whatever the range,
-    so ranges computed on separate threads concatenate to the serial sum.
-    """
-    p = phase[lo:hi]
-    out = np.zeros(hi - lo)
-    for k, g in enumerate(gains, start=1):
-        out += g * np.sin(k * p)
-    return out
-
-
 def gen_utterance(
     profile: SpeakerProfile,
     duration_s: float,
     rng: np.random.Generator,
     min_samples: int = MIN_UTTERANCE_SAMPLES,
 ) -> Waveform:
-    """Synthesize one utterance, peak-normalized to exactly 0.5."""
+    """Synthesize one utterance, peak-normalized to exactly 0.5.
+
+    The harmonic source, the sum over k of g_k * sin(k * phase), is
+    b_1 * sin(phase) by Clenshaw's recurrence: with alpha = 2 cos(phase) and
+    b_{K+1} = b_{K+2} = 0, b_k = g_k + alpha * b_{k+1} - b_{k+2} from the top
+    harmonic down. Each step runs, on three preallocated float64 arrays, the
+    fixed order `alpha * b1`, then `- b2`, then `+ g`, so the bytes depend on
+    nothing but the inputs. Its samples lie within 2**-25 of the direct sine
+    sum's after normalization (three desk corpora, 36,864,000 samples).
+    """
     n = int(round(duration_s * SAMPLE_RATE))
     if n < min_samples:
         raise TooShortError(
@@ -115,20 +117,21 @@ def gen_utterance(
     # One serial prefix sum: a chunked one rounds differently.
     phase = 2.0 * np.pi * np.cumsum(contour) / SAMPLE_RATE
 
-    max_f0 = float(contour.max())
-    gains = []
-    for k, amp in enumerate(profile.harmonic_amps, start=1):
-        if k * max_f0 >= SAMPLE_RATE / 2:
-            break
-        gains.append(amp * float(k) ** tilt)
-    workers = pool.item_pool().workers
-    bounds = [n * i // workers for i in range(workers + 1)]
-    source = np.concatenate(
-        list(pool.map_items(partial(_harmonics, phase, gains), bounds[:-1], bounds[1:]))
-    )
-    source += profile.noise_level * noise_scale * rng.standard_normal(n)
+    # The harmonics below Nyquist at the contour's peak: a prefix of the speaker's.
+    below = np.arange(1, len(profile.harmonic_amps) + 1) * contour.max() < SAMPLE_RATE / 2
+    gains = [amp * float(k) ** tilt for k, amp in enumerate(profile.harmonic_amps[below], 1)]
 
-    x = source
+    # Clenshaw's recurrence from the top harmonic down (see the docstring).
+    alpha = 2.0 * np.cos(phase)
+    b1, b2, bk = np.zeros(n), np.zeros(n), np.empty(n)
+    for g in reversed(gains):
+        np.multiply(alpha, b1, out=bk)
+        bk -= b2
+        bk += g
+        b2, b1, bk = b1, bk, b2
+    x = b1 * np.sin(phase)  # the harmonic source
+    x += profile.noise_level * noise_scale * rng.standard_normal(n)
+
     for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale):
         b, a = _resonator_coeffs(freq * fs, bw)
         x = lfilter(b, a, x)
@@ -145,6 +148,15 @@ class CorpusConfig:
     utterances_per_speaker: int = 6
     duration_s: float = 4.0
     seed: int = 100
+
+    def __post_init__(self) -> None:
+        at_least(self, 2, "n_speakers")
+        at_least(self, 1, "utterances_per_speaker")
+        if round(self.duration_s * SAMPLE_RATE) < MIN_UTTERANCE_SAMPLES:
+            raise InvalidParamError(
+                f"duration_s must be at least {MIN_UTTERANCE_SAMPLES / SAMPLE_RATE} s, "
+                f"got {self.duration_s}"
+            )
 
 
 @dataclass(frozen=True)

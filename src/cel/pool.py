@@ -3,12 +3,12 @@
 Pretraining maps each item's data pipeline over it. Fine-tuning and
 embedding map only the utterances whose features the source has not cached
 yet (`CorpusSource.features_of`), and read cached ones on the calling
-thread, where a lookup costs less than a submit. Corpus synthesis maps
-contiguous sample ranges of one utterance over it. NumPy's
-FFTs and element-wise transcendental functions release the interpreter
-lock, so the pieces overlap on separate cores. `map_items` yields results
-in input order, so callers that combine them in that order get outputs that
-do not depend on the pool size.
+thread, where a lookup costs less than a submit. Corpus synthesis submits
+nothing: an utterance is synthesized on the calling thread, or inside
+whichever pool task needs its waveform. NumPy's FFTs and element-wise
+functions release the interpreter lock, so the pieces overlap on separate
+cores. `map_items` yields results in input order, so callers that combine
+them in that order get outputs that do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class ItemPool(ThreadPoolExecutor):
         super().__init__(
             max_workers=workers, thread_name_prefix="cel-item", initializer=_mark_pool_thread
         )
-        self.workers = workers
 
 
 _pool: ItemPool | None = None

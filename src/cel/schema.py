@@ -6,7 +6,8 @@ one (where a record must be complete) or a wrong-typed value raises
 SchemaError naming its dotted path. Lists become tuples and ints floats;
 nothing else is coerced. A float field refuses the `NaN`, `Infinity` and
 `1e999` that `json.loads` reads, and a bool is not an int. A record's
-`__post_init__` checks its integer lower bounds with `at_least`.
+`__post_init__` checks its integer lower bounds with `at_least`, and `read`
+puts the record's dotted path in front of what it refuses.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def plain(value: Any) -> Any:
 def read(doc: Any, base: Any, path: str) -> Any:
     """`base`, a dataclass, with the fields the mapping `doc` sets.
 
-    Nested dataclass fields are read the same way, over `base`'s own.
+    Nested dataclass fields are read the same way, over `base`'s own. A
+    CelError raised by the record's own construction is raised again, as the
+    same class, with the record's dotted path in front of its message.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError(f"config key '{path}' must be a mapping, got {type(doc).__name__}")
@@ -44,11 +47,15 @@ def read(doc: Any, base: Any, path: str) -> Any:
     if unknown:
         raise SchemaError(f"unknown config key '{prefix}{unknown[0]}'")
     hints = _hints(type(base))
-    return dataclasses.replace(base, **{
+    values = {
         name: read(value, getattr(base, name), prefix + name)
         if dataclasses.is_dataclass(hints[name]) else check(value, hints[name], prefix + name)
         for name, value in doc.items()
-    })
+    }
+    try:
+        return dataclasses.replace(base, **values)
+    except CelError as exc:  # the record's own check, named by its dotted path
+        raise type(exc)(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def read_record(doc: Any, cls: type, path: str) -> Any:

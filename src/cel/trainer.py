@@ -154,8 +154,7 @@ class CorpusSource:
         key = (i, utt)
         if key not in self._cache:
             if self.root is not None:
-                per = self.manifest.utterances_per_speaker
-                entry = self.manifest.entries[i * per + utt]
+                entry = self.manifest.entries[i * self.utterances_per_speaker + utt]
                 self._cache[key] = load_utterance(self.root, entry)
             else:
                 self._cache[key] = utterance_waveform(self.manifest, i, utt)

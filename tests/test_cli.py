@@ -15,7 +15,7 @@ from cel import cli, gradcheck, trainer
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import RunConfig, load_config
-from cel.corpus import CorpusConfig, load_manifest, save_manifest, write_corpus
+from cel.corpus import CorpusConfig, load_manifest, save_manifest
 from cel.encoder import load_checkpoint, load_encoder, save_checkpoint
 from cel.schema import check
 from cel.evaluation import Trial, read_trial_list, write_trial_list
@@ -193,13 +193,12 @@ class TestPretrain:
 class TestFinetune:
     def test_one_speaker_corpus_fails_cleanly(self, workspace, tmp_path, capsys):
         # gen-data writes at least 2 speakers; keep only the first one's entries.
-        manifest = load_manifest(workspace / "corpus" / "manifest.tsv")
-        one = dataclasses.replace(
-            manifest,
-            n_speakers=1,
-            entries=manifest.entries[: manifest.utterances_per_speaker],
-        )
-        write_corpus(one, tmp_path)
+        # The manifest header is a CorpusConfig, so it is refused as it is read.
+        lines = (workspace / "corpus" / "manifest.tsv").read_text().splitlines()
+        header = {**json.loads(lines[0][2:]), "n_speakers": 1}
+        kept = lines[1 : 1 + header["utterances_per_speaker"]]
+        text = "\n".join([f"# {json.dumps(header)}", *kept]) + "\n"
+        (tmp_path / "manifest.tsv").write_text(text)
         rc = main(
             [
                 "finetune",
@@ -210,7 +209,7 @@ class TestFinetune:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error [finetune]: batches need 2 speakers, corpus has 1" in err
+        assert "malformed manifest: corpus: n_speakers must be at least 2, got 1" in err
 
     def test_negative_margin_fails_cleanly(self, workspace, tmp_path, capsys):
         rc = main(
@@ -224,7 +223,8 @@ class TestFinetune:
             ]
         )
         assert rc == 1
-        assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error [finetune]: finetune: margin must be >= 0, got -0.1" in err
         assert not (tmp_path / "out" / "config.json").exists()
 
     def test_bad_margin_in_config_fails_before_the_corpus_is_read(self, tmp_path, capsys):
@@ -241,7 +241,8 @@ class TestFinetune:
         )
         assert rc == 1
         # The corpus directory does not exist: reading it would fail with another message.
-        assert "error [finetune]: margin must be >= 0, got -0.1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error [finetune]: finetune: margin must be >= 0, got -0.1" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_loss_fails_cleanly(self, workspace, tmp_path, monkeypatch, capsys):

@@ -16,7 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FULLSCALE = ROOT / "configs" / "fullscale.json"
 
 # Valid values other than the default for the string-valued config fields.
-OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std"}
+# Values that halving or incrementing would not give; a corpus of half the
+# default duration is shorter than the minimum utterance.
+OTHER_CHOICE = {"similarity_kind": "acont", "objective": "ge2e", "pooling": "mean_std",
+                "duration_s": 5.0}
 
 # encoder.input_dim must equal features.n_mels: section -> (its field, the
 # other section, that section's field).
@@ -182,6 +185,10 @@ class TestSchema:
         ({"encoder": {"embedding_dim": 1}}, "embedding_dim must be at least 2, got 1"),
         ({"pretrain": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
         ({"finetune": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
+        ({"corpus": {"n_speakers": 0}}, "corpus: n_speakers must be at least 2, got 0"),
+        ({"corpus": {"utterances_per_speaker": 0}},
+         "corpus: utterances_per_speaker must be at least 1, got 0"),
+        ({"corpus": {"duration_s": 0.5}}, "corpus: duration_s must be at least 3.63 s, got 0.5"),
         # 128 bands on the 512-point grid leave the lowest filter between two FFT bins.
         ({"features": {"n_mels": 128}, "encoder": {"input_dim": 128}},
          "features.n_mels (128): 1 filters have empty support"),
@@ -190,6 +197,13 @@ class TestSchema:
         # Each would otherwise fail only once training or scoring reached it.
         with pytest.raises(CelError, match=re.escape(message)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_range_error_names_the_record_that_refused_it(self, stage):
+        # The two schedules share a record type, so only the path tells them apart.
+        with pytest.raises(InvalidParamError) as info:
+            config_from_dict({stage: {"schedule": {"period_epochs": 0}}})
+        assert str(info.value) == f"{stage}.schedule: period_epochs must be at least 1, got 0"
 
     @pytest.mark.parametrize("value", [0, -3])
     @pytest.mark.parametrize("name", ["n_mels", "win_length", "hop_length"])

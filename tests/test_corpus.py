@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 import oracles
-from cel import augment
+from cel import augment, pool
 from cel.augment import synth_bank
 from cel.corpus import (
     MIN_UTTERANCE_SAMPLES,
@@ -28,7 +28,7 @@ from cel.rng import derive_rng
 
 
 def serial_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES):
-    """`gen_utterance` with its harmonic source summed over all samples at once."""
+    """`gen_utterance` with its harmonic source summed directly, one `sin` per harmonic."""
     n = int(round(duration_s * SAMPLE_RATE))
     if n < min_samples:
         raise TooShortError(f"{n} < {min_samples}")
@@ -110,9 +110,18 @@ class TestUtterances:
 POOL_SIZES = (None, 1, 2, 3, 8)
 
 
+def assert_near_serial(got: np.ndarray, want: np.ndarray) -> None:
+    """Every sample within one float32 spacing, at the reference's peak, of `want`.
+
+    Clenshaw's recurrence rounds differently from the direct sine sum.
+    """
+    bound = np.spacing(np.float32(np.max(np.abs(want))))
+    gap = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    assert gap.max() <= bound, f"largest gap {gap.max():.3g} exceeds {bound:.3g}"
+
+
 class TestPooledSynthesis:
-    # 64,001 samples: no worker count above divides it. 5 samples: fewer
-    # than 8 workers, so some sample ranges are empty.
+    # 64,001 samples is odd; 5 samples is shorter than one analysis window.
     @pytest.mark.parametrize(
         "duration_s,min_samples",
         [
@@ -122,7 +131,9 @@ class TestPooledSynthesis:
             (5 / SAMPLE_RATE, 1),
         ],
     )
-    def test_bit_equal_to_serial_sum_on_every_pool(self, on_pools, duration_s, min_samples):
+    def test_same_bytes_on_every_pool_and_near_serial_sum(
+        self, on_pools, duration_s, min_samples
+    ):
         profile = gen_speaker(derive_rng("pooled", round(duration_s * SAMPLE_RATE)))
         want = serial_utterance(profile, duration_s, derive_rng("pooled-utt"), min_samples)
         got = on_pools(
@@ -130,18 +141,31 @@ class TestPooledSynthesis:
             POOL_SIZES,
         )
         for w in got.values():
-            assert w.samples.tobytes() == want.samples.tobytes()
+            assert w.samples.tobytes() == got[None].samples.tobytes()
+        assert_near_serial(got[None].samples, want.samples)
 
-    def test_babble_bit_equal_to_serial_sum_on_every_pool(self, monkeypatch, on_pools):
+    def test_babble_same_bytes_on_every_pool_and_near_serial_sum(self, monkeypatch, on_pools):
         def noises(n=None):
             bank = synth_bank(seed=8, n_each=1, noise_duration_s=16_001 / SAMPLE_RATE)
-            return [w.samples.tobytes() for w in bank.noises]
+            return [w.samples for w in bank.noises]
 
         with monkeypatch.context() as m:
             m.setattr(augment, "gen_utterance", serial_utterance)
             want = noises()
-        for got in on_pools(noises, POOL_SIZES).values():
-            assert got == want
+        got = on_pools(noises, POOL_SIZES)
+        for each in got.values():
+            assert [w.tobytes() for w in each] == [w.tobytes() for w in got[None]]
+        for g, w in zip(got[None], want):
+            assert_near_serial(g, w)
+
+    def test_synthesis_submits_nothing_to_the_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("corpus synthesis submitted work to the item pool")
+
+        monkeypatch.setattr(pool, "map_items", refuse)
+        profile = gen_speaker(derive_rng("no-pool"))
+        w = gen_utterance(profile, 4.0, derive_rng("no-pool-utt"))
+        assert np.max(np.abs(w.samples)) == 0.5
 
 
 class TestManifest:

@@ -824,8 +824,8 @@ class TestItemPool:
     def test_cold_source_outputs_do_not_depend_on_pool_size(
         self, source, bank, tmp_path, monkeypatch, on_pools
     ):
-        # Unwarmed sources synthesize their utterances on pool threads,
-        # whose own maps over sample ranges must run inline.
+        # Unwarmed sources synthesize their utterances inside the pool's
+        # item tasks.
         def run(out: Path) -> dict[str, np.ndarray]:
             result = pretrain(
                 CorpusSource(source.manifest), tiny_pretrain_cfg(), TINY_ENC, bank=bank,
