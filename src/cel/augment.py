@@ -119,9 +119,10 @@ def _mix_at_snr(signal: np.ndarray, noise_slice: np.ndarray, snr_db: float) -> N
         return NoiseResult(Waveform(signal.copy()), silent_noise=True)
     scale = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
     mixed = signal + scale * noise_slice
-    clipped = np.clip(mixed, -1.0, 1.0)
-    clip_fraction = float(np.mean(np.abs(mixed) > 1.0))
-    return NoiseResult(Waveform(clipped), clip_fraction=clip_fraction)
+    out = Waveform(np.clip(mixed, -1.0, 1.0))
+    # Some |mixed| > 1 only if the clipped peak reached 1.0.
+    clip_fraction = float(np.mean(np.abs(mixed) > 1.0)) if out.peak >= 1.0 else 0.0
+    return NoiseResult(out, clip_fraction=clip_fraction)
 
 
 def add_noise(
@@ -176,10 +177,9 @@ def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     else:
         n = sp_fft.next_fast_len(x.size + h.size - 1, True)
         out = sp_fft.irfft(sp_fft.rfft(x, n) * _rir_spectrum(h, n), n)[: x.size]
-    peak_in = float(np.max(np.abs(x)))
     peak_out = float(np.max(np.abs(out)))
-    if peak_out > peak_in > 0.0:
-        out *= peak_in / peak_out
+    if peak_out > s.peak > 0.0:
+        out *= s.peak / peak_out
     return Waveform(out)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .corpus import CorpusConfig
 from .encoder import EncoderConfig
-from .errors import InvalidParamError, InvalidRangeError, SchemaError
+from .errors import InvalidParamError, SchemaError
 from .evaluation import DcfParams
 from .features import FeatureConfig, _analysis_arrays
 from .schema import at_least, plain, read
@@ -52,7 +52,7 @@ class RunConfig:
             )
         try:  # builds the filterbank that the run's log-mels share, once per process
             _analysis_arrays(self.features)
-        except InvalidRangeError as exc:
+        except InvalidParamError as exc:
             raise InvalidParamError(f"features.n_mels ({self.features.n_mels}): {exc}") from exc
 
     def with_seed(self, seed: int) -> "RunConfig":

@@ -82,11 +82,19 @@ def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 @dataclass
 class ForwardCache:
-    """One forward pass: its unit embedding and what `Encoder.backward` reads."""
+    """One forward pass: its unit embedding and what `Encoder.backward` reads.
+
+    `layer_inputs[i]` is frame layer i's (T, width) input: the transposed
+    features for i = 0, else layer i - 1's output after its ReLU.
+    `last_hidden` is the last frame layer's output after its ReLU. No ReLU
+    mask is kept: `backward` takes each one as `activation > 0` from these
+    arrays, which is true exactly where the pre-activation was > 0. So a
+    crop holds only its activations, T x (input_dim + sum of hidden widths)
+    values, plus the pooled, mean, std and embedding vectors.
+    """
 
     params: Mapping[str, np.ndarray]
     layer_inputs: list[np.ndarray]
-    relu_masks: list[np.ndarray]
     pooled: np.ndarray
     last_hidden: np.ndarray
     mean: np.ndarray
@@ -131,8 +139,10 @@ class Encoder:
         """The unit embedding of (input_dim, T) features, in a cache for `backward`.
 
         The frame layers and the pooling compute in the dtype of `params["w0"]`;
-        the projection and the normalization in float64. Zero frames, and an
-        output whose norm is not finite and above `NORM_FLOOR`, are refused.
+        the projection and the normalization in float64. Each ReLU is applied
+        in place on its layer's product, and no mask is stored (see
+        `ForwardCache`). Zero frames, and an output whose norm is not finite
+        and above `NORM_FLOOR`, are refused.
         """
         feats = np.asarray(features, dtype=params["w0"].dtype)
         if feats.ndim != 2 or feats.shape[0] != self.config.input_dim or not feats.shape[1]:
@@ -141,14 +151,11 @@ class Encoder:
             )
         h = feats.T  # (T, input_dim)
         layer_inputs = []
-        relu_masks = []
         for i in range(len(self.config.hidden_dims)):
             layer_inputs.append(h)
             h = h @ params[f"w{i}"].T
             h += params[f"b{i}"]
-            mask = h > 0
-            h *= mask
-            relu_masks.append(mask)
+            np.maximum(h, 0.0, out=h)
 
         mean = h.mean(axis=0)
         if self.config.pooling == "mean_std":
@@ -168,7 +175,6 @@ class Encoder:
         return ForwardCache(
             params=params,
             layer_inputs=layer_inputs,
-            relu_masks=relu_masks,
             pooled=pooled,
             last_hidden=h,
             mean=mean,
@@ -186,7 +192,9 @@ class Encoder:
         """Parameter gradients of `upstream . embedding` at the cached forward pass.
 
         The output-layer gradients are float64; the frame layers' are in the
-        dtype their forward pass computed in.
+        dtype their forward pass computed in. Layer i's ReLU mask is
+        `activation > 0` of its output: `cache.layer_inputs[i + 1]`, or
+        `cache.last_hidden` for the last layer.
         """
         if cache.params is not params:
             raise StaleCacheError(
@@ -211,7 +219,7 @@ class Encoder:
 
         t = h.shape[0]
         d = h.shape[1]
-        mask = cache.relu_masks[-1]
+        mask = h > 0
         if self.config.pooling == "mean_std":
             g_mean_direct = g_pooled[:d]
             g_std = g_pooled[d:]
@@ -229,7 +237,7 @@ class Encoder:
             grads[f"b{i}"] = g_z.sum(axis=0)
             if i > 0:
                 g_z = g_z @ params[f"w{i}"]
-                g_z *= cache.relu_masks[i - 1]
+                g_z *= cache.layer_inputs[i] > 0
 
         return grads
 

@@ -33,10 +33,6 @@ class TooShortError(CelError):
     """Signal shorter than one analysis window."""
 
 
-class InvalidRangeError(CelError):
-    """Invalid frequency range for the filterbank."""
-
-
 class UnsupportedWavError(CelError):
     """WAV file is not 16 kHz mono 16-bit PCM."""
 

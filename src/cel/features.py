@@ -12,14 +12,15 @@ Samples and features are float32 from the WAV reader to the log-mel output:
 from __future__ import annotations
 
 import functools
+import math
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import InvalidParamError, InvalidRangeError, TooShortError, UnsupportedWavError
+from .errors import InvalidParamError, TooShortError, UnsupportedWavError
 from .schema import at_least
 
 SAMPLE_RATE = 16000
@@ -33,23 +34,33 @@ _WRITE_SCALE = 32767.0
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono audio at 16 kHz with float32 samples in [-1, 1]."""
+    """Mono audio at 16 kHz with float32 samples in [-1, 1].
+
+    Construction checks the samples in one `max(|x|)` pass, which is NaN or
+    inf exactly when some sample is, and keeps the result: `peak` is
+    `max(|samples|)` of the stored float32 samples, so they are not written
+    in place afterwards. Input of another dtype is checked in float64,
+    because the float32 cast turns values beyond its range into inf;
+    rounding to float32 is monotone, so the float32 peak is the cast of the
+    float64 one.
+    """
 
     samples: np.ndarray
+    peak: float = field(init=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.samples)
         if x.dtype != np.float32:
-            # Checked in float64: the float32 cast turns values beyond its range into inf.
             x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
-            raise InvalidRangeError(f"samples must be a nonempty 1-d array, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise InvalidRangeError("samples must be finite")
+            raise InvalidParamError(f"samples must be a nonempty 1-d array, got shape {x.shape}")
         peak = float(np.max(np.abs(x)))
+        if not math.isfinite(peak):
+            raise InvalidParamError("samples must be finite")
         if peak > 1.0 + 1e-9:
-            raise InvalidRangeError(f"samples must lie in [-1, 1], peak is {peak:.6g}")
+            raise InvalidParamError(f"samples must lie in [-1, 1], peak is {peak:.6g}")
         object.__setattr__(self, "samples", x.astype(np.float32, copy=False))
+        object.__setattr__(self, "peak", float(np.float32(peak)))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -69,18 +80,18 @@ class FeatureConfig:
     mean_normalize: bool = True
 
     def __post_init__(self) -> None:
-        at_least(self, 1, "n_mels", "win_length", "hop_length", error=InvalidRangeError)
+        at_least(self, 1, "n_mels", "win_length", "hop_length")
         if self.n_fft < self.win_length:
-            raise InvalidRangeError(
+            raise InvalidParamError(
                 f"n_fft {self.n_fft} must cover the window length {self.win_length}"
             )
         if not (0 <= self.f_min < self.f_max <= SAMPLE_RATE / 2):
-            raise InvalidRangeError(
+            raise InvalidParamError(
                 f"need 0 <= f_min < f_max <= {SAMPLE_RATE // 2}, "
                 f"got [{self.f_min}, {self.f_max}]"
             )
         if self.log_floor <= 0:
-            raise InvalidRangeError(f"log floor must be positive, got {self.log_floor}")
+            raise InvalidParamError(f"log floor must be positive, got {self.log_floor}")
 
     def without_normalization(self) -> "FeatureConfig":
         return replace(self, mean_normalize=False)
@@ -131,9 +142,9 @@ def mel_filterbank(
     filter would have empty support on the FFT grid.
     """
     if n_filters < 1:
-        raise InvalidRangeError(f"need at least one filter, got {n_filters}")
+        raise InvalidParamError(f"need at least one filter, got {n_filters}")
     if not (0 <= f_min < f_max <= SAMPLE_RATE / 2):
-        raise InvalidRangeError(
+        raise InvalidParamError(
             f"need 0 <= f_min < f_max <= {SAMPLE_RATE / 2}, got [{f_min}, {f_max}]"
         )
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
@@ -148,7 +159,7 @@ def mel_filterbank(
 
     empty = ~(bank > 0).any(axis=1)
     if empty.any():
-        raise InvalidRangeError(
+        raise InvalidParamError(
             f"{int(empty.sum())} filters have empty support on the "
             f"{n_fft}-point FFT grid; use fewer filters or a longer FFT"
         )

@@ -93,11 +93,9 @@ def check(value: Any, hint: Any, key: str) -> Any:
     raise SchemaError(f"config key '{key}' must be {name}, got {value!r}")
 
 
-def at_least(
-    record: Any, minimum: int, *names: str, error: type[CelError] = InvalidParamError
-) -> None:
-    """Refuse `record` with `error` if one of its fields `names` is below `minimum`."""
+def at_least(record: Any, minimum: int, *names: str) -> None:
+    """Refuse `record` with InvalidParamError if one of its fields `names` is below `minimum`."""
     for name in names:
         value = getattr(record, name)
         if value < minimum:
-            raise error(f"{name} must be at least {minimum}, got {value}")
+            raise InvalidParamError(f"{name} must be at least {minimum}, got {value}")

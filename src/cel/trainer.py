@@ -341,18 +341,6 @@ def _pretrain_batch(
     return pool.map_items(item, speakers, utts)
 
 
-def _finetune_item(
-    source: CorpusSource,
-    cfg: FinetuneConfig,
-    feature_cfg: FeatureConfig,
-    local_speaker: int,
-    utt: int,
-    position: float,
-) -> tuple[np.ndarray]:
-    """The one item of `_finetune_items` for (local_speaker, utt) at `position`."""
-    return next(_finetune_items(source, cfg, feature_cfg, [local_speaker], [utt], [position]))
-
-
 def _finetune_items(
     source: CorpusSource, cfg: FinetuneConfig, feature_cfg: FeatureConfig,
     speakers: Sequence[int], utts: Sequence[int], positions: Sequence[float],

@@ -114,6 +114,23 @@ class TestNoise:
         assert np.max(np.abs(out.waveform.samples)) <= 1.0
         assert out.clip_fraction > 0
 
+    @pytest.mark.parametrize("signal, snr_db, clips, peak_is_one", [
+        (np.full(800, 0.9), -10.0, True, True),
+        (0.1 * np.sin(np.arange(800)), 30.0, False, False),
+        # Its first sample meets a zero of the noise: the output peak is
+        # exactly 1.0, and nothing clips.
+        (np.r_[1.0, np.full(799, 0.4)], 10.0, False, True),
+    ], ids=["clipping", "quiet", "touching"])
+    def test_clip_fraction_is_the_full_count(self, rng, signal, snr_db, clips, peak_is_one):
+        s = Waveform(signal).samples
+        noise = Waveform(np.r_[0.0, np.clip(0.3 * rng.standard_normal(799), -0.9, 0.9)]).samples
+        scale = math.sqrt(float(np.mean(s**2)) / (float(np.mean(noise**2)) * 10.0 ** (snr_db / 10.0)))
+        want = float(np.mean(np.abs(s + scale * noise) > 1.0))
+        out = augment._mix_at_snr(s, noise, snr_db)
+        assert out.clip_fraction == want
+        assert (want > 0) == clips
+        assert (out.waveform.peak == 1.0) == peak_is_one
+
 
 # Float32 rounding allowed against the float64 direct-convolution oracle, in
 # units in the last place of the float32 output peak. Measured worst case over

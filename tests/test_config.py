@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cel.config import RunConfig, config_from_dict, load_config, save_config
-from cel.errors import CelError, InvalidParamError, InvalidRangeError, SchemaError
+from cel.errors import CelError, InvalidParamError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
 FULLSCALE = ROOT / "configs" / "fullscale.json"
@@ -168,34 +168,45 @@ class TestSchema:
             config_from_dict({"finetune": finetune})
 
     @pytest.mark.parametrize("doc, message", [
-        ({"evaluation": {"nontarget_per_target": 0}}, "nontarget_per_target must be at least 1, got 0"),
-        ({"evaluation": {"eval_speakers": 0}}, "eval_speakers must be at least 1, got 0"),
-        ({"evaluation": {"c_miss": 0.0}}, "costs must be positive, got c_miss=0.0"),
-        ({"evaluation": {"c_fa": -1.0}}, "costs must be positive, got c_miss=1.0, c_fa=-1.0"),
-        ({"evaluation": {"p_target": 1.5}}, "p_target must be in (0, 1), got 1.5"),
-        ({"pretrain": {"kernel_t": 0.0}}, "kernel sharpness must be positive, got 0.0"),
-        ({"pretrain": {"uniformity_weight": -1.0}}, "uniformity weight must be nonnegative, got -1.0"),
-        ({"pretrain": {"snr_range": [15, 0]}}, "empty SNR range (15.0, 0.0)"),
-        ({"finetune": {"frames": 0}}, "frames must be at least 1, got 0"),
-        ({"pretrain": {"k": 1}}, "k must be at least 2, got 1"),
-        ({"finetune": {"speakers_per_batch": 1}}, "speakers_per_batch must be at least 2, got 1"),
+        ({"evaluation": {"nontarget_per_target": 0}},
+         "evaluation: nontarget_per_target must be at least 1, got 0"),
+        ({"evaluation": {"eval_speakers": 0}}, "evaluation: eval_speakers must be at least 1, got 0"),
+        ({"evaluation": {"c_miss": 0.0}}, "evaluation: costs must be positive, got c_miss=0.0"),
+        ({"evaluation": {"c_fa": -1.0}},
+         "evaluation: costs must be positive, got c_miss=1.0, c_fa=-1.0"),
+        ({"evaluation": {"p_target": 1.5}}, "evaluation: p_target must be in (0, 1), got 1.5"),
+        ({"pretrain": {"kernel_t": 0.0}}, "pretrain: kernel sharpness must be positive, got 0.0"),
+        ({"pretrain": {"uniformity_weight": -1.0}},
+         "pretrain: uniformity weight must be nonnegative, got -1.0"),
+        ({"pretrain": {"snr_range": [15, 0]}}, "pretrain: empty SNR range (15.0, 0.0)"),
+        ({"finetune": {"frames": 0}}, "finetune: frames must be at least 1, got 0"),
+        ({"pretrain": {"k": 1}}, "pretrain: k must be at least 2, got 1"),
+        ({"finetune": {"speakers_per_batch": 1}},
+         "finetune: speakers_per_batch must be at least 2, got 1"),
         ({"finetune": {"utterances_per_speaker": 0}},
-         "utterances_per_speaker must be at least 1, got 0"),
-        ({"encoder": {"input_dim": 0}}, "input_dim must be at least 1, got 0"),
-        ({"encoder": {"embedding_dim": 1}}, "embedding_dim must be at least 2, got 1"),
-        ({"pretrain": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
-        ({"finetune": {"schedule": {"period_epochs": 0}}}, "period_epochs must be at least 1, got 0"),
+         "finetune: utterances_per_speaker must be at least 1, got 0"),
+        ({"encoder": {"input_dim": 0}}, "encoder: input_dim must be at least 1, got 0"),
+        ({"encoder": {"embedding_dim": 1}}, "encoder: embedding_dim must be at least 2, got 1"),
+        ({"features": {"hop_length": 0}}, "features: hop_length must be at least 1, got 0"),
+        ({"features": {"n_fft": 256}}, "features: n_fft 256 must cover the window length 400"),
+        ({"pretrain": {"schedule": {"period_epochs": 0}}},
+         "pretrain.schedule: period_epochs must be at least 1, got 0"),
+        ({"finetune": {"schedule": {"period_epochs": 0}}},
+         "finetune.schedule: period_epochs must be at least 1, got 0"),
         ({"corpus": {"n_speakers": 0}}, "corpus: n_speakers must be at least 2, got 0"),
         ({"corpus": {"utterances_per_speaker": 0}},
          "corpus: utterances_per_speaker must be at least 1, got 0"),
         ({"corpus": {"duration_s": 0.5}}, "corpus: duration_s must be at least 3.63 s, got 0.5"),
-        # 128 bands on the 512-point grid leave the lowest filter between two FFT bins.
+        # Checked by RunConfig itself, at the top level: no prefix, and the
+        # message names its key by hand. 128 bands on the 512-point grid
+        # leave the lowest filter between two FFT bins.
         ({"features": {"n_mels": 128}, "encoder": {"input_dim": 128}},
          "features.n_mels (128): 1 filters have empty support"),
     ])
     def test_out_of_range_value_fails_at_load(self, doc, message):
         # Each would otherwise fail only once training or scoring reached it.
-        with pytest.raises(CelError, match=re.escape(message)):
+        # Anchored: the refusing record's dotted path leads the message.
+        with pytest.raises(CelError, match="^" + re.escape(message)):
             config_from_dict(doc)
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
@@ -208,7 +219,7 @@ class TestSchema:
     @pytest.mark.parametrize("value", [0, -3])
     @pytest.mark.parametrize("name", ["n_mels", "win_length", "hop_length"])
     def test_feature_size_below_one_is_named_with_its_value(self, name, value):
-        with pytest.raises(InvalidRangeError,
+        with pytest.raises(InvalidParamError,
                            match=re.escape(f"{name} must be at least 1, got {value}")):
             config_from_dict({"features": {name: value}})
 

@@ -1,5 +1,6 @@
 """Encoder architecture, exact backprop, Adam, schedule, and checkpoints."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -197,6 +198,90 @@ class TestBackward:
             denom = np.maximum(np.abs(num), 1e-4)
             worst = max(worst, float(np.max(np.abs(got - num) / denom)))
         assert worst < 1e-5
+
+
+def cached_arrays(cache):
+    """Every ndarray a ForwardCache holds, apart from the shared parameters."""
+    arrays = []
+    for f in dataclasses.fields(cache):
+        value = getattr(cache, f.name)
+        if f.name != "params":
+            arrays += [v for v in (value if isinstance(value, list) else [value])
+                       if isinstance(v, np.ndarray)]
+    return arrays
+
+
+def masked_backward(enc, params, cache, upstream):
+    """`Encoder.backward`'s arithmetic, with each ReLU mask taken as `z > 0` of
+    the pre-activation z, recomputed from the layer's cached input."""
+    n = len(enc.config.hidden_dims)
+    masks = []
+    for i in range(n):
+        z = cache.layer_inputs[i] @ params[f"w{i}"].T
+        z += params[f"b{i}"]
+        masks.append(z > 0)
+    e = cache.embedding
+    g = np.asarray(upstream, dtype=np.float64)
+    g_v = (g - np.dot(g, e) * e) / cache.norm
+    grads = {"w_out": np.outer(g_v, cache.pooled), "b_out": g_v}
+    h = cache.last_hidden
+    g_pooled = (params["w_out"].T @ g_v).astype(h.dtype, copy=False)
+    t, d = h.shape
+    if enc.config.pooling == "mean_std":
+        centered = h - cache.mean
+        g_z = g_pooled[:d] / t + g_pooled[d:] * centered / (t * cache.std)
+        g_z *= masks[-1]
+    else:
+        g_z = (g_pooled / t) * masks[-1]
+    for i in reversed(range(n)):
+        grads[f"w{i}"] = g_z.T @ cache.layer_inputs[i]
+        grads[f"b{i}"] = g_z.sum(axis=0)
+        if i > 0:
+            g_z = g_z @ params[f"w{i}"]
+            g_z *= masks[i - 1]
+    return grads, masks
+
+
+class TestForwardCache:
+    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
+    def test_k200_crop_holds_its_activations_and_no_mask(self, pooling):
+        # The pretrain-k200 shape: 180 frames through a 40-64-64 encoder.
+        cfg = EncoderConfig(input_dim=40, hidden_dims=(64, 64), embedding_dim=64, pooling=pooling)
+        enc = Encoder(cfg)
+        rng = derive_rng("cache-bytes")
+        params = enc.float32_weights(enc.init_params(rng))
+        feats = rng.standard_normal((40, 180)).astype(np.float32)
+        arrays = cached_arrays(enc.forward(params, feats))
+        assert not [a for a in arrays if a.dtype == np.bool_]
+        vectors = sum(a.nbytes for a in arrays if a.ndim == 1)
+        assert sum(a.nbytes for a in arrays) <= 180 * (40 + 64 + 64) * 4 + vectors
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
+    def test_backward_is_bit_equal_to_masks_of_the_pre_activations(self, pooling, dtype):
+        enc, params, feats = random_setup(pooling=pooling, frames=9, seed=5)
+        # Frame 3 is silent and four layer-0 biases are 0, so those units'
+        # pre-activations are exactly 0 there; layer-1 unit 2 has no weights
+        # and no bias, so its pre-activation is exactly 0 in every frame.
+        feats[:, 3] = 0.0
+        params["b0"][:4] = 0.0
+        params["w1"][2] = 0.0
+        params["b1"][2] = 0.0
+        if dtype == np.float32:
+            params = enc.float32_weights(params)
+        cache = enc.forward(params, feats)
+        upstream = derive_rng("probe", pooling).standard_normal(5)
+        want, masks = masked_backward(enc, params, cache, upstream)
+        for i, z_positive in enumerate(masks):
+            z = cache.layer_inputs[i] @ params[f"w{i}"].T + params[f"b{i}"]
+            assert (z == 0).any() and z_positive.any() and not z_positive.all()
+            after = cache.layer_inputs[i + 1] if i + 1 < len(masks) else cache.last_hidden
+            assert np.array_equal(after, z * z_positive)
+        got = enc.backward(params, cache, upstream)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestSchedule:

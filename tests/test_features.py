@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import fft as sp_fft
 
 import oracles
-from cel.errors import InvalidRangeError, TooShortError, UnsupportedWavError
+from cel.errors import InvalidParamError, TooShortError, UnsupportedWavError
 from cel.features import (
     FeatureConfig,
     Waveform,
@@ -28,20 +28,36 @@ class TestWaveform:
         assert len(w) == 16000
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             Waveform(np.zeros(0))
 
     def test_rejects_clipping_beyond_tolerance(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             Waveform(np.array([0.0, 1.5]))
 
     def test_rejects_nan(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             Waveform(np.array([0.0, np.nan]))
 
     def test_rejects_float64_beyond_float32_range_by_its_peak(self):
-        with pytest.raises(InvalidRangeError, match="peak is 1e"):
+        with pytest.raises(InvalidParamError, match="peak is 1e"):
             Waveform(np.array([0.0, 1e39]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_is_the_max_magnitude_of_the_stored_samples(self, rng, dtype):
+        noise = np.clip(0.4 * rng.standard_normal(4001), -1.0, 1.0)
+        # 1 + 1e-10 is accepted and rounds to 1.0 in float32; -0.7 + 1e-9
+        # has no float32 value, so the stored peak is its rounding.
+        for x in (noise, -noise, np.zeros(5), [0.25, 1.0 + 1e-10], [0.1, -0.7 + 1e-9]):
+            w = Waveform(np.asarray(x, dtype=dtype))
+            assert w.samples.dtype == np.float32
+            assert w.peak == float(np.max(np.abs(w.samples)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_samples_are_refused(self, dtype, bad):
+        with pytest.raises(InvalidParamError, match="samples must be finite"):
+            Waveform(np.array([0.0, bad, 0.5], dtype=dtype))
 
 
 class TestFrameCount:
@@ -94,13 +110,13 @@ class TestFilterbank:
         assert np.all((bank > 0).sum(axis=1) >= 1)
 
     def test_empty_support_rejected(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             mel_filterbank(400, 64)
 
     def test_band_edges_rejected(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             mel_filterbank(40, 512, f_min=500.0, f_max=100.0)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidParamError):
             mel_filterbank(40, 512, f_max=9000.0)
 
 

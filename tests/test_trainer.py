@@ -43,7 +43,7 @@ from cel.trainer import (
     PretrainConfig,
     _epoch_plan,
     _finetune_batch,
-    _finetune_item,
+    _finetune_items,
     _pretrain_item,
     embed_utterances,
     finetune,
@@ -175,7 +175,7 @@ class TestBatchAssembly:
         features = FeatureConfig(hop_length=80)
         pre_cfg, fine_cfg = tiny_pretrain_cfg(), tiny_finetune_cfg()
         pre = _pretrain_item(source, bank, pre_cfg, features, 0, 0, 0)
-        fine = _finetune_item(source, fine_cfg, features, 0, 0, 0.5)
+        (fine,) = _finetune_items(source, fine_cfg, features, [0], [0], [0.5])
         assert [v.shape for v in pre] == [(40, pre_cfg.frames)] * 2
         assert [v.shape for v in fine] == [(40, fine_cfg.frames)]
 
@@ -223,7 +223,9 @@ class TestFinetuneCrops:
         # utterances have 64,000. One source serves both crop lengths.
         fresh, features = CorpusSource(source.manifest), FeatureConfig()
         for frames in (500, 600):
-            (item,) = _finetune_item(fresh, tiny_finetune_cfg(frames=frames), features, 1, 0, 0.5)
+            ((item,),) = _finetune_items(
+                fresh, tiny_finetune_cfg(frames=frames), features, [1], [0], [0.5]
+            )
             assert item.shape == (features.n_mels, frames)
             wrapped = np.resize(source.waveform(1, 0).samples, crop_samples(frames))
             assert item.tobytes() == logmel(Waveform(wrapped), features).values.tobytes()
