@@ -253,22 +253,32 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise SchemaError(f"{path}: missing manifest header line")
     try:
         header = read_record(json.loads(text[0][2:]), CorpusConfig, "corpus")
-        entries = []
-        for line in text[1:]:
+        entries, line_numbers = [], []
+        for number, line in enumerate(text[1:], start=2):
             if not line.strip():
                 continue
             sid, uid, rel = line.split("\t")
             entries.append(ManifestEntry(sid, uid, rel))
+            line_numbers.append(number)
         manifest = CorpusManifest(**plain(header), entries=tuple(entries))
     except (CelError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed manifest: {exc}") from exc
-    want = manifest.n_speakers * manifest.utterances_per_speaker
+    per = manifest.utterances_per_speaker
+    want = manifest.n_speakers * per
     if len(entries) != want:
         raise SchemaError(
             f"{path}: header says {manifest.n_speakers} speakers x "
-            f"{manifest.utterances_per_speaker} utterances ({want} entries), "
+            f"{per} utterances ({want} entries), "
             f"but the manifest lists {len(entries)}"
         )
+    # Entry k is labelled speaker k // per, so each must sit in that order.
+    for k, (entry, number) in enumerate(zip(entries, line_numbers)):
+        i, j = divmod(k, per)
+        if (entry.speaker_id, entry.utterance_id) != (speaker_id(i), utterance_id(j)):
+            raise SchemaError(
+                f"{path}: line {number} lists {entry.speaker_id}/{entry.utterance_id}, "
+                f"but entry {k} must be {speaker_id(i)}/{utterance_id(j)}"
+            )
     return manifest
 
 

@@ -1,10 +1,10 @@
 """Trainable front-end encoder with hand-written backpropagation.
 
-A per-frame affine+ReLU stack, temporal pooling (mean, or mean plus
-standard deviation), a final affine projection, and L2 normalization onto
-the unit hypersphere. Gradients are exact reverse-mode, including the
-normalization Jacobian. Optimization is bias-corrected Adam with a stepwise
-multiplicative learning-rate decay, all in plain numpy for verifiability.
+A per-frame affine+ReLU stack, temporal mean pooling, a final affine
+projection, and L2 normalization onto the unit hypersphere. Gradients are
+exact reverse-mode, including the normalization Jacobian. Optimization is
+bias-corrected Adam with a stepwise multiplicative learning-rate decay, all
+in plain numpy for verifiability.
 
 The frame layers and the pooling compute in the dtype of the weights they
 are given; the projection, the normalization and the embedding are always
@@ -38,8 +38,6 @@ from .errors import (
 )
 from .schema import at_least, plain, read_record
 
-VAR_EPS = 1e-10
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -48,7 +46,6 @@ class EncoderConfig:
     input_dim: int = 40
     hidden_dims: tuple[int, ...] = (64, 64)
     embedding_dim: int = 64
-    pooling: str = "mean"
 
     def __post_init__(self) -> None:
         at_least(self, 1, "input_dim")
@@ -57,15 +54,10 @@ class EncoderConfig:
                 f"need at least one positive hidden width, got {self.hidden_dims}"
             )
         at_least(self, 2, "embedding_dim")
-        if self.pooling not in ("mean", "mean_std"):
-            raise InvalidParamError(
-                f"pooling must be 'mean' or 'mean_std', got {self.pooling!r}"
-            )
 
     @property
     def pooled_dim(self) -> int:
-        factor = 2 if self.pooling == "mean_std" else 1
-        return self.hidden_dims[-1] * factor
+        return self.hidden_dims[-1]
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -90,15 +82,13 @@ class ForwardCache:
     mask is kept: `backward` takes each one as `activation > 0` from these
     arrays, which is true exactly where the pre-activation was > 0. So a
     crop holds only its activations, T x (input_dim + sum of hidden widths)
-    values, plus the pooled, mean, std and embedding vectors.
+    values, plus the pooled (time-mean) and embedding vectors.
     """
 
     params: Mapping[str, np.ndarray]
     layer_inputs: list[np.ndarray]
     pooled: np.ndarray
     last_hidden: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray | None
     norm: float
     embedding: np.ndarray
 
@@ -157,14 +147,7 @@ class Encoder:
             h += params[f"b{i}"]
             np.maximum(h, 0.0, out=h)
 
-        mean = h.mean(axis=0)
-        if self.config.pooling == "mean_std":
-            std = np.sqrt(np.mean((h - mean) ** 2, axis=0) + VAR_EPS)
-            pooled = np.concatenate([mean, std])
-        else:
-            std = None
-            pooled = mean
-
+        pooled = h.mean(axis=0)
         v = np.asarray(params["w_out"], dtype=np.float64) @ pooled + params["b_out"]
         norm = float(np.linalg.norm(v))
         if not NORM_FLOOR < norm < math.inf:  # a NaN norm fails both
@@ -177,8 +160,6 @@ class Encoder:
             layer_inputs=layer_inputs,
             pooled=pooled,
             last_hidden=h,
-            mean=mean,
-            std=std,
             norm=norm,
             embedding=v / norm,
         )
@@ -217,20 +198,7 @@ class Encoder:
         h = cache.last_hidden
         g_pooled = (params["w_out"].T @ g_v).astype(h.dtype, copy=False)
 
-        t = h.shape[0]
-        d = h.shape[1]
-        mask = h > 0
-        if self.config.pooling == "mean_std":
-            g_mean_direct = g_pooled[:d]
-            g_std = g_pooled[d:]
-            centered = h - cache.mean
-            # std_j = sqrt(mean_t centered^2 + eps):
-            # d std_j / d h_tj = centered_tj / (T std_j); the mean shift
-            # contributes zero because sum_t centered_tj = 0.
-            g_z = g_mean_direct / t + g_std * centered / (t * cache.std)
-            g_z *= mask
-        else:
-            g_z = (g_pooled / t) * mask
+        g_z = (g_pooled / h.shape[0]) * (h > 0)
 
         for i in reversed(range(len(self.config.hidden_dims))):
             grads[f"w{i}"] = g_z.T @ cache.layer_inputs[i]

@@ -199,8 +199,7 @@ def _finetune_loss_instances(name: str, seed: int) -> Iterator[Mapping[str, np.n
 def _encoder_instances(name: str, seed: int) -> Iterator[Mapping[str, np.ndarray]]:
     for rep in range(3):
         rng = derive_rng(seed, "gradcheck", name, rep)
-        cfg = EncoderConfig(input_dim=6, hidden_dims=(5, 4), embedding_dim=4,
-                            pooling="mean" if rep % 2 == 0 else "mean_std")
+        cfg = EncoderConfig(input_dim=6, hidden_dims=(5, 4), embedding_dim=4)
         enc = Encoder(cfg)
         # Jitter off the zero-bias init: frames that die in layer 0 would
         # otherwise sit exactly on the next layer's ReLU kink, where central

@@ -15,7 +15,7 @@ from cel import cli, gradcheck, trainer
 from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import RunConfig, load_config
-from cel.corpus import CorpusConfig, load_manifest, save_manifest
+from cel.corpus import CorpusConfig, build_manifest, load_manifest, save_manifest
 from cel.encoder import load_checkpoint, load_encoder, save_checkpoint
 from cel.schema import check
 from cel.evaluation import Trial, read_trial_list, write_trial_list
@@ -99,6 +99,12 @@ class TestGenData:
         run = load_config(workspace / "corpus" / "config.json")
         assert run.corpus.n_speakers == 4
         assert run.encoder.embedding_dim == 8
+
+    def test_manifest_loads_back(self, workspace):
+        run = load_config(workspace / "corpus" / "config.json")
+        assert load_manifest(workspace / "corpus" / "manifest.tsv") == build_manifest(
+            **dataclasses.asdict(run.corpus)
+        )
 
 
 class TestPretrain:
@@ -188,6 +194,25 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert f"error [pretrain]: {tmp_path / 'manifest.tsv'}: header says 4 speakers x " \
             "2 utterances (8 entries), but the manifest lists 6" in err
+
+    def test_manifest_with_lines_swapped_fails_cleanly(self, workspace, tmp_path, capsys):
+        lines = (workspace / "corpus" / "manifest.tsv").read_text().splitlines()
+        lines[2], lines[4] = lines[4], lines[2]
+        (tmp_path / "manifest.tsv").write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "pretrain",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(tmp_path),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [pretrain]: {tmp_path / 'manifest.tsv'}: line 3 lists spk001/utt001, "
+            "but entry 1 must be spk000/utt001\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestFinetune:
@@ -373,6 +398,31 @@ class TestResume:
         )
         assert not recwarn.list
         assert _files(tmp_path) == before
+
+
+class TestOldCheckpoint:
+    """Checkpoints written while `encoder.pooling` was a setting echo it; each
+    command that reads one refuses it, naming the file."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune", "pretrain"])
+    def test_is_refused_naming_the_file(self, workspace, pretrained, tmp_path, capsys, command):
+        old = tmp_path / "old.ckpt"
+        header, blocks, meta = load_checkpoint(pretrained)
+        header["encoder"]["pooling"] = "mean"
+        save_checkpoint(old, header, blocks, meta)
+        argv = [command, "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(old), "--trials", str(trial_file(workspace))]
+        elif command == "finetune":
+            argv += ["--init", str(old)]
+        else:
+            argv += ["--resume", str(old), "--epochs", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {old}: ") and len(err.splitlines()) == 1
+        assert "pooling" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainingSummary:

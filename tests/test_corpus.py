@@ -1,5 +1,8 @@
 """Synthetic speaker corpus: reproducibility, parameter ranges, separability."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -208,6 +211,36 @@ class TestManifest:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaError):
             load_manifest(path)
+
+    @pytest.mark.parametrize("case", ["swapped", "duplicated", "appended"])
+    def test_entry_out_of_place_rejected(self, tmp_path, tiny_manifest, case):
+        # Entry k is labelled speaker k // 2 whatever its line says, so a
+        # line out of place would mix two speakers under one label.
+        path = tmp_path / "manifest.tsv"
+        save_manifest(tiny_manifest, path)
+        lines = path.read_text().splitlines()
+        if case == "swapped":  # lines 3 and 5: spk000/utt001 and spk001/utt001
+            lines[2], lines[4] = lines[4], lines[2]
+            want = f"{path}: line 3 lists spk001/utt001, but entry 1 must be spk000/utt001"
+        elif case == "duplicated":  # line 2 again, in place of line 3
+            lines[2] = lines[1]
+            want = f"{path}: line 3 lists spk000/utt000, but entry 1 must be spk000/utt001"
+        else:  # line 2 again, at the end
+            lines.append(lines[1])
+            want = f"{path}: header says 4 speakers x 2 utterances (8 entries), " \
+                "but the manifest lists 9"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(want)):
+            load_manifest(path)
+
+    def test_relative_paths_are_free(self, tmp_path, tiny_manifest):
+        path = tmp_path / "manifest.tsv"
+        moved = tuple(
+            dataclasses.replace(e, relative_path=f"elsewhere/{k}.wav")
+            for k, e in enumerate(tiny_manifest.entries)
+        )
+        save_manifest(dataclasses.replace(tiny_manifest, entries=moved), path)
+        assert load_manifest(path).entries == moved
 
     def test_profile_depends_only_on_seed_and_index(self, tiny_manifest):
         other = build_manifest(9, 5, 2.0, seed=tiny_manifest.seed)

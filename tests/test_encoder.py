@@ -32,13 +32,13 @@ from cel.errors import (
 from cel.rng import derive_rng
 
 
-def small_config(pooling="mean"):
-    return EncoderConfig(input_dim=6, hidden_dims=(8, 7), embedding_dim=5, pooling=pooling)
+def small_config():
+    return EncoderConfig(input_dim=6, hidden_dims=(8, 7), embedding_dim=5)
 
 
-def random_setup(pooling="mean", frames=9, seed=0):
+def random_setup(frames=9, seed=0):
     """A small encoder with nonzero biases so no ReLU input sits at its kink."""
-    cfg = small_config(pooling)
+    cfg = small_config()
     enc = Encoder(cfg)
     rng = derive_rng("enc-setup", seed)
     params = enc.init_params(rng)
@@ -59,15 +59,12 @@ class TestConfig:
             EncoderConfig(hidden_dims=(16, 0))
         with pytest.raises(InvalidParamError):
             EncoderConfig(embedding_dim=1)
-        with pytest.raises(InvalidParamError):
-            EncoderConfig(pooling="max")
 
     def test_pooled_dim(self):
-        assert small_config("mean").pooled_dim == 7
-        assert small_config("mean_std").pooled_dim == 14
+        assert small_config().pooled_dim == 7
 
     def test_dict_round_trip(self):
-        cfg = EncoderConfig(input_dim=12, hidden_dims=(5,), embedding_dim=4, pooling="mean_std")
+        cfg = EncoderConfig(input_dim=12, hidden_dims=(5,), embedding_dim=4)
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -85,13 +82,13 @@ class TestInit:
         assert np.all(np.abs(w) <= bound)
 
     def test_param_shapes(self):
-        enc = Encoder(small_config("mean_std"))
+        enc = Encoder(small_config())
         assert enc.param_shapes() == {
             "w0": (8, 6),
             "b0": (8,),
             "w1": (7, 8),
             "b1": (7,),
-            "w_out": (5, 14),
+            "w_out": (5, 7),
             "b_out": (5,),
         }
 
@@ -144,11 +141,6 @@ class TestForward:
         b = enc.forward(params, shuffled).embedding
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_single_frame_works_with_mean_std(self):
-        enc, params, feats = random_setup(pooling="mean_std", frames=1)
-        out = enc.forward(params, feats)
-        assert np.linalg.norm(out.embedding) == pytest.approx(1.0, abs=1e-12)
-
     def test_deterministic(self):
         enc, params, feats = random_setup()
         a = enc.forward(params, feats).embedding
@@ -170,10 +162,9 @@ class TestBackward:
         with pytest.raises(ShapeMismatchError):
             enc.backward(params, out, np.ones(6))
 
-    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
-    def test_param_gradients_match_finite_differences(self, pooling):
-        enc, params, feats = random_setup(pooling=pooling, frames=9, seed=11)
-        w = derive_rng("probe", pooling).standard_normal(5)
+    def test_param_gradients_match_finite_differences(self):
+        enc, params, feats = random_setup(frames=9, seed=11)
+        w = derive_rng("probe").standard_normal(5)
 
         def loss(p):
             return float(np.dot(w, enc.forward(p, feats).embedding))
@@ -226,13 +217,7 @@ def masked_backward(enc, params, cache, upstream):
     grads = {"w_out": np.outer(g_v, cache.pooled), "b_out": g_v}
     h = cache.last_hidden
     g_pooled = (params["w_out"].T @ g_v).astype(h.dtype, copy=False)
-    t, d = h.shape
-    if enc.config.pooling == "mean_std":
-        centered = h - cache.mean
-        g_z = g_pooled[:d] / t + g_pooled[d:] * centered / (t * cache.std)
-        g_z *= masks[-1]
-    else:
-        g_z = (g_pooled / t) * masks[-1]
+    g_z = (g_pooled / h.shape[0]) * masks[-1]
     for i in reversed(range(n)):
         grads[f"w{i}"] = g_z.T @ cache.layer_inputs[i]
         grads[f"b{i}"] = g_z.sum(axis=0)
@@ -243,10 +228,9 @@ def masked_backward(enc, params, cache, upstream):
 
 
 class TestForwardCache:
-    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
-    def test_k200_crop_holds_its_activations_and_no_mask(self, pooling):
+    def test_k200_crop_holds_its_activations_and_no_mask(self):
         # The pretrain-k200 shape: 180 frames through a 40-64-64 encoder.
-        cfg = EncoderConfig(input_dim=40, hidden_dims=(64, 64), embedding_dim=64, pooling=pooling)
+        cfg = EncoderConfig(input_dim=40, hidden_dims=(64, 64), embedding_dim=64)
         enc = Encoder(cfg)
         rng = derive_rng("cache-bytes")
         params = enc.float32_weights(enc.init_params(rng))
@@ -257,9 +241,8 @@ class TestForwardCache:
         assert sum(a.nbytes for a in arrays) <= 180 * (40 + 64 + 64) * 4 + vectors
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
-    def test_backward_is_bit_equal_to_masks_of_the_pre_activations(self, pooling, dtype):
-        enc, params, feats = random_setup(pooling=pooling, frames=9, seed=5)
+    def test_backward_is_bit_equal_to_masks_of_the_pre_activations(self, dtype):
+        enc, params, feats = random_setup(frames=9, seed=5)
         # Frame 3 is silent and four layer-0 biases are 0, so those units'
         # pre-activations are exactly 0 there; layer-1 unit 2 has no weights
         # and no bias, so its pre-activation is exactly 0 in every frame.
@@ -270,7 +253,7 @@ class TestForwardCache:
         if dtype == np.float32:
             params = enc.float32_weights(params)
         cache = enc.forward(params, feats)
-        upstream = derive_rng("probe", pooling).standard_normal(5)
+        upstream = derive_rng("probe").standard_normal(5)
         want, masks = masked_backward(enc, params, cache, upstream)
         for i, z_positive in enumerate(masks):
             z = cache.layer_inputs[i] @ params[f"w{i}"].T + params[f"b{i}"]
@@ -364,7 +347,7 @@ class TestCheckpoint:
         enc, params, _ = random_setup()
         path = tmp_path / "enc.ckpt"
         save_checkpoint(path, enc.config.to_dict(), params)
-        other = small_config("mean_std").to_dict()
+        other = dataclasses.replace(small_config(), embedding_dim=4).to_dict()
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path, expected_config=other)
 
@@ -405,7 +388,8 @@ class TestCheckpoint:
         for config, weights in [
             (good, {k: v for k, v in params.items() if k != "w1"}),
             (good, {**params, "b0": np.zeros(3)}),
-            ({"encoder": {**good["encoder"], "pooling": "max"}}, params),
+            # What every checkpoint written while pooling was a setting echoes.
+            ({"encoder": {**good["encoder"], "pooling": "mean"}}, params),
             ({"encoder": {**good["encoder"], "hidden_dims": "x"}}, params),
             ({}, params),
         ]:

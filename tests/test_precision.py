@@ -9,8 +9,6 @@ Adam and the checkpoints stay float64. Given float64 weights, as `cel
 gradcheck` gives it, every output is float64.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -77,11 +75,11 @@ SHAPES = {
 
 class TestEncoderPrecision:
     @staticmethod
-    def _case(tiny_manifest, shape: str, pooling: str):
+    def _case(tiny_manifest, shape: str):
         """(encoder, float64 weights, float32 features, upstream gradient)."""
         config, frames = SHAPES[shape]
-        enc = Encoder(replace(config, pooling=pooling))
-        rng = derive_rng("precision", shape, pooling)
+        enc = Encoder(config)
+        rng = derive_rng("precision", shape)
         params = enc.init_params(rng)
         for name, p in params.items():
             if name.startswith("b"):
@@ -90,33 +88,25 @@ class TestEncoderPrecision:
         assert feats.dtype == np.float32 and feats.shape[1] == frames
         return enc, params, feats, rng.standard_normal(config.embedding_dim)
 
-    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_float64_weights_give_float64_outputs(self, tiny_manifest, shape, pooling):
-        enc, params, feats, upstream = self._case(tiny_manifest, shape, pooling)
+    def test_float64_weights_give_float64_outputs(self, tiny_manifest, shape):
+        enc, params, feats, upstream = self._case(tiny_manifest, shape)
         fwd = enc.forward(params, feats)
-        cached = [*fwd.layer_inputs, fwd.pooled, fwd.last_hidden, fwd.mean]
-        if pooling == "mean_std":
-            cached.append(fwd.std)
-        for a in (*cached, fwd.embedding):
+        for a in (*fwd.layer_inputs, fwd.pooled, fwd.last_hidden, fwd.embedding):
             assert a.dtype == np.float64
         grads = enc.backward(params, fwd, upstream)
         assert set(grads) == set(params)
         for name, g in grads.items():
             assert g.dtype == np.float64, name
 
-    @pytest.mark.parametrize("pooling", ["mean", "mean_std"])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_float32_weights_stay_close_to_float64(self, tiny_manifest, shape, pooling):
-        enc, params, feats, upstream = self._case(tiny_manifest, shape, pooling)
+    def test_float32_weights_stay_close_to_float64(self, tiny_manifest, shape):
+        enc, params, feats, upstream = self._case(tiny_manifest, shape)
         weights = enc.float32_weights(params)
         assert set(weights) == set(params)
         assert all(w.dtype == np.float32 for w in weights.values())
         fwd = enc.forward(weights, feats)
-        hidden = [*fwd.layer_inputs, fwd.last_hidden, fwd.mean, fwd.pooled]
-        if pooling == "mean_std":
-            hidden.append(fwd.std)
-        for a in hidden:
+        for a in (*fwd.layer_inputs, fwd.last_hidden, fwd.pooled):
             assert a.dtype == np.float32
         assert fwd.embedding.dtype == np.float64
         assert abs(np.linalg.norm(fwd.embedding) - 1.0) <= 1e-12
