@@ -4,6 +4,18 @@ Training pairs are two random crops of one utterance, each independently
 corrupted: additive noise at a target SNR drawn from a bank of synthetic
 noises (white, pink, babble), synthetic-room reverberation, or both. The
 sampler guarantees the two crops never receive the identical corruption.
+
+A bank's responses reverberate an L-sample signal at one FFT length,
+`NoiseBank.fft_length(L)`: the fast length that holds the full convolution
+with the bank's longest response (40,000 for a 180-frame crop and
+`synth_bank(0)`, whose longest response has 10,347 taps). So any crops of
+one length can share an FFT: `apply_specs` zero-pads up to `STACK_ROWS` of
+them into one float32 stack per `rfft`/`irfft` call and multiplies each row
+by its own response's cached spectrum. pocketfft (`scipy.fft`) transforms
+four float32 rows at once in SIMD lanes, and each row's bytes equal its
+one-row transform's. At n = 40,000 on a 2-core x86 host, a 4-row stack took
+0.174 ms per row for `rfft` and 0.182 ms for `irfft`, against 0.254 and
+0.202 ms for one row.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -30,9 +43,14 @@ from .rng import derive_rng
 # 60 dB of decay at t = rt60 means an amplitude factor of exactly 1e-3.
 DECAY_RATE = 3.0 * math.log(10.0)
 
-# Below this tap count direct convolution is both fast and exact for the
-# identity/delay cases; longer impulse responses go through the FFT.
+# Below this tap count `apply_rir` convolves directly, which is both fast and
+# exact for the identity/delay cases; longer impulse responses and every
+# bank response go through the FFT.
 _DIRECT_CONV_MAX = 64
+
+# Rows per FFT call of `apply_specs`: one group of pocketfft's four float32
+# SIMD lanes. A stack of 5-7 rows runs its remainder one row at a time.
+STACK_ROWS = 4
 
 # FFT spectra of read-only impulse responses (a NoiseBank's), per FFT length,
 # keyed by array identity. A read-only array cannot change under its cached
@@ -80,6 +98,8 @@ class AugmentKind(enum.Enum):
 
 
 TRAIN_KINDS = (AugmentKind.NOISE, AugmentKind.REVERB, AugmentKind.NOISE_REVERB)
+_NOISE_KINDS = (AugmentKind.NOISE, AugmentKind.NOISE_REVERB)
+_REVERB_KINDS = (AugmentKind.REVERB, AugmentKind.NOISE_REVERB)
 
 
 @dataclass(frozen=True)
@@ -156,15 +176,47 @@ def _rir_spectrum(h: np.ndarray, n: int) -> np.ndarray:
         return per_length[n]
 
 
+def _fft_convolve(
+    signals: list[np.ndarray], spectra: Sequence[np.ndarray], n: int
+) -> np.ndarray:
+    """The float32 signals, all of one length, each convolved with its
+    response's length-`n` spectrum and truncated to that length, as rows.
+
+    The signals are zero-padded into one (rows, n) stack for one `rfft` and
+    one `irfft` call. `signals` is emptied as the stack is filled, and the
+    stack is freed before the inverse transform, so a signal the caller no
+    longer holds is freed once it is stacked.
+    """
+    length = signals[0].size
+    stack = np.zeros((len(signals), n), dtype=np.float32)
+    for row in stack:
+        row[:length] = signals.pop(0)
+    rows = sp_fft.rfft(stack, axis=-1)
+    del stack
+    for row, spectrum in zip(rows, spectra):
+        row *= spectrum
+    return sp_fft.irfft(rows, n, axis=-1)[:, :length]
+
+
+def _rescaled(out: np.ndarray, peak: float) -> Waveform:
+    """The convolution output, scaled back down to the input peak if it rose above it."""
+    peak_out = float(np.max(np.abs(out)))
+    if peak_out > peak > 0.0:
+        out *= peak / peak_out
+    return Waveform(out)
+
+
 def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     """Convolve with an impulse response, truncated to the input length.
 
     The response is cast to float32 and convolved in float32. If convolution
     raises the peak above the input's, the output is scaled back down to the
     input peak so the [-1, 1] range survives. Long responses are convolved by
-    FFT, in the same steps and so to the same bits as
-    `scipy.signal.fftconvolve` on float32 input; the complex64 spectrum of a
-    read-only float32 response (every NoiseBank's) is cached per FFT length.
+    FFT at their own length, `next_fast_len(len(s) + len(rir) - 1)`, in the
+    same steps and so to the same bits as `scipy.signal.fftconvolve` on
+    float32 input; the complex64 spectrum of a read-only float32 response is
+    cached per FFT length. A bank's responses go through `apply_specs`
+    instead, at the bank's one FFT length.
     """
     h = np.asarray(rir, dtype=np.float32)
     if h.size == 0:
@@ -173,14 +225,9 @@ def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
         raise InvalidParamError("impulse response must be finite")
     x = s.samples
     if h.size <= _DIRECT_CONV_MAX:
-        out = np.convolve(x, h)[: x.size]
-    else:
-        n = sp_fft.next_fast_len(x.size + h.size - 1, True)
-        out = sp_fft.irfft(sp_fft.rfft(x, n) * _rir_spectrum(h, n), n)[: x.size]
-    peak_out = float(np.max(np.abs(out)))
-    if peak_out > s.peak > 0.0:
-        out *= s.peak / peak_out
-    return Waveform(out)
+        return _rescaled(np.convolve(x, h)[: x.size], s.peak)
+    n = sp_fft.next_fast_len(x.size + h.size - 1, True)
+    return _rescaled(_fft_convolve([x], [_rir_spectrum(h, n)], n)[0], s.peak)
 
 
 def decay_envelope(t_s: np.ndarray | float, rt60_s: float) -> np.ndarray | float:
@@ -231,8 +278,9 @@ def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
 class NoiseBank:
     """Noise waveforms and impulse responses, both in fixed order.
 
-    The impulse responses are stored as read-only float32 copies, so
-    `apply_rir` may cache their spectra. A bank hashes and compares by
+    The impulse responses are stored as read-only float32 copies, so their
+    spectra may be cached. Every response reverberates a signal of a given
+    length at one FFT length (`fft_length`). A bank hashes and compares by
     identity, so it can key the evaluation feature cache of `CorpusSource`.
     """
 
@@ -249,6 +297,11 @@ class NoiseBank:
         for h in rirs:
             h.setflags(write=False)
         object.__setattr__(self, "rirs", rirs)
+
+    def fft_length(self, length: int) -> int:
+        """The FFT length at which each response reverberates `length` samples:
+        the fast length that holds the full convolution with the longest one."""
+        return sp_fft.next_fast_len(length + max(h.size for h in self.rirs) - 1, True)
 
 
 def synth_bank(
@@ -281,7 +334,7 @@ def sample_spec(
     kind = TRAIN_KINDS[int(rng.integers(0, len(TRAIN_KINDS)))]
     snr_db = math.inf
     noise_index = noise_offset = rir_index = -1
-    if kind in (AugmentKind.NOISE, AugmentKind.NOISE_REVERB):
+    if kind in _NOISE_KINDS:
         noise_index = int(rng.integers(0, len(bank.noises)))
         noise = bank.noises[noise_index]
         if len(noise) < crop_len:
@@ -291,7 +344,7 @@ def sample_spec(
             )
         noise_offset = int(rng.integers(0, len(noise) - crop_len + 1))
         snr_db = float(rng.uniform(*snr_range))
-    if kind in (AugmentKind.REVERB, AugmentKind.NOISE_REVERB):
+    if kind in _REVERB_KINDS:
         rir_index = int(rng.integers(0, len(bank.rirs)))
     return AugmentSpec(kind, snr_db, noise_index, noise_offset, rir_index)
 
@@ -313,13 +366,80 @@ def sample_pair_specs(
     )
 
 
+def _check_spec(spec: AugmentSpec, bank: NoiseBank, length: int) -> None:
+    """Refuse a spec whose indices miss the bank, or whose noise slice does
+    not fit in its noise for a `length`-sample crop."""
+    used = []
+    if spec.kind in _REVERB_KINDS:
+        used.append(("rir_index", spec.rir_index, len(bank.rirs), "impulse responses"))
+    if spec.kind in _NOISE_KINDS:
+        used.append(("noise_index", spec.noise_index, len(bank.noises), "noises"))
+    for name, index, count, what in used:
+        if not 0 <= index < count:
+            raise InvalidParamError(f"{name} {index} is outside the bank's {count} {what}")
+    if spec.kind in _NOISE_KINDS:
+        have = len(bank.noises[spec.noise_index])
+        if spec.noise_offset < 0:
+            raise InvalidParamError(f"noise_offset {spec.noise_offset} is negative")
+        if spec.noise_offset + length > have:
+            raise TooShortError(
+                f"noise_offset {spec.noise_offset} plus a {length}-sample crop runs "
+                f"past the end of bank noise {spec.noise_index} ({have} samples)"
+            )
+
+
+def _noised(out: Waveform, spec: AugmentSpec, bank: NoiseBank) -> Waveform:
+    if spec.kind not in _NOISE_KINDS:
+        return out
+    noise = bank.noises[spec.noise_index].samples
+    slice_ = noise[spec.noise_offset : spec.noise_offset + len(out)]
+    return _mix_at_snr(out.samples, slice_, spec.snr_db).waveform
+
+
+def _reverb_stack(
+    rows: list[tuple[int, Waveform, AugmentSpec]], bank: NoiseBank
+) -> Iterator[tuple[int, Waveform]]:
+    """Reverberate the (position, crop, spec) rows in one stack at the bank's
+    FFT length, then add their noise. `rows` is emptied."""
+    n = bank.fft_length(len(rows[0][1]))
+    spectra = [_rir_spectrum(bank.rirs[spec.rir_index], n) for _, _, spec in rows]
+    signals = [crop.samples for _, crop, _ in rows]
+    done = [(i, crop.peak, spec) for i, crop, spec in rows]
+    rows.clear()
+    for (i, peak, spec), out in zip(done, _fft_convolve(signals, spectra, n)):
+        yield i, _noised(_rescaled(out, peak), spec, bank)
+
+
+def apply_specs(
+    corrupted: Iterable[tuple[Waveform, AugmentSpec]], bank: NoiseBank
+) -> Iterator[tuple[int, Waveform]]:
+    """Replay each (crop, spec) corruption: reverberation first, then additive noise.
+
+    Yields (position in `corrupted`, output) as each output is ready. A crop
+    without reverberation is done at once. Reverberated crops wait for a
+    stack, which is convolved at the bank's FFT length once it holds
+    `STACK_ROWS` crops, when a crop of another length arrives, or at the
+    end; each crop is freed once it is stacked. Each row's bytes equal its
+    own one-row call (`apply_spec`), whichever rows share its stack. Each
+    spec is checked against the bank and its crop's length before use.
+    """
+    rows: list[tuple[int, Waveform, AugmentSpec]] = []
+    for i, (crop, spec) in enumerate(corrupted):
+        _check_spec(spec, bank, len(crop))
+        if spec.kind not in _REVERB_KINDS:
+            yield i, _noised(crop, spec, bank)
+            continue
+        if rows and len(crop) != len(rows[0][1]):
+            yield from _reverb_stack(rows, bank)
+        rows.append((i, crop, spec))
+        del crop  # `rows` holds the only reference, so stacking frees it
+        if len(rows) == STACK_ROWS:
+            yield from _reverb_stack(rows, bank)
+    if rows:
+        yield from _reverb_stack(rows, bank)
+
+
 def apply_spec(crop: Waveform, spec: AugmentSpec, bank: NoiseBank) -> Waveform:
-    """Replay a corruption: reverberation first, then additive noise."""
-    out = crop
-    if spec.kind in (AugmentKind.REVERB, AugmentKind.NOISE_REVERB):
-        out = apply_rir(out, bank.rirs[spec.rir_index])
-    if spec.kind in (AugmentKind.NOISE, AugmentKind.NOISE_REVERB):
-        noise = bank.noises[spec.noise_index]
-        slice_ = noise.samples[spec.noise_offset : spec.noise_offset + len(out)]
-        out = _mix_at_snr(out.samples, slice_, spec.snr_db).waveform
+    """Replay one corruption: the one-row case of `apply_specs`."""
+    ((_, out),) = apply_specs([(crop, spec)], bank)
     return out

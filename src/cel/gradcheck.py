@@ -218,13 +218,22 @@ def _encoder_instances(name: str, seed: int) -> Iterator[Mapping[str, np.ndarray
         yield relative_errors(grads, finite_difference(run, params))
 
 
+# Each scope's instance generator, called with the scope's name and the seed.
+_INSTANCES: dict[str, Callable[[str, int], Iterator[Mapping[str, np.ndarray]]]] = {
+    **{name: _pair_loss_instances for name in _PAIR_LOSSES},
+    **{name: _finetune_loss_instances for name in ("ge2e", *_CLASSIFIER_LOSSES)},
+    "encoder": _encoder_instances,
+}
 _CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    **{name: partial(_check, _pair_loss_instances, name) for name in _PAIR_LOSSES},
-    **{name: partial(_check, _finetune_loss_instances, name)
-       for name in ("ge2e", *_CLASSIFIER_LOSSES)},
-    "encoder": partial(_check, _encoder_instances, "encoder"),
+    scope: partial(_check, instances, scope) for scope, instances in _INSTANCES.items()
 }
 ALL_SCOPES: Sequence[str] = tuple(_CHECKS)
+
+
+def instance_errors(scope: str, seed: int) -> Iterator[Mapping[str, np.ndarray]]:
+    """The relative errors of each of a scope's instances, one array per
+    parameter, instance by instance: what the scope's result row summarizes."""
+    return _INSTANCES[scope](scope, seed)
 
 
 def run_suite(scopes: Sequence[str] | None = None, seed: int = 7) -> list[CheckResult]:

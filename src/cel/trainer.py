@@ -17,10 +17,12 @@ Every random draw comes from a stream derived from (run seed, purpose,
 epoch, item or batch), so runs are bit-reproducible and resumable mid-run:
 pre-training items draw their crops and augmentations from their own
 streams, and a fine-tuning batch draws its items' crop positions from one
-stream on the calling thread. Each pre-training item's data pipeline
-(waveform fetch, crop, augmentation, log-mel) runs on the shared thread
-pool of `cel.pool`, sized by the process's CPU affinity, and NumPy's FFTs
-release the interpreter lock, so items overlap on separate cores. A
+stream on the calling thread. Pre-training items are built four to a task
+(`PRETRAIN_ITEMS_PER_TASK`; waveform fetch, crop, augmentation, log-mel)
+on the shared thread pool of `cel.pool`, sized by the process's CPU
+affinity; a task reverberates its crops in shared FFT stacks
+(`cel.augment.apply_specs`), and SciPy's FFTs release the interpreter
+lock, so tasks overlap on separate cores. A
 fine-tuning item is a cut of its utterance's cached log-mel: only the
 utterances missing from the cache go to the pool, and cached ones are read
 on the calling thread, so a warm epoch submits nothing. The calling thread
@@ -57,8 +59,10 @@ import numpy as np
 from . import finetune as ft
 from . import pool
 from .augment import (
+    AugmentSpec,
     NoiseBank,
     apply_spec,
+    apply_specs,
     crop_two,
     sample_pair_specs,
     sample_spec,
@@ -308,37 +312,54 @@ class TrainResult:
     checkpoint_path: Path | None = None
 
 
-def _pretrain_item(
+# Pre-training items per pool task. A task reverberates its items' crops in
+# stacks of up to `augment.STACK_ROWS` rows, so four items (eight crops) fill
+# about one and a half stacks, and a desk batch of eight is one task per core.
+PRETRAIN_ITEMS_PER_TASK = 4
+
+
+def _pretrain_items(
     source: CorpusSource,
     bank: NoiseBank,
     cfg: PretrainConfig,
     feature_cfg: FeatureConfig,
     epoch: int,
-    local_speaker: int,
-    utt: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently corrupted crops (views) of one utterance, as log-mel features.
+    keys: Sequence[tuple[int, int]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two independently corrupted crops (views) of each (local speaker, utt)
+    key's utterance, as log-mel features, in key order.
 
-    Draws only from the item's own crop and augmentation streams, so items
-    may run in any order and on any thread.
+    Each item draws only from its own crop and augmentation streams, and its
+    crops are drawn as `apply_specs` takes them. Their reverberation shares
+    FFT stacks with the other items' crops, which leaves every row's bytes
+    as they are alone, so items may be grouped in any way, run in any order
+    and on any thread.
     """
-    wave = source.waveform(local_speaker, utt)
-    crop_rng = derive_rng(cfg.seed, "crop", epoch, local_speaker, utt)
-    aug_rng = derive_rng(cfg.seed, "aug", epoch, local_speaker, utt)
-    crop1, crop2 = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
-    spec1, spec2 = sample_pair_specs(aug_rng, bank, len(crop1), cfg.snr_range)
-    a1 = apply_spec(crop1, spec1, bank)
-    a2 = apply_spec(crop2, spec2, bank)
-    return logmel(a1, feature_cfg).values, logmel(a2, feature_cfg).values
+
+    def drawn() -> Iterator[tuple[Waveform, AugmentSpec]]:
+        for s, u in keys:
+            wave = source.waveform(s, u)
+            crop_rng = derive_rng(cfg.seed, "crop", epoch, s, u)
+            aug_rng = derive_rng(cfg.seed, "aug", epoch, s, u)
+            crops = crop_two(wave, cfg.frames, crop_rng, feature_cfg=feature_cfg)
+            yield from zip(crops, sample_pair_specs(aug_rng, bank, len(crops[0]), cfg.snr_range))
+
+    feats: list = [None] * (2 * len(keys))
+    for i, wave in apply_specs(drawn(), bank):
+        feats[i] = logmel(wave, feature_cfg).values
+    return list(zip(feats[0::2], feats[1::2]))
 
 
 def _pretrain_batch(
     source: CorpusSource, bank: NoiseBank, cfg: PretrainConfig, feature_cfg: FeatureConfig,
     epoch: int, batch_index: int, speakers: Sequence[int], utts: Sequence[int],
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """A pre-training batch's items, built on the pool in item order."""
-    item = partial(_pretrain_item, source, bank, cfg, feature_cfg, epoch)
-    return pool.map_items(item, speakers, utts)
+    """A pre-training batch's items, built `PRETRAIN_ITEMS_PER_TASK` to a pool task, in item order."""
+    keys = list(zip(speakers, utts))
+    per = PRETRAIN_ITEMS_PER_TASK
+    task = partial(_pretrain_items, source, bank, cfg, feature_cfg, epoch)
+    tasks = pool.map_items(task, [keys[i : i + per] for i in range(0, len(keys), per)])
+    return (item for items in tasks for item in items)
 
 
 def _finetune_items(

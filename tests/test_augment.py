@@ -1,6 +1,6 @@
-import math
-
 import gc
+import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from cel.augment import (
     add_noise,
     apply_rir,
     apply_spec,
+    apply_specs,
     babble_noise,
     crop_samples,
     crop_two,
@@ -332,3 +333,125 @@ class TestSpecs:
         scale = math.sqrt(p_signal / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
         want = np.clip(r + np.float32(scale) * seg, -1.0, 1.0)
         assert both.samples.tobytes() == want.tobytes()
+
+
+class TestStackedReverb:
+    """`apply_specs` convolves reverberated crops in stacks of up to
+    `STACK_ROWS` rows at the bank's one FFT length; each row must keep the
+    bytes of its one-row call, whichever responses share its stack."""
+
+    @pytest.fixture(scope="class")
+    def bank(self):
+        return synth_bank(0)
+
+    @staticmethod
+    def _crops(count: int, length: int, seed: int) -> list[Waveform]:
+        rng = derive_rng("stacked-crops", seed)
+        return [Waveform(np.clip(0.3 * rng.standard_normal(length), -1.0, 1.0))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_each_row_equals_its_one_row_call_at_the_bank_length(self, bank, shift):
+        # Shifting the responses by one each time puts every response of the
+        # bank in every row of a 4-row group; 1-9 crops give one or two full
+        # groups plus 1-3 rows that pocketfft transforms one by one.
+        length, count = crop_samples(180), 9
+        assert len(bank.rirs) == augment.STACK_ROWS == 4
+        crops = self._crops(count, length, shift)
+        kinds = (AugmentKind.REVERB, AugmentKind.NOISE_REVERB)
+        specs = [AugmentSpec(kinds[i % 2], snr_db=5.0, noise_index=i % len(bank.noises),
+                             noise_offset=100 * i, rir_index=(i + shift) % len(bank.rirs))
+                 for i in range(count)]
+        alone = [apply_spec(c, spec, bank).samples.tobytes() for c, spec in zip(crops, specs)]
+        for m in range(1, count + 1):
+            got = dict(apply_specs(zip(crops[:m], specs[:m]), bank))
+            assert sorted(got) == list(range(m))
+            assert [got[i].samples.tobytes() for i in range(m)] == alone[:m], m
+        n = bank.fft_length(length)
+        assert n >= length + max(h.size for h in bank.rirs) - 1
+        for h in bank.rirs:
+            assert list(augment._rir_spectra[id(h)]) == [n]
+
+    def test_other_kinds_between_reverberated_crops_keep_their_positions(self, bank):
+        length = crop_samples(60)
+        kinds = [AugmentKind.NONE, AugmentKind.REVERB, AugmentKind.NOISE,
+                 AugmentKind.NOISE_REVERB, AugmentKind.REVERB, AugmentKind.NOISE,
+                 AugmentKind.REVERB, AugmentKind.REVERB, AugmentKind.NONE]
+        crops = self._crops(len(kinds), length, 9)
+        # A shorter crop in the middle starts a stack of its own length.
+        crops[4] = self._crops(1, length - 160, 10)[0]
+        specs = [AugmentSpec(kind, snr_db=3.0, noise_index=1, noise_offset=50 * i,
+                             rir_index=i % len(bank.rirs)) for i, kind in enumerate(kinds)]
+        got = list(apply_specs(zip(crops, specs), bank))
+        assert sorted(i for i, _ in got) == list(range(len(kinds)))
+        for i, out in got:
+            want = apply_spec(crops[i], specs[i], bank)
+            assert out.samples.tobytes() == want.samples.tobytes(), i
+            assert len(out) == len(crops[i])
+
+
+class TestSpecCheck:
+    """A spec that does not fit its bank or its crop is refused by name, on
+    the one-row path and inside a stack alike."""
+
+    LENGTH = 8000
+
+    @staticmethod
+    def _drawn_for_a_shorter_crop(bank, length):
+        # A spec drawn for 1,000-sample crops whose slice runs past its
+        # noise's end for `length` samples.
+        rng = derive_rng("short-spec")
+        while True:
+            spec = sample_spec(rng, bank, crop_len=1000)
+            if spec.kind in (AugmentKind.NOISE, AugmentKind.NOISE_REVERB):
+                if spec.noise_offset + length > len(bank.noises[spec.noise_index]):
+                    return spec
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stacked"])
+    @pytest.mark.parametrize("case", [
+        "slice-past-end", "drawn-for-shorter", "negative-offset", "negative-noise",
+        "noise-beyond", "negative-rir", "rir-beyond",
+    ])
+    def test_is_refused_naming_the_field(self, tiny_bank, rng, case, stacked):
+        noise_len = len(tiny_bank.noises[0])
+        noise, reverb = AugmentKind.NOISE, AugmentKind.REVERB
+        drawn = self._drawn_for_a_shorter_crop(tiny_bank, self.LENGTH)
+        spec, error, message = {
+            "slice-past-end": (
+                AugmentSpec(noise, 5.0, 0, noise_len - 500), TooShortError,
+                f"noise_offset {noise_len - 500} plus a {self.LENGTH}-sample crop runs past "
+                f"the end of bank noise 0 ({noise_len} samples)"),
+            "drawn-for-shorter": (
+                drawn, TooShortError,
+                f"noise_offset {drawn.noise_offset} plus a {self.LENGTH}-sample crop runs "
+                f"past the end of bank noise {drawn.noise_index}"),
+            "negative-offset": (
+                AugmentSpec(noise, 5.0, 0, -3), InvalidParamError,
+                "noise_offset -3 is negative"),
+            "negative-noise": (
+                AugmentSpec(noise, 5.0, -1, 0), InvalidParamError,
+                "noise_index -1 is outside the bank's 3 noises"),
+            "noise-beyond": (
+                AugmentSpec(AugmentKind.NOISE_REVERB, 5.0, 3, 0, 0), InvalidParamError,
+                "noise_index 3 is outside the bank's 3 noises"),
+            "negative-rir": (
+                AugmentSpec(reverb, rir_index=-1), InvalidParamError,
+                "rir_index -1 is outside the bank's 2 impulse responses"),
+            "rir-beyond": (
+                AugmentSpec(AugmentKind.NOISE_REVERB, 5.0, 0, 0, 2), InvalidParamError,
+                "rir_index 2 is outside the bank's 2 impulse responses"),
+        }[case]
+        crop = Waveform(0.1 * rng.standard_normal(self.LENGTH))
+        with pytest.raises(error, match="^" + re.escape(message)):
+            if stacked:
+                good = AugmentSpec(reverb, rir_index=0)
+                list(apply_specs([(crop, good), (crop, good), (crop, spec)], tiny_bank))
+            else:
+                apply_spec(crop, spec, tiny_bank)
+
+    def test_unused_fields_are_not_checked(self, tiny_bank, rng):
+        crop = Waveform(0.1 * rng.standard_normal(self.LENGTH))
+        # A reverb-only spec carries no noise fields, a noise-only one no response.
+        for spec in (AugmentSpec(AugmentKind.REVERB, rir_index=1),
+                     AugmentSpec(AugmentKind.NOISE, 5.0, 2, 0)):
+            assert len(apply_spec(crop, spec, tiny_bank)) == self.LENGTH

@@ -11,7 +11,10 @@ writes fails here, intended or not:
   criterion 6 scores;
 - `metrics`: `eer`, `min_dcf` (the desk `DcfParams`) and `det_points` of
   those scores, as float64;
-- `gradcheck`: the table `cel gradcheck` prints.
+- `gradcheck`: every relative-error array of every instance that `cel
+  gradcheck` checks at its default seed, scope by scope, each instance's
+  arrays in parameter name order, so an instance that is not a scope's
+  worst moves the hash too.
 
 The file records the NumPy, SciPy and BLAS versions it was made with. Other
 versions may round differently, so a mismatch fails naming both sets rather
@@ -25,9 +28,7 @@ hashes moved and why:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -40,11 +41,11 @@ import numpy as np
 import pytest
 import scipy
 
-from cel.cli import main as cel_main
 from cel.config import load_config
 from cel.encoder import load_encoder
 from cel.evaluation import DcfParams, det_points, eer, min_dcf, score_trials
 from cel.experiments import _split_sources
+from cel.gradcheck import ALL_SCOPES, instance_errors
 from cel.trainer import FINETUNE_OBJECTIVES, embed_utterances, finetune, pretrain
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +53,8 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 CASES = ("pretrain", *(f"finetune-{o}" for o in FINETUNE_OBJECTIVES), "scores", "metrics",
          "gradcheck")
 EPOCHS = 2
+# The seed `cel gradcheck` checks at by default.
+GRADCHECK_SEED = 7
 
 
 def library_versions() -> dict[str, str]:
@@ -92,10 +95,12 @@ def _pretrained(workdir: Path) -> Path:
 def case_digest(case: str, workdir: Path) -> str:
     """The sha256 of one case's bytes; runs write under `workdir`."""
     if case == "gradcheck":
-        table = io.StringIO()
-        with contextlib.redirect_stdout(table):
-            cel_main(["gradcheck"])
-        return _digest(table.getvalue().encode())
+        return _digest(*(
+            f"{scope} {name} {errs[name].shape}".encode() + errs[name].tobytes()
+            for scope in ALL_SCOPES
+            for errs in instance_errors(scope, GRADCHECK_SEED)
+            for name in sorted(errs)
+        ))
     ckpt = _pretrained(workdir) / "checkpoint.ckpt"
     if case == "pretrain":
         return _run_digest(ckpt.parent)

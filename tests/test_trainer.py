@@ -44,12 +44,13 @@ from cel.trainer import (
     _epoch_plan,
     _finetune_batch,
     _finetune_items,
-    _pretrain_item,
+    _pretrain_batch,
+    _pretrain_items,
     embed_utterances,
     finetune,
     pretrain,
 )
-from cel import pool, trainer
+from cel import augment, pool, trainer
 from cel.augment import apply_spec, crop_samples, sample_spec, synth_bank
 
 TINY_ENC = EncoderConfig(input_dim=40, hidden_dims=(16,), embedding_dim=8)
@@ -156,11 +157,11 @@ class TestBatchAssembly:
             derive_rng(cfg.seed, "plan", 0),
         )
         batch = plan[0]
-        items = list(map_items(
-            lambda s, u: _pretrain_item(source, bank, cfg, FeatureConfig(), 0, s, u),
+        items = [item for items in map_items(
+            lambda s, u: _pretrain_items(source, bank, cfg, FeatureConfig(), 0, [(s, u)]),
             [s for s, _ in batch],
             [u for _, (u,) in batch],
-        ))
+        ) for item in items]
         assert len(items) == cfg.k
         assert len({(s, u) for s, (u,) in batch}) == cfg.k
         for views in items:
@@ -174,7 +175,7 @@ class TestBatchAssembly:
         # 2 * frames - 1 frames.
         features = FeatureConfig(hop_length=80)
         pre_cfg, fine_cfg = tiny_pretrain_cfg(), tiny_finetune_cfg()
-        pre = _pretrain_item(source, bank, pre_cfg, features, 0, 0, 0)
+        (pre,) = _pretrain_items(source, bank, pre_cfg, features, 0, [(0, 0)])
         (fine,) = _finetune_items(source, fine_cfg, features, [0], [0], [0.5])
         assert [v.shape for v in pre] == [(40, pre_cfg.frames)] * 2
         assert [v.shape for v in fine] == [(40, fine_cfg.frames)]
@@ -183,9 +184,49 @@ class TestBatchAssembly:
         def unreachable(*args):
             raise AssertionError("items were built for an impossible batch")
 
-        monkeypatch.setattr(trainer, "_pretrain_item", unreachable)
+        monkeypatch.setattr(trainer, "_pretrain_items", unreachable)
         with pytest.raises(CorpusTooSmallError):
             pretrain(source, tiny_pretrain_cfg(k=9), TINY_ENC, bank=bank)
+
+
+class TestPretrainTasks:
+    def test_features_do_not_depend_on_items_per_task_or_pool(self, monkeypatch, on_pools):
+        # Nine one-utterance speakers and four responses: tasks of 7 items
+        # hold 14 crops, enough for a full 4-row reverb stack and a remainder.
+        source = CorpusSource(build_manifest(9, 1, 4.0, seed=72))
+        bank = synth_bank(seed=73, n_each=1, noise_duration_s=4.5, rir_count=4)
+        cfg = tiny_pretrain_cfg(k=9)
+        stack_rows = []
+        fft_convolve = augment._fft_convolve
+
+        def recorded(signals, *args):
+            stack_rows.append(len(signals))
+            return fft_convolve(signals, *args)
+
+        monkeypatch.setattr(augment, "_fft_convolve", recorded)
+
+        def batch() -> list[bytes]:
+            items = _pretrain_batch(source, bank, cfg, FeatureConfig(), 0, 0, range(9), [0] * 9)
+            return [v.tobytes() for views in items for v in views]
+
+        def each_task_size(n) -> dict[int, tuple[list[bytes], list[int]]]:
+            runs = {}
+            for per in (1, 3, 4, 7):
+                monkeypatch.setattr(trainer, "PRETRAIN_ITEMS_PER_TASK", per)
+                stack_rows.clear()
+                runs[per] = batch(), list(stack_rows)
+            return runs
+
+        with monkeypatch.context() as m:
+            m.setattr(pool, "map_items", map)
+            m.setattr(trainer, "PRETRAIN_ITEMS_PER_TASK", 1)
+            want = batch()
+        assert len(want) == 18
+        for n, runs in on_pools(each_task_size).items():
+            for per, (got, rows) in runs.items():
+                assert got == want, (per, n)
+                assert max(rows) <= min(2 * per, augment.STACK_ROWS)
+            assert augment.STACK_ROWS in runs[7][1] and min(runs[7][1]) < augment.STACK_ROWS
 
 
 class TestFinetuneCrops:
