@@ -8,11 +8,15 @@ classes, not to model speech.
 
 The harmonic source is summed with Clenshaw's recurrence (C. W. Clenshaw,
 "A note on the summation of Chebyshev series", MTAC 1955): one `sin` and one
-`cos` per sample instead of one `sin` per harmonic. Synthesis runs on the
-calling thread; a cold corpus source still synthesizes in parallel because
-its waveforms are made inside the item pool's tasks. Against the direct
-sine sum, the float32 samples of three desk corpora differed by at most
-2**-25, half a float32 ulp at the 0.5 peak.
+`cos` per sample instead of one `sin` per harmonic. Against the direct sine
+sum, the float32 samples of three desk corpora differed by at most 2**-25,
+half a float32 ulp at the 0.5 peak. The recurrence runs in cache-sized
+blocks, and the rest of an utterance is computed in place on two arrays of
+its length, with both resonators in one `sosfilt` call; the bytes equal the
+unblocked, one-array-per-step formulation's (see `gen_utterance`).
+Synthesis runs on the calling thread; a cold corpus source still
+synthesizes in parallel because its waveforms are made inside the item
+pool's tasks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 from .errors import CelError, CorpusTooSmallError, InvalidParamError, SchemaError, TooShortError
 from .features import SAMPLE_RATE, Waveform, crop_samples, read_wav, write_wav
@@ -34,6 +38,10 @@ from .schema import at_least, plain, read_record
 MIN_UTTERANCE_SAMPLES = 2 * crop_samples(180)
 
 N_HARMONICS = 16
+
+# Samples per block of Clenshaw's recurrence: its four float64 block buffers
+# (256 KiB) stay in one core's L2 cache across the harmonics.
+SYNTH_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -68,14 +76,37 @@ def gen_speaker(rng: np.random.Generator) -> SpeakerProfile:
     )
 
 
-def _resonator_coeffs(freq_hz: float, bw_hz: float) -> tuple[np.ndarray, np.ndarray]:
+def _resonator_section(freq_hz: float, bw_hz: float) -> list[float]:
+    """One two-pole resonator as a `sosfilt` section `[b0, b1, b2, 1, a1, a2]`."""
     r = np.exp(-np.pi * bw_hz / SAMPLE_RATE)
     theta = 2.0 * np.pi * freq_hz / SAMPLE_RATE
-    a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
     # Unit gain at the resonance peak keeps output scale tame before the
     # final peak normalization.
-    b = np.array([1.0 - r])
-    return b, a
+    return [1.0 - r, 0.0, 0.0, 1.0, -2.0 * r * np.cos(theta), r * r]
+
+
+def _harmonic_source(phase: np.ndarray, gains: list[float]) -> None:
+    """Overwrite `phase` with the sum over k of gains[k-1] * sin(k * phase).
+
+    Clenshaw's recurrence from the top harmonic down (see `gen_utterance`),
+    one `SYNTH_BLOCK` of samples at a time.
+    """
+    alpha, b1, b2, bk = np.empty((4, min(phase.size, SYNTH_BLOCK)))
+    for start in range(0, phase.size, SYNTH_BLOCK):
+        block = phase[start : start + SYNTH_BLOCK]
+        m = block.size
+        a, c1, c2, ck = alpha[:m], b1[:m], b2[:m], bk[:m]
+        np.cos(block, out=a)
+        a *= 2.0
+        c1.fill(0.0)
+        c2.fill(0.0)
+        for g in reversed(gains):
+            np.multiply(a, c1, out=ck)
+            ck -= c2
+            ck += g
+            c2, c1, ck = c1, ck, c2
+        np.sin(block, out=block)
+        block *= c1
 
 
 def gen_utterance(
@@ -89,10 +120,20 @@ def gen_utterance(
     The harmonic source, the sum over k of g_k * sin(k * phase), is
     b_1 * sin(phase) by Clenshaw's recurrence: with alpha = 2 cos(phase) and
     b_{K+1} = b_{K+2} = 0, b_k = g_k + alpha * b_{k+1} - b_{k+2} from the top
-    harmonic down. Each step runs, on three preallocated float64 arrays, the
-    fixed order `alpha * b1`, then `- b2`, then `+ g`, so the bytes depend on
-    nothing but the inputs. Its samples lie within 2**-25 of the direct sine
-    sum's after normalization (three desk corpora, 36,864,000 samples).
+    harmonic down. Each step runs the fixed order `alpha * b1`, then `- b2`,
+    then `+ g`, so the bytes depend on nothing but the inputs. Its samples
+    lie within 2**-25 of the direct sine sum's after normalization (three
+    desk corpora, 36,864,000 samples).
+
+    The recurrence runs in blocks of `SYNTH_BLOCK` samples, whose four
+    buffers (alpha, b_k, b_{k+1}, b_{k+2}) stay in cache across the
+    harmonics. The time axis, pitch contour, phase and source are computed in
+    place on one float64 array, and the aspiration noise on a second. Both
+    resonators run in one `sosfilt` call, which copies its input once. The
+    bytes equal those of the unblocked formulas with a fresh array per step:
+    every sample goes through the same elementwise operations in the same
+    order. Each resonator's numerator has a single tap, so the zero terms
+    `sosfilt` adds to each state update leave it equal to `lfilter`'s.
     """
     n = int(round(duration_s * SAMPLE_RATE))
     if n < min_samples:
@@ -100,7 +141,6 @@ def gen_utterance(
             f"utterance of {n} samples is shorter than the {min_samples}-sample "
             f"minimum (two analysis crops must fit)"
         )
-    t = np.arange(n) / SAMPLE_RATE
 
     # Per-utterance delivery: pitch shift, formant wobble, spectral tilt and
     # breathiness all vary between takes so that single-take spectral
@@ -111,33 +151,43 @@ def gen_utterance(
     tilt = rng.uniform(-0.35, 0.35)
     noise_scale = rng.uniform(0.5, 2.0)
 
-    contour = profile.f0_hz * shift * (
-        1.0 + profile.jitter_depth * np.sin(2.0 * np.pi * profile.jitter_rate_hz * t + phase0)
-    )
-    # One serial prefix sum: a chunked one rounds differently.
-    phase = 2.0 * np.pi * np.cumsum(contour) / SAMPLE_RATE
-
+    # x holds, in turn, the time axis, the pitch contour, the phase and the
+    # harmonic source.
+    x = np.arange(n, dtype=np.float64)
+    x /= SAMPLE_RATE
+    x *= 2.0 * np.pi * profile.jitter_rate_hz
+    x += phase0
+    np.sin(x, out=x)
+    x *= profile.jitter_depth
+    x += 1.0
+    x *= profile.f0_hz * shift
     # The harmonics below Nyquist at the contour's peak: a prefix of the speaker's.
-    below = np.arange(1, len(profile.harmonic_amps) + 1) * contour.max() < SAMPLE_RATE / 2
+    below = np.arange(1, len(profile.harmonic_amps) + 1) * x.max() < SAMPLE_RATE / 2
     gains = [amp * float(k) ** tilt for k, amp in enumerate(profile.harmonic_amps[below], 1)]
+    # One serial prefix sum: a chunked one rounds differently.
+    np.cumsum(x, out=x)
+    x *= 2.0 * np.pi
+    x /= SAMPLE_RATE
 
-    # Clenshaw's recurrence from the top harmonic down (see the docstring).
-    alpha = 2.0 * np.cos(phase)
-    b1, b2, bk = np.zeros(n), np.zeros(n), np.empty(n)
-    for g in reversed(gains):
-        np.multiply(alpha, b1, out=bk)
-        bk -= b2
-        bk += g
-        b2, b1, bk = b1, bk, b2
-    x = b1 * np.sin(phase)  # the harmonic source
-    x += profile.noise_level * noise_scale * rng.standard_normal(n)
+    _harmonic_source(x, gains)
 
-    for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale):
-        b, a = _resonator_coeffs(freq * fs, bw)
-        x = lfilter(b, a, x)
+    noise = rng.standard_normal(out=np.empty(n))
+    noise *= profile.noise_level * noise_scale
+    x += noise
+    del noise
 
-    x = x / np.max(np.abs(x)) * 0.5
-    return Waveform(x)
+    sos = [
+        _resonator_section(freq * fs, bw)
+        for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale)
+    ]
+    x = sosfilt(sos, x)
+
+    # max|x| without an |x| array; abs is exact, so the two are equal.
+    x /= max(x.max(), -x.min())
+    x *= 0.5
+    # Rounding to float32 is monotone, so the float32 peak `Waveform` finds
+    # is the cast of the float64 one.
+    return Waveform(x.astype(np.float32))
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,12 @@ def rng():
 
 
 @pytest.fixture()
-def on_pools(monkeypatch):
+def on_pools():
     """on_pools(run, workers) gives {n: run(n)} for the default pool (n None)
     and for an item pool of each size n.
 
+    Each item pool replaces `cel.pool._pool` only inside its own `with`
+    block, so a later call, or a later pool, never meets a shut-down pool.
     Threads switch every 10 us, so any dependence on the order in which
     pool tasks finish would show.
     """
@@ -47,9 +49,12 @@ def on_pools(monkeypatch):
         interval = sys.getswitchinterval()
         results = {}
         for n in workers:
-            with ItemPool(n) if n else nullcontext() as item_pool:
+            with (
+                ItemPool(n) if n else nullcontext() as item_pool,
+                pytest.MonkeyPatch.context() as m,
+            ):
                 if item_pool is not None:
-                    monkeypatch.setattr(pool, "_pool", item_pool)
+                    m.setattr(pool, "_pool", item_pool)
                 sys.setswitchinterval(1e-5)
                 try:
                     results[n] = run(n)

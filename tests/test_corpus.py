@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from cel import augment, pool
 from cel.augment import synth_bank
 from cel.corpus import (
     MIN_UTTERANCE_SAMPLES,
-    _resonator_coeffs,
     build_manifest,
     gen_speaker,
     gen_utterance,
@@ -30,8 +30,15 @@ from cel.features import SAMPLE_RATE, Waveform, read_wav
 from cel.rng import derive_rng
 
 
-def serial_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES):
-    """`gen_utterance` with its harmonic source summed directly, one `sin` per harmonic."""
+def resonator_coeffs(freq_hz, bw_hz):
+    """One formant resonator as `lfilter` numerator and denominator."""
+    r = np.exp(-np.pi * bw_hz / SAMPLE_RATE)
+    theta = 2.0 * np.pi * freq_hz / SAMPLE_RATE
+    return np.array([1.0 - r]), np.array([1.0, -2.0 * r * np.cos(theta), r * r])
+
+
+def draw_delivery(profile, duration_s, rng, min_samples):
+    """The sample count, per-take draws, contour peak and phase, as `gen_utterance` makes them."""
     n = int(round(duration_s * SAMPLE_RATE))
     if n < min_samples:
         raise TooShortError(f"{n} < {min_samples}")
@@ -45,18 +52,47 @@ def serial_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES
         1.0 + profile.jitter_depth * np.sin(2.0 * np.pi * profile.jitter_rate_hz * t + phase0)
     )
     phase = 2.0 * np.pi * np.cumsum(contour) / SAMPLE_RATE
-    max_f0 = float(contour.max())
+    return n, formant_scale, tilt, noise_scale, float(contour.max()), phase
+
+
+def formants(profile, formant_scale, source):
+    """The source through both resonators, one `lfilter` call each, peak-normalized."""
+    x = source
+    for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale):
+        b, a = resonator_coeffs(freq * fs, bw)
+        x = lfilter(b, a, x)
+    return Waveform(x / np.max(np.abs(x)) * 0.5)
+
+
+def serial_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES):
+    """`gen_utterance` with its harmonic source summed directly, one `sin` per harmonic."""
+    n, formant_scale, tilt, noise_scale, max_f0, phase = draw_delivery(
+        profile, duration_s, rng, min_samples
+    )
     source = np.zeros(n)
     for k, amp in enumerate(profile.harmonic_amps, start=1):
         if k * max_f0 >= SAMPLE_RATE / 2:
             break
         source += amp * float(k) ** tilt * np.sin(k * phase)
     source += profile.noise_level * noise_scale * rng.standard_normal(n)
-    x = source
-    for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale):
-        b, a = _resonator_coeffs(freq * fs, bw)
-        x = lfilter(b, a, x)
-    return Waveform(x / np.max(np.abs(x)) * 0.5)
+    return formants(profile, formant_scale, source)
+
+
+def unblocked_utterance(profile, duration_s, rng, min_samples=MIN_UTTERANCE_SAMPLES):
+    """`gen_utterance` as one Clenshaw recurrence over whole arrays, a fresh array
+    per step and one `lfilter` call per resonator: the same arithmetic, unblocked."""
+    n, formant_scale, tilt, noise_scale, max_f0, phase = draw_delivery(
+        profile, duration_s, rng, min_samples
+    )
+    below = np.arange(1, len(profile.harmonic_amps) + 1) * max_f0 < SAMPLE_RATE / 2
+    gains = [amp * float(k) ** tilt for k, amp in enumerate(profile.harmonic_amps[below], 1)]
+    alpha = 2.0 * np.cos(phase)
+    b1, b2 = np.zeros(n), np.zeros(n)
+    for g in reversed(gains):
+        b1, b2 = alpha * b1 - b2 + g, b1
+    source = b1 * np.sin(phase)
+    source += profile.noise_level * noise_scale * rng.standard_normal(n)
+    return formants(profile, formant_scale, source)
 
 
 class TestProfiles:
@@ -109,6 +145,32 @@ class TestUtterances:
         b = utterance_waveform(m, 1, 0)
         assert np.array_equal(a.samples, b.samples)
 
+    # Block edges at 8,192 samples; 64,000 samples is a desk utterance and
+    # 80,000 a babble voice of the default 5 s bank noise.
+    @pytest.mark.parametrize(
+        "n", [1000, 8191, 8192, 8193, 16_384, MIN_UTTERANCE_SAMPLES, 64_000, 80_000]
+    )
+    def test_same_bytes_as_the_unblocked_recurrence(self, n):
+        for speaker in range(3):
+            profile = gen_speaker(derive_rng("unblocked", speaker))
+            got, want = (
+                f(profile, n / SAMPLE_RATE, derive_rng("unblocked-utt", n, speaker), 1)
+                for f in (gen_utterance, unblocked_utterance)
+            )
+            assert got.samples.tobytes() == want.samples.tobytes(), (n, speaker)
+            assert got.peak == want.peak
+
+    def test_synthesis_holds_few_arrays_of_its_length(self):
+        profile = gen_speaker(derive_rng("memory"))
+        gen_utterance(profile, 4.0, derive_rng("memory-utt"))  # first-call allocations
+        tracemalloc.start()
+        try:
+            w = gen_utterance(profile, 4.0, derive_rng("memory-utt"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(w) * 8, f"peak {peak / (len(w) * 8):.2f} float64 arrays"
+
 
 POOL_SIZES = (None, 1, 2, 3, 8)
 
@@ -160,6 +222,13 @@ class TestPooledSynthesis:
             assert [w.tobytes() for w in each] == [w.tobytes() for w in got[None]]
         for g, w in zip(got[None], want):
             assert_near_serial(g, w)
+
+    def test_on_pools_runs_twice_in_one_test(self, on_pools):
+        def squares(n):
+            return list(pool.map_items(lambda v: v * v, range(4)))
+
+        for _ in range(2):
+            assert set(map(tuple, on_pools(squares).values())) == {(0, 1, 4, 9)}
 
     def test_synthesis_submits_nothing_to_the_pool(self, monkeypatch):
         def refuse(*args):

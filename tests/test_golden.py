@@ -14,7 +14,10 @@ writes fails here, intended or not:
 - `gradcheck`: every relative-error array of every instance that `cel
   gradcheck` checks at its default seed, scope by scope, each instance's
   arrays in parameter name order, so an instance that is not a scope's
-  worst moves the hash too.
+  worst moves the hash too;
+- `corpus`: the float32 samples of a few desk utterances and of every noise
+  of `synth_bank(0)`, babble included, so synthesis is pinned directly and
+  not only through what training makes of it.
 
 The file records the NumPy, SciPy and BLAS versions it was made with. Other
 versions may round differently, so a mismatch fails naming both sets rather
@@ -41,7 +44,9 @@ import numpy as np
 import pytest
 import scipy
 
+from cel.augment import synth_bank
 from cel.config import load_config
+from cel.corpus import build_manifest, utterance_waveform
 from cel.encoder import load_encoder
 from cel.evaluation import DcfParams, det_points, eer, min_dcf, score_trials
 from cel.experiments import _split_sources
@@ -51,10 +56,12 @@ from cel.trainer import FINETUNE_OBJECTIVES, embed_utterances, finetune, pretrai
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 CASES = ("pretrain", *(f"finetune-{o}" for o in FINETUNE_OBJECTIVES), "scores", "metrics",
-         "gradcheck")
+         "gradcheck", "corpus")
 EPOCHS = 2
 # The seed `cel gradcheck` checks at by default.
 GRADCHECK_SEED = 7
+# The (speaker, take) indices of the desk utterances the `corpus` case hashes.
+CORPUS_UTTERANCES = ((0, 0), (1, 3), (31, 5))
 
 
 def library_versions() -> dict[str, str]:
@@ -101,6 +108,11 @@ def case_digest(case: str, workdir: Path) -> str:
             for errs in instance_errors(scope, GRADCHECK_SEED)
             for name in sorted(errs)
         ))
+    if case == "corpus":
+        c = load_config(ROOT / "configs" / "desk.json").corpus
+        manifest = build_manifest(c.n_speakers, c.utterances_per_speaker, c.duration_s, c.seed)
+        waves = [utterance_waveform(manifest, i, j) for i, j in CORPUS_UTTERANCES]
+        return _digest(*(w.samples.tobytes() for w in (*waves, *synth_bank(0).noises)))
     ckpt = _pretrained(workdir) / "checkpoint.ckpt"
     if case == "pretrain":
         return _run_digest(ckpt.parent)
