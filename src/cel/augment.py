@@ -11,20 +11,18 @@ with the bank's longest response (40,000 for a 180-frame crop and
 `synth_bank(0)`, whose longest response has 10,347 taps). So any crops of
 one length can share an FFT: `apply_specs` zero-pads up to `STACK_ROWS` of
 them into one float32 stack per `rfft`/`irfft` call and multiplies each row
-by its own response's cached spectrum. pocketfft (`scipy.fft`) transforms
-four float32 rows at once in SIMD lanes, and each row's bytes equal its
-one-row transform's. At n = 40,000 on a 2-core x86 host, a 4-row stack took
-0.174 ms per row for `rfft` and 0.182 ms for `irfft`, against 0.254 and
-0.202 ms for one row.
+by its own response's spectrum, which the bank keeps for the last FFT length
+asked for. pocketfft (`scipy.fft`) transforms four float32 rows at once in
+SIMD lanes, and each row's bytes equal its one-row transform's. At
+n = 40,000 on a 2-core x86 host, a 4-row stack took 0.174 ms per row for
+`rfft` and 0.182 ms for `irfft`, against 0.254 and 0.202 ms for one row.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,7 +35,7 @@ from .errors import (
     TooShortError,
     UtteranceTooShortError,
 )
-from .features import SAMPLE_RATE, FeatureConfig, Waveform, crop_samples
+from .features import SAMPLE_RATE, FeatureConfig, Waveform, crop_samples, peak_normalized
 from .rng import derive_rng
 
 # 60 dB of decay at t = rt60 means an amplitude factor of exactly 1e-3.
@@ -51,15 +49,6 @@ _DIRECT_CONV_MAX = 64
 # Rows per FFT call of `apply_specs`: one group of pocketfft's four float32
 # SIMD lanes. A stack of 5-7 rows runs its remainder one row at a time.
 STACK_ROWS = 4
-
-# FFT spectra of read-only impulse responses (a NoiseBank's), per FFT length,
-# keyed by array identity. A read-only array cannot change under its cached
-# spectra, and its entry is dropped when the array is freed.
-_rir_spectra: dict[int, dict[int, np.ndarray]] = {}
-_rir_spectra_lock = threading.Lock()
-# Crops share one length, but utterances of varying length each need their
-# own FFT length; the oldest spectra go first beyond this many per response.
-_RIR_SPECTRA_PER_RESPONSE = 8
 
 # Speakers summed into one babble noise.
 BABBLE_VOICES = 6
@@ -159,23 +148,6 @@ def add_noise(
     return _mix_at_snr(s.samples, noise.samples[offset : offset + len(s)], snr_db)
 
 
-def _rir_spectrum(h: np.ndarray, n: int) -> np.ndarray:
-    """rfft(h, n), computed once per read-only array and length."""
-    if h.flags.writeable:
-        return sp_fft.rfft(h, n)
-    with _rir_spectra_lock:
-        per_length = _rir_spectra.get(id(h))
-        if per_length is None:
-            per_length = _rir_spectra[id(h)] = {}
-            weakref.finalize(h, _rir_spectra.pop, id(h), None)
-        if n not in per_length:
-            if len(per_length) >= _RIR_SPECTRA_PER_RESPONSE:
-                del per_length[next(iter(per_length))]
-            per_length[n] = sp_fft.rfft(h, n)
-            per_length[n].setflags(write=False)
-        return per_length[n]
-
-
 def _fft_convolve(
     signals: list[np.ndarray], spectra: Sequence[np.ndarray], n: int
 ) -> np.ndarray:
@@ -208,28 +180,35 @@ def _rescaled(out: np.ndarray, peak: float) -> Waveform:
     return Waveform(out)
 
 
+def _check_response(h: np.ndarray, name: str) -> None:
+    """Refuse the float32 response `h` unless it is nonempty, finite and 1-d."""
+    if h.size == 0:
+        raise EmptyImpulseError(f"{name} must be nonempty")
+    if h.ndim != 1:
+        raise InvalidParamError(f"{name} must be 1-d, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise InvalidParamError(f"{name} must be finite")
+
+
 def apply_rir(s: Waveform, rir: np.ndarray) -> Waveform:
     """Convolve with an impulse response, truncated to the input length.
 
-    The response is cast to float32 and convolved in float32. If convolution
-    raises the peak above the input's, the output is scaled back down to the
-    input peak so the [-1, 1] range survives. Long responses are convolved by
-    FFT at their own length, `next_fast_len(len(s) + len(rir) - 1)`, in the
-    same steps and so to the same bits as `scipy.signal.fftconvolve` on
-    float32 input; the complex64 spectrum of a read-only float32 response is
-    cached per FFT length. A bank's responses go through `apply_specs`
-    instead, at the bank's one FFT length.
+    The response is cast to float32, checked to be nonempty, finite and 1-d,
+    and convolved in float32. If convolution raises the peak above the
+    input's, the output is scaled back down to the input peak so the [-1, 1]
+    range survives. Long responses are convolved by FFT at their own length,
+    `next_fast_len(len(s) + len(rir) - 1)`, in the same steps and so to the
+    same bits as `scipy.signal.fftconvolve` on float32 input; the response's
+    spectrum is computed on each call. A bank's responses go through
+    `apply_specs` instead, at the bank's one FFT length.
     """
     h = np.asarray(rir, dtype=np.float32)
-    if h.size == 0:
-        raise EmptyImpulseError("impulse response must be nonempty")
-    if not np.isfinite(h).all():
-        raise InvalidParamError("impulse response must be finite")
+    _check_response(h, "impulse response")
     x = s.samples
     if h.size <= _DIRECT_CONV_MAX:
         return _rescaled(np.convolve(x, h)[: x.size], s.peak)
     n = sp_fft.next_fast_len(x.size + h.size - 1, True)
-    return _rescaled(_fft_convolve([x], [_rir_spectrum(h, n)], n)[0], s.peak)
+    return _rescaled(_fft_convolve([x], [sp_fft.rfft(h, n)], n)[0], s.peak)
 
 
 def decay_envelope(t_s: np.ndarray | float, rt60_s: float) -> np.ndarray | float:
@@ -254,16 +233,14 @@ def synth_rir(
 
 
 def white_noise(n: int, rng: np.random.Generator) -> Waveform:
-    x = rng.standard_normal(n)
-    return Waveform(x / np.max(np.abs(x)) * 0.9)
+    return peak_normalized(rng.standard_normal(n), 0.9)
 
 
 def pink_noise(n: int, rng: np.random.Generator) -> Waveform:
     spectrum = np.fft.rfft(rng.standard_normal(n))
     f = np.arange(spectrum.size, dtype=np.float64)
     f[0] = 1.0
-    x = np.fft.irfft(spectrum / np.sqrt(f), n=n)
-    return Waveform(x / np.max(np.abs(x)) * 0.9)
+    return peak_normalized(np.fft.irfft(spectrum / np.sqrt(f), n=n), 0.9)
 
 
 def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
@@ -273,21 +250,25 @@ def babble_noise(n: int, rng: np.random.Generator) -> Waveform:
         profile = gen_speaker(rng)
         w = gen_utterance(profile, duration_s, rng, min_samples=1)
         mix += w.samples[:n]
-    return Waveform(mix / np.max(np.abs(mix)) * 0.9)
+    return peak_normalized(mix, 0.9)
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseBank:
     """Noise waveforms and impulse responses, both in fixed order.
 
-    The impulse responses are stored as read-only float32 copies, so their
-    spectra may be cached. Every response reverberates a signal of a given
-    length at one FFT length (`fft_length`). A bank hashes and compares by
-    identity, so it can key the evaluation feature cache of `CorpusSource`.
+    The impulse responses are stored as read-only float32 copies, each
+    checked to be nonempty, finite and 1-d. Every response reverberates a
+    signal of a given length at one FFT length (`fft_length`), and the bank
+    keeps its responses' spectra at the last FFT length asked for
+    (`spectra`). A bank hashes and compares by identity, so it can key the
+    evaluation feature cache of `CorpusSource`.
     """
 
     noises: tuple[Waveform, ...]
     rirs: tuple[np.ndarray, ...]
+    # (FFT length, the responses' read-only spectra at it) of the last `spectra` call.
+    _spectra: tuple[int, tuple[np.ndarray, ...]] = field(init=False, repr=False, default=(0, ()))
 
     def __post_init__(self) -> None:
         if not self.noises or not self.rirs:
@@ -296,7 +277,8 @@ class NoiseBank:
                 f"got {len(self.noises)} and {len(self.rirs)}"
             )
         rirs = tuple(np.array(h, dtype=np.float32) for h in self.rirs)
-        for h in rirs:
+        for i, h in enumerate(rirs):
+            _check_response(h, f"impulse response {i}")
             h.setflags(write=False)
         object.__setattr__(self, "rirs", rirs)
 
@@ -304,6 +286,22 @@ class NoiseBank:
         """The FFT length at which each response reverberates `length` samples:
         the fast length that holds the full convolution with the longest one."""
         return sp_fft.next_fast_len(length + max(h.size for h in self.rirs) - 1, True)
+
+    def spectra(self, n: int) -> tuple[np.ndarray, ...]:
+        """The read-only complex64 `rfft(h, n)` of each response.
+
+        The spectra of the last length asked for are kept, so they are
+        computed again only when `n` changes. The kept pair is read once and
+        replaced whole: a thread that asks for another length meanwhile
+        cannot hand this call spectra of the wrong length.
+        """
+        length, spectra = self._spectra
+        if length != n:
+            spectra = tuple(sp_fft.rfft(h, n) for h in self.rirs)
+            for spectrum in spectra:
+                spectrum.setflags(write=False)
+            object.__setattr__(self, "_spectra", (n, spectra))
+        return spectra
 
 
 def synth_bank(
@@ -404,7 +402,8 @@ def _reverb_stack(
     """Reverberate the (position, crop, spec) rows in one stack at the bank's
     FFT length, then add their noise. `rows` is emptied."""
     n = bank.fft_length(len(rows[0][1]))
-    spectra = [_rir_spectrum(bank.rirs[spec.rir_index], n) for _, _, spec in rows]
+    by_index = bank.spectra(n)
+    spectra = [by_index[spec.rir_index] for _, _, spec in rows]
     signals = [crop.samples for _, crop, _ in rows]
     done = [(i, crop.peak, spec) for i, crop, spec in rows]
     rows.clear()

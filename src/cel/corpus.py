@@ -29,7 +29,7 @@ import numpy as np
 from scipy.signal import sosfilt
 
 from .errors import CelError, CorpusTooSmallError, InvalidParamError, SchemaError, TooShortError
-from .features import SAMPLE_RATE, Waveform, crop_samples, read_wav, write_wav
+from .features import SAMPLE_RATE, Waveform, crop_samples, peak_normalized, read_wav, write_wav
 from .rng import derive_rng
 from .schema import at_least, plain, read_record
 
@@ -180,14 +180,8 @@ def gen_utterance(
         _resonator_section(freq * fs, bw)
         for freq, bw, fs in zip(profile.formant_hz, profile.formant_bw_hz, formant_scale)
     ]
-    x = sosfilt(sos, x)
-
-    # max|x| without an |x| array; abs is exact, so the two are equal.
-    x /= max(x.max(), -x.min())
-    x *= 0.5
-    # Rounding to float32 is monotone, so the float32 peak `Waveform` finds
-    # is the cast of the float64 one.
-    return Waveform(x.astype(np.float32))
+    x = sosfilt(sos, x)  # rebinding frees the filter's input before normalizing
+    return peak_normalized(x, 0.5)
 
 
 @dataclass(frozen=True)

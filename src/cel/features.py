@@ -66,6 +66,19 @@ class Waveform:
         return self.samples.size
 
 
+def peak_normalized(x: np.ndarray, peak: float) -> Waveform:
+    """The float64 array `x`, scaled in place so that max|x| is `peak`, as a Waveform.
+
+    `max(x.max(), -x.min())` is max|x| without an |x| array, since abs is
+    exact. Rounding to float32 is monotone, so the float32 peak `Waveform`
+    finds is the cast of the float64 one, and the float32 cast before it
+    gives the bytes of building it from the float64 array.
+    """
+    x /= max(x.max(), -x.min())
+    x *= peak
+    return Waveform(x.astype(np.float32))
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Log-mel extraction parameters; defaults give 40 bands at 10 ms hop."""

@@ -674,9 +674,10 @@ def _train(
     encoder inputs in item order, one feature matrix per view; batches hold
     `batch_shape` = (speakers, utterances per speaker); the objective
     `OBJECTIVES[phase][objective_name]` scores them. A corpus smaller than
-    one batch is refused before any item is built. Each step's encoder
-    passes run on one float32 copy of the encoder's weights; the
-    parameters, their summed gradients and Adam stay float64.
+    one batch is refused before any item is built, and `out_dir` is made
+    after the corpus and resume checks but before the first epoch. Each
+    step's encoder passes run on one float32 copy of the encoder's weights;
+    the parameters, their summed gradients and Adam stay float64.
     """
     sizes = zip(batch_shape, (source.speaker_count, source.utterances_per_speaker),
                 ("speakers", "utterances per speaker"))
@@ -714,6 +715,10 @@ def _train(
         shapes = {name: np.shape(a) for name, a in params.items()}
         params, m, v = (checked_blocks(resume_from, blocks, shapes, p) for p in STATE_PREFIXES)
         opt = OptimizerState(m=m, v=v, step=step)
+    # Made before any epoch, so an out_dir that cannot be a directory fails first.
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
     records: list[EpochRecord] = []
     for epoch in range(start_epoch, cfg.epochs):
@@ -759,9 +764,7 @@ def _train(
 
     log_text = "\n".join([LOG_HEADER] + [r.to_line() for r in records]) + "\n"
     ckpt = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "metrics.tsv").write_text(log_text)
         ckpt = out / "checkpoint.ckpt"
         meta = {"epochs_done": cfg.epochs, "adam_step": opt.step, **objective.meta()}

@@ -1,6 +1,6 @@
-import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from cel.errors import (
     UtteranceTooShortError,
 )
 from cel.features import Waveform
+from cel.pool import map_items
 from cel.rng import derive_rng
 
 
@@ -156,6 +157,15 @@ def assert_close_in_ulps(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_allclose(got, want, rtol=0, atol=CONV_ULPS * ulp)
 
 
+# A response that is empty, not 1-d, or not finite, and how it is refused.
+BAD_RESPONSES = [
+    (np.zeros(0), EmptyImpulseError, "must be nonempty"),
+    (np.ones((2, 3)), InvalidParamError, "must be 1-d, got shape (2, 3)"),
+    (np.r_[1.0, np.nan, 0.5], InvalidParamError, "must be finite"),
+]
+BAD_RESPONSE_IDS = ["empty", "2-d", "nan"]
+
+
 class TestRir:
     def test_unit_impulse_identity(self, rng):
         s = Waveform(np.clip(0.3 * rng.standard_normal(4000), -0.9, 0.9))
@@ -196,26 +206,38 @@ class TestRir:
         h[0] = 1.0
         want = float32_reference(x, h)
         h = h.astype(np.float32)
-        h.setflags(write=False)  # read-only float32, so the second call hits the spectrum cache
+        h.setflags(write=False)  # read-only float32, as a bank's responses are
         for _ in range(2):
             assert apply_rir(Waveform(x), h).samples.tobytes() == want.tobytes()
 
-    def test_spectrum_cache_follows_the_bank(self, rng):
+    def test_spectrum_cache_follows_the_bank(self, rng, monkeypatch):
+        # The bank keeps its responses' spectra at the last FFT length asked
+        # for: one rfft per response per length, and a new length replaces it.
         bank = synth_bank(seed=5, n_each=1, noise_duration_s=1.0, rir_count=2)
-        h = bank.rirs[0]
-        assert not h.flags.writeable
-        s = Waveform(0.1 * rng.standard_normal(3000))
-        first = apply_rir(s, h).samples.tobytes()
-        assert len(augment._rir_spectra[id(h)]) == 1
-        assert apply_rir(s, h).samples.tobytes() == first
-        cap = augment._RIR_SPECTRA_PER_RESPONSE
-        for n in range(1000, 1000 * (2 * cap + 1), 1000):  # 2 * cap distinct FFT lengths
-            apply_rir(Waveform(np.zeros(n)), h)
-        assert len(augment._rir_spectra[id(h)]) == cap
-        key = id(h)
-        del bank, h
-        gc.collect()
-        assert key not in augment._rir_spectra
+        transformed = []
+        rfft = augment.sp_fft.rfft
+
+        def counted_rfft(x, *args, **kwargs):
+            transformed.append(x.ndim)
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(augment.sp_fft, "rfft", counted_rfft)
+        specs = [AugmentSpec(AugmentKind.REVERB, rir_index=i) for i in (0, 1, 1, 0)]
+
+        def reverberate(length):
+            crops = [Waveform(0.1 * rng.standard_normal(length)) for _ in specs]
+            list(apply_specs(zip(crops, specs), bank))
+            return transformed.count(1)  # the stacks are 2-d
+
+        for length, responses_done in ((3000, 2), (3000, 2), (5000, 4), (3000, 6)):
+            assert reverberate(length) == responses_done, length
+            n, spectra = bank._spectra
+            assert n == bank.fft_length(length)
+            assert bank.spectra(n) is spectra
+            for h, spectrum in zip(bank.rirs, spectra):
+                assert not spectrum.flags.writeable
+                assert spectrum.dtype == np.complex64
+                assert spectrum.tobytes() == rfft(h, n).tobytes()
 
     def test_writable_response_is_not_cached(self, rng):
         s = Waveform(0.1 * rng.standard_normal(3000))
@@ -224,7 +246,6 @@ class TestRir:
             h[0] = tap
             want = float32_reference(s.samples, h)
             assert apply_rir(s, h).samples.tobytes() == want.tobytes()
-        assert id(h) not in augment._rir_spectra
 
     def test_output_length_truncated(self, rng):
         s = Waveform(0.1 * rng.standard_normal(1000))
@@ -235,6 +256,12 @@ class TestRir:
         s = Waveform(0.1 * rng.standard_normal(100))
         with pytest.raises(EmptyImpulseError):
             apply_rir(s, np.zeros(0))
+
+    @pytest.mark.parametrize("rir, error, message", BAD_RESPONSES[1:], ids=BAD_RESPONSE_IDS[1:])
+    def test_bad_impulse_rejected_before_convolving(self, rng, rir, error, message):
+        s = Waveform(0.1 * rng.standard_normal(100))
+        with pytest.raises(error, match="^" + re.escape(f"impulse response {message}") + "$"):
+            apply_rir(s, rir)
 
     def test_decay_envelope_minus_60db_at_rt60(self):
         rt60 = 0.3
@@ -267,6 +294,22 @@ class TestGenerators:
         b = babble_noise(16000, derive_rng("babble", 0))
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("gen, arrays", [
+        (white_noise, 2.5), (pink_noise, 4.0), (babble_noise, 4.0),
+    ], ids=["white", "pink", "babble"])
+    def test_noise_holds_few_arrays_of_its_length(self, gen, arrays):
+        # The default 5 s bank noise; normalizing it makes no |x| or float64
+        # copy. Babble peaks while a voice is synthesized beside the mix.
+        n = 80_000
+        gen(n, derive_rng("memory", gen.__name__))  # first-call allocations
+        tracemalloc.start()
+        try:
+            gen(n, derive_rng("memory", gen.__name__))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * n * 8, f"peak {peak / (n * 8):.2f} float64 arrays"
+
 
 class TestBank:
     def test_synth_bank_contents(self, tiny_bank):
@@ -278,6 +321,12 @@ class TestBank:
     def test_empty_bank_rejected(self):
         with pytest.raises(InvalidParamError):
             NoiseBank(noises=(), rirs=(np.ones(4),))
+
+    @pytest.mark.parametrize("rir, error, message", BAD_RESPONSES, ids=BAD_RESPONSE_IDS)
+    def test_bad_response_is_refused_by_index(self, tiny_bank, rir, error, message):
+        with pytest.raises(error, match="^" + re.escape(f"impulse response 1 {message}") + "$"):
+            NoiseBank(tiny_bank.noises, (tiny_bank.rirs[0], rir))
+
 
 class TestSpecs:
     def test_sample_spec_fields(self, tiny_bank):
@@ -369,8 +418,30 @@ class TestStackedReverb:
             assert [got[i].samples.tobytes() for i in range(m)] == alone[:m], m
         n = bank.fft_length(length)
         assert n >= length + max(h.size for h in bank.rirs) - 1
-        for h in bank.rirs:
-            assert list(augment._rir_spectra[id(h)]) == [n]
+        assert bank._spectra[0] == n
+
+    def test_two_lengths_on_one_bank_at_once_keep_their_bytes(self, on_pools):
+        # Pool threads reverberating crops of two lengths on one bank replace
+        # its spectra in turn; each call must still use spectra of its own length.
+        bank = synth_bank(0)
+        kinds = (AugmentKind.REVERB, AugmentKind.NOISE_REVERB)
+        work = {}
+        for length in (crop_samples(180), crop_samples(60)):
+            crops = self._crops(augment.STACK_ROWS + 1, length, length)
+            specs = [AugmentSpec(kinds[i % 2], snr_db=5.0, noise_index=i, noise_offset=10 * i,
+                                 rir_index=i % len(bank.rirs)) for i in range(len(crops))]
+            work[length] = list(zip(crops, specs))
+
+        def reverberate(length):
+            got = dict(apply_specs(work[length], bank))
+            return [got[i].samples.tobytes() for i in range(len(got))]
+
+        serial = {length: reverberate(length) for length in work}
+        lengths = list(work) * 8
+        runs = on_pools(lambda n: list(map_items(reverberate, lengths)))
+        for n, got in runs.items():
+            for length, outputs in zip(lengths, got):
+                assert outputs == serial[length], (n, length)
 
     def test_other_kinds_between_reverberated_crops_keep_their_positions(self, bank):
         length = crop_samples(60)

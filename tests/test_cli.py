@@ -16,7 +16,7 @@ from cel.gradcheck import ALL_SCOPES
 from cel.trainer import FINETUNE_OBJECTIVES, SIMILARITY_KINDS
 from cel.config import RunConfig, load_config
 from cel.corpus import CorpusConfig, build_manifest, load_manifest, save_manifest
-from cel.encoder import load_checkpoint, load_encoder, save_checkpoint
+from cel.encoder import Encoder, load_checkpoint, load_encoder, save_checkpoint
 from cel.schema import check
 from cel.evaluation import Trial, read_trial_list, write_trial_list
 
@@ -213,6 +213,25 @@ class TestPretrain:
             "but entry 1 must be spk000/utt001\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_fails_before_any_epoch(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr(Encoder, "forward", lambda *a, **k: pytest.fail("an epoch ran"))
+        rc = main(
+            [
+                "pretrain",
+                "--config", str(workspace / "small.json"),
+                "--corpus", str(workspace / "corpus"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [pretrain]: ") and str(out) in err
+        assert out.read_text() == ""
 
 
 class TestFinetune:

@@ -97,6 +97,18 @@ def _drop_meta_key(path: Path, key: str) -> Path:
     return path
 
 
+def assert_resumed_exactly(full_dir: Path, resumed_dir: Path, epochs_before: int) -> None:
+    """The resumed run wrote the uninterrupted run's checkpoint bytes, so
+    Adam's moments and step and any objective state match too, and its
+    metric rows are the uninterrupted run's rows of the resumed epochs."""
+    assert (resumed_dir / "checkpoint.ckpt").read_bytes() == (
+        full_dir / "checkpoint.ckpt"
+    ).read_bytes()
+    header, *rows = (full_dir / "metrics.tsv").read_text().splitlines()
+    resumed = (resumed_dir / "metrics.tsv").read_text().splitlines()
+    assert resumed == [header, *rows[epochs_before:]]
+
+
 class TestConfigValidation:
     def test_pretrain_rejects_bad_values(self):
         with pytest.raises(InvalidParamError):
@@ -318,20 +330,17 @@ class TestPretrain:
 
     def test_resume_matches_uninterrupted_run(self, source, bank, tmp_path):
         full_cfg = tiny_pretrain_cfg(epochs=4)
-        half_cfg = tiny_pretrain_cfg(epochs=2)
-        full = pretrain(source, full_cfg, TINY_ENC, bank=bank)
+        full = pretrain(source, full_cfg, TINY_ENC, bank=bank, out_dir=tmp_path / "full")
         half_dir = tmp_path / "half"
-        pretrain(source, half_cfg, TINY_ENC, bank=bank, out_dir=half_dir)
+        pretrain(source, tiny_pretrain_cfg(epochs=2), TINY_ENC, bank=bank, out_dir=half_dir)
         resumed = pretrain(
-            source,
-            full_cfg,
-            TINY_ENC,
-            bank=bank,
-                       resume_from=half_dir / "checkpoint.ckpt",
+            source, full_cfg, TINY_ENC, bank=bank, out_dir=tmp_path / "resumed",
+            resume_from=half_dir / "checkpoint.ckpt",
         )
         for name in full.params:
             np.testing.assert_array_equal(resumed.params[name], full.params[name])
         assert [r.epoch for r in resumed.records] == [2, 3]
+        assert_resumed_exactly(tmp_path / "full", tmp_path / "resumed", epochs_before=2)
 
     @pytest.mark.parametrize("key", ["adam_step", "epochs_done"])
     def test_resume_without_meta_key_rejected(self, source, bank, tmp_path, key):
@@ -462,21 +471,20 @@ class TestFinetune:
             out_b / "checkpoint.ckpt"
         ).read_bytes()
 
-    def test_resume_matches_uninterrupted_run(self, source, tmp_path):
-        full = finetune(source, tiny_finetune_cfg(epochs=4), TINY_ENC)
+    @pytest.mark.parametrize("objective", ["aprot", "adacos"])
+    def test_resume_matches_uninterrupted_run(self, source, tmp_path, objective):
+        # AdaCos carries its scale and step count across the resume in the meta.
+        full_cfg = tiny_finetune_cfg(objective=objective, epochs=4)
+        full = finetune(source, full_cfg, TINY_ENC, out_dir=tmp_path / "full")
         half_dir = tmp_path / "half"
-        finetune(
-            source, tiny_finetune_cfg(epochs=2), TINY_ENC,
-            out_dir=half_dir,
-        )
+        finetune(source, replace(full_cfg, epochs=2), TINY_ENC, out_dir=half_dir)
         resumed = finetune(
-            source,
-            tiny_finetune_cfg(epochs=4),
-            TINY_ENC,
-                       resume_from=half_dir / "checkpoint.ckpt",
+            source, full_cfg, TINY_ENC, out_dir=tmp_path / "resumed",
+            resume_from=half_dir / "checkpoint.ckpt",
         )
         for name in full.params:
             np.testing.assert_array_equal(resumed.params[name], full.params[name])
+        assert_resumed_exactly(tmp_path / "full", tmp_path / "resumed", epochs_before=2)
 
     @pytest.mark.parametrize("objective", ["cosface", "adacos"])
     def test_resume_with_another_objective_rejected(self, source, tmp_path, objective):
