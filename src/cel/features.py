@@ -70,9 +70,8 @@ def peak_normalized(x: np.ndarray, peak: float) -> Waveform:
     """The float64 array `x`, scaled in place so that max|x| is `peak`, as a Waveform.
 
     `max(x.max(), -x.min())` is max|x| without an |x| array, since abs is
-    exact. Rounding to float32 is monotone, so the float32 peak `Waveform`
-    finds is the cast of the float64 one, and the float32 cast before it
-    gives the bytes of building it from the float64 array.
+    exact. Rounding to float32 is monotone, so casting before `Waveform`
+    gives the samples and peak that the float64 array would.
     """
     x /= max(x.max(), -x.min())
     x *= peak
